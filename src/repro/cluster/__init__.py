@@ -6,7 +6,10 @@ each holding a hash/round-robin shard of the data.  A query is executed on
 every shard and the partial results are merged by a query-aware combiner
 (sum of counts, min of mins, group-merge, ordered top-k merge, and
 partial-state finalization for AVG/STDDEV) — the same scatter-gather
-structure a real shared-nothing cluster uses.
+structure a real shared-nothing cluster uses.  There is one coordinator
+(:func:`~repro.cluster.base.scatter_gather`) and one cluster skeleton
+(:class:`~repro.cluster.base.ShardedCluster`); the three backend
+clusters add only their engine factory and backend-named verbs.
 
 **Dispatch & timing model**: *how* the per-shard queries run is a
 pluggable :class:`~repro.cluster.dispatch.Dispatcher` (``dispatch=``
@@ -31,8 +34,8 @@ process-wide.
 
 Neo4j has no cluster wrapper: the community edition does not support
 sharded clusters, so the paper (and this reproduction) excludes it.
-MongoDB's ``$lookup`` refuses to run against sharded data (expression 12),
-also as in the paper.
+MongoDB's ``$lookup`` refuses to run against data sharded over more than
+one node (expression 12), also as in the paper.
 """
 
 from repro.cluster.asterixdb_cluster import AsterixDBCluster

@@ -1,29 +1,25 @@
-"""Shared scatter-gather machinery for sharded engines.
+"""The scatter-gather coordinator shared by every sharded engine.
 
-Beyond the basic run-everywhere-and-merge structure, :func:`scatter_gather`
-is the cluster-side resilience boundary: each shard attempt can have
-faults injected (chaos testing), failed shards are retried under a
-:class:`~repro.resilience.RetryPolicy`, and an irrecoverably down shard
-either raises a precise :class:`~repro.errors.ShardFailureError` or — with
-``allow_partial=True`` — is dropped, returning the merged results of the
-surviving shards flagged ``partial=True``.  See ``docs/resilience.md``.
-
-:func:`scatter_gather_replicated` layers replication on top: each shard
-has copies on several nodes (:class:`~repro.cluster.replica.ReplicaSet`),
-an exhausted retry budget *fails over* to the next healthy replica
-instead of declaring the shard down, attempts slower than the serving
-node's tracked latency estimate are *hedged* against another replica,
-and an opt-in quorum mode cross-checks replica row checksums.  A shard
-only counts as down — ``ShardFailureError`` / ``allow_partial`` drop —
-once every replica is exhausted.
+:func:`scatter_gather` runs a query on every shard and merges the
+partial answers.  It is also the cluster-side resilience boundary: each
+shard has copies on ``replication_factor`` nodes
+(:class:`~repro.cluster.replica.ReplicaSet`; R=1 is the unreplicated
+case), every attempt can have faults injected, failed attempts are
+retried under a :class:`~repro.resilience.RetryPolicy`, an exhausted
+replica *fails over* to the next healthy one, slow attempts are *hedged*
+against another replica, and an opt-in quorum mode cross-checks replica
+row checksums.  A shard only counts as down once every replica is
+exhausted: that raises a precise :class:`~repro.errors.ShardFailureError`
+or — with ``allow_partial=True`` — drops the shard and flags the merged
+result ``partial=True``.  See ``docs/resilience.md``.
 
 How the per-shard work actually runs is delegated to a pluggable
 :class:`~repro.cluster.dispatch.Dispatcher`: the default
 ``SerialDispatcher`` runs shards sequentially on the calling thread and
 keeps the simulated ``max(per-shard elapsed)`` wall time, while
 ``ThreadPoolDispatcher`` runs them concurrently, reports *measured*
-dispatch wall time, and turns hedging into a genuine race.  See
-``docs/distributed-execution.md``.
+dispatch wall time, and turns a fixed-threshold hedge into a genuine
+race.  See ``docs/distributed-execution.md``.
 """
 
 from __future__ import annotations
@@ -32,30 +28,35 @@ import functools
 import time
 import zlib
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro.cache import ResultCache
+from repro.cache import DatasetVersions, ResultCache, resolve_result_cache
 from repro.cluster.dispatch import Dispatcher, resolve_dispatcher
 from repro.cluster.merge import MergeSpec, merge_record_stream, merge_records
+from repro.cluster.partial import plan_select
 from repro.cluster.replica import (
     DOWN,
     HedgePolicy,
     NodeHealthBoard,
     ReplicaSet,
+    ReplicaStore,
     records_checksum,
+    resolve_replication_factor,
 )
 from repro.errors import (
     CircuitOpenError,
     ConnectorError,
     QueryCancelledError,
+    QueryTimeoutError,
     ReplicaDivergenceError,
     ReproError,
     ShardFailureError,
 )
 from repro.obs import ambient_span, metrics
 from repro.obs.profile import OpProfile, analyze_active
-from repro.resilience import FaultInjector, RetryPolicy
-from repro.resilience.admission import AdmissionController
+from repro.resilience import CircuitBreaker, FaultInjector, RetryPolicy, cluster_resilience
+from repro.resilience.admission import AdmissionController, resolve_admission
 from repro.resilience.deadline import (
     CancellationToken,
     Deadline,
@@ -188,238 +189,6 @@ def _merge_stream_with_stats(
             stats.merge(result.stats)
 
 
-class _ShardOutcome:
-    """Result of one shard's full retry loop in :func:`scatter_gather`."""
-
-    __slots__ = ("shard", "result", "attempts")
-
-    def __init__(self, shard: int, result: ResultSet | None, attempts: int) -> None:
-        self.shard = shard
-        self.result = result
-        self.attempts = attempts
-
-
-def scatter_gather(
-    run_on_shard: Callable[[int], ResultSet],
-    num_shards: int,
-    spec: MergeSpec,
-    *,
-    coordinator_overhead: float = DEFAULT_COORDINATOR_OVERHEAD,
-    retry_policy: RetryPolicy | None = None,
-    fault_injector: FaultInjector | None = None,
-    backend_name: str = "",
-    allow_partial: bool = False,
-    dispatcher: "Dispatcher | str | None" = None,
-    stream: bool = False,
-    result_cache: ResultCache | None = None,
-    cache_key: Any = None,
-) -> ResultSet:
-    """Run a query on every shard and merge the partial results.
-
-    With *result_cache* and *cache_key* set, each shard's complete
-    result is cached under ``(cache_key, shard)`` and served from cache
-    on the next identical gather before any attempt runs — the caller
-    owns making *cache_key* semantic (query text plus its dataset
-    version vector).  Streaming and analyze-mode gathers bypass the
-    cache (see :func:`_shard_cache_for`); failed shards store nothing.
-
-    With ``stream=True`` and a record-stream merge kind the returned
-    result drains lazily: per-shard record streams flow through the
-    dispatcher (bounded per-shard queues under ``threads`` — real
-    backpressure) into the k-way merge, and nothing is buffered whole at
-    the coordinator.  Blocking merges and analyze mode materialize — the
-    documented fallback.
-
-    *dispatcher* decides how the per-shard tasks run.  Under the default
-    serial dispatcher shards execute sequentially in-process and the
-    returned ``elapsed_seconds`` is ``max(per-shard elapsed) + merge time
-    + coordinator overhead`` — the wall time of a cluster whose shards run
-    in parallel.  Under a real-time dispatcher (``threads``) the shards
-    genuinely run concurrently and ``elapsed_seconds`` is the *measured*
-    dispatch wall time plus merge and overhead.
-
-    Failure semantics: a shard attempt that raises a
-    :class:`~repro.errors.ConnectorError` (transient faults, timeouts) is
-    retried under *retry_policy*; when its budget is exhausted the shard is
-    declared down.  A down shard raises :class:`ShardFailureError` naming
-    the shard — unless ``allow_partial=True``, in which case it is dropped
-    and the merged result of the surviving shards is returned with
-    ``partial=True`` and ``stats.failed_shards`` counting the losses.
-    Non-connector errors (bad queries, unsupported operations) always
-    propagate unchanged.  *fault_injector* hooks fire once per shard
-    attempt under the key ``"<backend_name>#shard<i>"``.
-    """
-    if num_shards < 1:
-        raise ReproError(
-            f"scatter_gather needs at least one shard, got {num_shards}"
-        )
-    dispatcher = resolve_dispatcher(dispatcher)
-    shard_cache = _shard_cache_for(result_cache, cache_key, stream=stream)
-    deadline = current_deadline()
-    # Every shard of this gather shares one child token: the first fatal
-    # shard error (or an abandoned result stream) cancels it, and sibling
-    # in-flight shard work stops at its next checkpoint.
-    gather_token = CancellationToken(parent=current_token())
-
-    def execute_shard(shard: int) -> _ShardOutcome:
-        key = f"{backend_name}#shard{shard}"
-        attempt = 0
-        with ambient_span("shard", shard=shard, backend=backend_name) as shard_span:
-            if shard_cache is not None:
-                entry = shard_cache.lookup((cache_key, shard))
-                if entry is not None:
-                    cached = _cached_shard_result(entry)
-                    shard_span.set(attempts=0, cache_hits=1)
-                    return _ShardOutcome(shard, cached, 0)
-            while True:
-                attempt += 1
-                if gather_token.cancelled:
-                    shard_span.set(attempts=attempt - 1, outcome="cancelled")
-                    gather_token.check(where=f"shard {shard}")
-                if deadline is not None and deadline.expired():
-                    shard_span.set(attempts=attempt - 1, outcome="deadline")
-                    deadline.check(
-                        backend=backend_name or "cluster", where=f"shard {shard}"
-                    )
-                try:
-                    if fault_injector is not None:
-                        fault_injector.before_request(key)
-                    result = run_on_shard(shard)
-                except Exception as exc:
-                    if retry_policy is not None and retry_policy.should_retry(exc, attempt):
-                        retry_policy.wait(attempt, deadline=deadline)
-                        continue
-                    if not isinstance(exc, ConnectorError):
-                        # Engine/query errors are not shard outages; surface
-                        # as-is — but close the span honestly first so the
-                        # trace still shows how many attempts were burned.
-                        shard_span.set(attempts=attempt, outcome="error")
-                        raise
-                    if allow_partial:
-                        metrics.counter("shard_failures_total").inc()
-                        shard_span.set(attempts=attempt, outcome="failed")
-                        return _ShardOutcome(shard, None, attempt)
-                    shard_span.set(attempts=attempt, outcome="failed")
-                    raise ShardFailureError(
-                        f"shard {shard} of {backend_name or 'cluster'} failed after "
-                        f"{attempt} attempt(s): {exc}",
-                        shard=shard,
-                        attempts=attempt,
-                    ) from exc
-                if shard_span.recording:
-                    # Row counts force a streaming shard result to
-                    # materialize, so only touch them under tracing.
-                    shard_span.set(attempts=attempt, rows=len(result.records))
-                else:
-                    shard_span.set(attempts=attempt)
-                if shard_cache is not None:
-                    shard_cache.store(
-                        (cache_key, shard),
-                        result.records,
-                        elapsed_seconds=result.elapsed_seconds,
-                        plan_text=result.plan_text,
-                        partial=result.partial,
-                    )
-                return _ShardOutcome(shard, result, attempt)
-
-    def run_shard(shard: int) -> _ShardOutcome:
-        try:
-            return execute_shard(shard)
-        except QueryCancelledError:
-            raise
-        except BaseException as exc:
-            gather_token.cancel(
-                f"shard {shard} failed fatally: {type(exc).__name__}: {exc}"
-            )
-            raise
-
-    dispatch_started = time.perf_counter()
-    with budget_scope(token=gather_token):
-        outcomes = dispatcher.map_shards(
-            [functools.partial(run_shard, shard) for shard in range(num_shards)]
-        )
-    dispatch_elapsed = time.perf_counter() - dispatch_started
-
-    shard_results: list[ResultSet] = []
-    shard_attempts: list[int] = []
-    failed_shards: list[int] = []
-    for outcome in outcomes:
-        shard_attempts.append(outcome.attempts)
-        if outcome.result is None:
-            failed_shards.append(outcome.shard)
-        else:
-            shard_results.append(outcome.result)
-    if not shard_results:
-        raise ShardFailureError(
-            f"every shard of {backend_name or 'cluster'} is down "
-            f"({num_shards} of {num_shards} failed)",
-            attempts=sum(shard_attempts),
-        )
-
-    stats = QueryStats()
-    # Cache-served shards have zero attempts; they spent no retries.
-    stats.retries += sum(max(0, attempts - 1) for attempts in shard_attempts)
-    stats.failed_shards += len(failed_shards)
-    stats.dispatch_mode = dispatcher.mode
-    stats.parallelism = dispatcher.parallelism_for(num_shards)
-    if dispatcher.real_time:
-        shard_wall = dispatch_elapsed
-    else:
-        shard_wall = max(result.elapsed_seconds for result in shard_results)
-    partial = bool(failed_shards)
-    degraded = f", partial: lost shards {failed_shards}" if partial else ""
-    plan = shard_results[0].plan_text
-    plan_text = f"scatter-gather[{num_shards} shards, {spec.kind}{degraded}]\n{plan}"
-
-    if _stream_supported(stream, spec, shard_results):
-        with budget_scope(token=gather_token):
-            # Producers capture the gather's budget frame here, so a
-            # consumer close (which cancels the token) stops them at
-            # their next record boundary.
-            sources = dispatcher.stream_shards(
-                [result.iter_records() for result in shard_results]
-            )
-        return StreamingResultSet(
-            _merge_stream_with_stats(
-                spec, sources, stats, shard_results, cancel_token=gather_token
-            ),
-            stats=stats,
-            plan_text=plan_text,
-            elapsed_seconds=shard_wall + coordinator_overhead,
-            partial=partial,
-            shard_attempts=tuple(shard_attempts),
-        )
-
-    merge_started = time.perf_counter()
-    merged = merge_records(spec, [result.records for result in shard_results])
-    merge_elapsed = time.perf_counter() - merge_started
-    for result in shard_results:
-        stats.merge(result.stats)
-    elapsed = shard_wall + merge_elapsed + coordinator_overhead
-    op_profile = None
-    if any(result.op_profile is not None for result in shard_results):
-        # Analyze mode ran on the shards: roll their operator profiles up
-        # under one coordinator node so EXPLAIN ANALYZE shows the cluster.
-        op_profile = OpProfile(
-            f"ScatterGather[{num_shards} shards, {spec.kind}]",
-            children=[r.op_profile for r in shard_results if r.op_profile is not None],
-        )
-        op_profile.rows_out = len(merged)
-        op_profile.time_ns = int(
-            sum(child.time_ns for child in op_profile.children)
-            + merge_elapsed * 1e9
-        )
-    return ResultSet(
-        records=merged,
-        stats=stats,
-        plan_text=plan_text,
-        elapsed_seconds=elapsed,
-        partial=partial,
-        shard_attempts=tuple(shard_attempts),
-        op_profile=op_profile,
-    )
-
-
 def _count_backend(name: str, backend_name: str, amount: int = 1) -> None:
     """Bump a counter both plain and labeled by backend (when named)."""
     metrics.counter(name).inc(amount)
@@ -427,104 +196,396 @@ def _count_backend(name: str, backend_name: str, amount: int = 1) -> None:
         metrics.counter(name, backend=backend_name).inc(amount)
 
 
-class _ReplicaAttempt:
-    """Outcome of trying one shard on one replica (through its retry budget)."""
+@dataclass(slots=True)
+class _Gather:
+    """What every shard task of one gather shares; read-only once built."""
 
-    __slots__ = ("result", "error", "attempts", "effective_seconds")
+    run_on_replica: Callable[[int, int], ResultSet]
+    replica_set: ReplicaSet
+    health: NodeHealthBoard
+    hedge: HedgePolicy
+    quorum_reads: bool
+    retry_policy: RetryPolicy | None
+    fault_injector: FaultInjector | None
+    backend_name: str
+    allow_partial: bool
+    dispatcher: Dispatcher
+    cache: ResultCache | None
+    cache_key: Any
+    deadline: Deadline | None
+    #: Every shard of the gather shares this child token: the first fatal
+    #: shard error (or an abandoned result stream) cancels it, and sibling
+    #: in-flight replica work stops at its next checkpoint.
+    token: CancellationToken
 
-    def __init__(
-        self,
-        result: ResultSet | None,
-        error: Exception | None,
-        attempts: int,
-        effective_seconds: float,
-    ) -> None:
+    @property
+    def label(self) -> str:
+        return self.backend_name or "cluster"
+
+
+class _Leg:
+    """One replica's try at one shard, through its retry budget.
+
+    Only the thread running the leg writes to it, so a leg that dies
+    mid-retry still tells the shard how many attempts it burned.
+    """
+
+    __slots__ = ("node", "result", "error", "attempts", "effective")
+
+    def __init__(self, node: int) -> None:
+        self.node = node
+        self.result: ResultSet | None = None
+        self.error: Exception | None = None
+        self.attempts = 0
+        self.effective = 0.0
+
+
+class _ShardRun:
+    """Everything one shard's failover/hedge/quorum journey produced."""
+
+    __slots__ = (
+        "shard",
+        "legs",
+        "result",
+        "served",
+        "effective",
+        "failovers",
+        "hedges",
+        "hedge_wins",
+        "quorum_checked",
+        "cancelled",
+        "failed_node",
+        "last_error",
+    )
+
+    def __init__(self, shard: int) -> None:
+        self.shard = shard
+        self.legs: list[_Leg] = []
+        self.result: ResultSet | None = None
+        self.served = -1
+        self.effective = 0.0
+        self.failovers = 0
+        self.hedges = 0
+        self.hedge_wins = 0
+        self.quorum_checked = 0
+        self.cancelled = 0
+        self.failed_node: int | None = None
+        self.last_error: Exception | None = None
+
+    @property
+    def attempts(self) -> int:
+        return sum(leg.attempts for leg in self.legs)
+
+    def new_leg(self, node: int) -> _Leg:
+        leg = _Leg(node)
+        self.legs.append(leg)
+        return leg
+
+    def serve(self, result: ResultSet, node: int, effective: float) -> None:
         self.result = result
-        self.error = error
-        self.attempts = attempts
-        self.effective_seconds = effective_seconds
+        self.served = node
+        self.effective = effective
+
+    def fail(self, node: int, error: Exception | None) -> None:
+        """Note that *node* could not answer; the walker fails over from it."""
+        self.failed_node = node
+        self.last_error = error
 
 
-def _run_replica_attempt(
-    run_on_replica: Callable[[int, int], ResultSet],
-    shard: int,
-    node: int,
-    key: str,
-    *,
-    health: NodeHealthBoard,
-    retry_policy: RetryPolicy | None,
-    fault_injector: FaultInjector | None,
-) -> _ReplicaAttempt:
-    """Try *shard* on *node*, retrying under *retry_policy*.
+def _run_leg(
+    g: _Gather, shard: int, leg: _Leg, retry_policy: RetryPolicy | None
+) -> _Leg:
+    """Try *shard* on the leg's node, retrying under *retry_policy*.
 
-    The attempt's *effective* time is the engine's reported elapsed plus
-    any injector-charged latency, so deterministic chaos (no-op sleepers)
+    The leg's *effective* time is the engine's reported elapsed plus any
+    injector-charged latency, so deterministic chaos (no-op sleepers)
     still moves the health tracker and the hedging threshold.
+    *fault_injector* hooks fire once per attempt under the key
+    ``"<backend_name>#shard<i>@node<j>"``.
 
     Observes the ambient budget frame: a cancelled gather stops before
     the next attempt with :class:`~repro.errors.QueryCancelledError`, an
     expired deadline with :class:`~repro.errors.QueryTimeoutError`, and
     backoff sleeps are clamped to the remaining budget.
     """
+    node = leg.node
+    key = f"{g.backend_name}#shard{shard}@node{node}"
+    # The token is read from the ambient frame, not the gather: a hedge
+    # race runs its primary leg under a narrower child token.
     token = current_token()
-    deadline = current_deadline()
-    attempt = 0
+    deadline = g.deadline
     while True:
-        attempt += 1
         if token is not None and token.cancelled:
             token.check(where=f"shard {shard} replica node{node}")
         if deadline is not None and deadline.expired():
             deadline.check(where=f"shard {shard} replica node{node}")
+        leg.attempts += 1
         injected = 0.0
         try:
-            if fault_injector is not None:
-                injected = fault_injector.before_request(key) or 0.0
-            result = run_on_replica(shard, node)
+            if g.fault_injector is not None:
+                injected = g.fault_injector.before_request(key) or 0.0
+            result = g.run_on_replica(shard, node)
         except Exception as exc:
-            if retry_policy is not None and retry_policy.should_retry(exc, attempt):
-                health.record_failure(node)
-                retry_policy.wait(attempt, deadline=deadline)
+            if retry_policy is not None and retry_policy.should_retry(exc, leg.attempts):
+                g.health.record_failure(node)
+                retry_policy.wait(leg.attempts, deadline=deadline)
                 continue
             if not isinstance(exc, ConnectorError):
                 # Engine/query errors are not node outages; surface as-is.
                 raise
-            health.record_failure(node)
-            return _ReplicaAttempt(None, exc, attempt, 0.0)
-        effective = result.elapsed_seconds + injected
-        health.record_success(node, effective)
-        return _ReplicaAttempt(result, None, attempt, effective)
+            g.health.record_failure(node)
+            leg.error = exc
+            return leg
+        leg.result = result
+        leg.effective = result.elapsed_seconds + injected
+        g.health.record_success(node, leg.effective)
+        return leg
 
 
-class _ReplicaShardOutcome:
-    """Everything one shard's failover/hedge/quorum journey produced."""
+def _run_hedge(g: _Gather, run: _ShardRun, node: int) -> _Leg:
+    """Hedge the shard on *node*: a race, not a retry, so one attempt only."""
+    return _run_leg(g, run.shard, run.new_leg(node), None)
 
-    __slots__ = (
-        "shard",
-        "result",
-        "attempts",
-        "effective",
-        "served",
-        "failovers",
-        "hedges",
-        "hedge_wins",
-        "quorum_checked",
-        "cancelled",
+
+def _candidates(
+    g: _Gather, run: _ShardRun, nodes: Sequence[int], span: Any
+) -> Iterator[tuple[int, int]]:
+    """Yield ``(position, node)`` for each replica worth trying, in order.
+
+    The one candidate walker behind quorum and failover reads.  A caller
+    reports a replica that could not answer with :meth:`_ShardRun.fail`;
+    a replica whose circuit breaker is open is failed here without being
+    tried.  Stepping from a failed replica to the next one is a
+    **failover**: counted, and recorded as a ``failover`` span child
+    naming both nodes.
+    """
+    for position, node in enumerate(nodes):
+        if run.failed_node is not None:
+            run.failovers += 1
+            _count_backend("failovers_total", g.backend_name)
+            span.add_child(
+                "failover", 0.0, shard=run.shard,
+                from_node=run.failed_node, to_node=node,
+            )
+            run.failed_node = None
+        if not g.health.allow(node):
+            run.fail(node, CircuitOpenError(f"circuit open for node{node} of {g.label}"))
+            continue
+        yield position, node
+
+
+def _pick_hedge_node(
+    g: _Gather, candidates: Sequence[int], position: int, threshold: float | None
+) -> int | None:
+    """The replica to hedge ``candidates[position]`` against, if any.
+
+    ``None`` when hedging should not trigger (*threshold* is ``None``),
+    when no later candidate is healthy, or when the deadline lands first:
+    a hedge only fires *threshold* seconds into the primary, so past the
+    deadline the second request is pure waste.
+    """
+    if threshold is None:
+        return None
+    if g.deadline is not None and g.deadline.remaining() <= max(threshold, 0.0):
+        return None
+    for node in candidates[position + 1:]:
+        if g.health.allow(node) and g.health.node(node).state != DOWN:
+            return node
+    return None
+
+
+def _read_hedged(
+    g: _Gather, run: _ShardRun, candidates: Sequence[int], position: int, span: Any
+) -> bool:
+    """Read the shard from ``candidates[position]``, hedged; True once served.
+
+    The one hedge sequence, whatever the dispatcher: pick the hedge
+    replica, :meth:`~repro.cluster.dispatch.Dispatcher.race` it against
+    the primary when the threshold is a fixed wall-clock SLO, and when no
+    race fired judge the hedge post-hoc from effective times.  The hedge
+    launches *threshold* seconds into the primary and wins only if it
+    still finishes first — or rescues a failed or cancelled primary.
+    """
+    shard, node = run.shard, candidates[position]
+    primary = run.new_leg(node)
+    hedged: _Leg | None = None
+    primary_first = True
+    # Only a fixed threshold can race the still-running primary: adaptive
+    # (EWMA-based) thresholds live on the simulated clock, post-hoc only.
+    threshold = (
+        g.hedge.threshold_for(g.health.node(node))
+        if g.hedge.threshold_seconds is not None
+        else None
     )
+    hedge_node = _pick_hedge_node(g, candidates, position, threshold)
+    if hedge_node is None:
+        _run_leg(g, shard, primary, g.retry_policy)
+    else:
+        race = g.dispatcher.race(
+            functools.partial(_run_leg, g, shard, primary, g.retry_policy),
+            functools.partial(_run_hedge, g, run, hedge_node),
+            threshold,
+        )
+        primary_first = race.primary_first
+        if race.hedged:
+            hedged = race.hedge_value
+        if race.primary is None:
+            # The primary lost the wall-clock race and was cooperatively
+            # cancelled; its abandoned work counts as `cancelled`, not as
+            # attempts.
+            run.cancelled += 1
+            primary.attempts = 0
+    if hedged is None and primary.result is not None:
+        # No race fired: the threshold is adaptive (read now, after the
+        # primary fed the node's estimate), or the primary was only
+        # *simulatedly* slow (injector-charged latency under a no-op sleep
+        # hook) so the wall clock never reached it.  Hedging from
+        # effective times lets deterministic chaos drive the same hedges
+        # in every dispatch mode.
+        threshold = g.hedge.threshold_for(g.health.node(node))
+        if threshold is not None and primary.effective > threshold:
+            hedge_node = _pick_hedge_node(g, candidates, position, threshold)
+            if hedge_node is not None:
+                hedged = _run_hedge(g, run, hedge_node)
+                primary_first = threshold + hedged.effective >= primary.effective
+    if hedged is not None:
+        run.hedges += 1
+        _count_backend("hedges_total", g.backend_name)
+        won = hedged.result is not None and not (
+            primary.result is not None and primary_first
+        )
+        if won:
+            run.hedge_wins += 1
+            _count_backend("hedge_wins_total", g.backend_name)
+            run.serve(hedged.result, hedge_node, threshold + hedged.effective)
+        span.add_child(
+            "hedge", hedged.effective * 1000.0, shard=shard, node=hedge_node, win=won
+        )
+    if run.result is None:
+        if primary.result is None:
+            run.fail(node, primary.error or (hedged.error if hedged else None))
+            return False
+        run.serve(primary.result, node, primary.effective)
+    return True
 
-    def __init__(self, shard: int) -> None:
-        self.shard = shard
-        self.result: ResultSet | None = None
-        self.attempts = 0
-        self.effective = 0.0
-        self.served = -1
-        self.failovers = 0
-        self.hedges = 0
-        self.hedge_wins = 0
-        self.quorum_checked = 0
-        self.cancelled = 0
+
+def _read_quorum(
+    g: _Gather, run: _ShardRun, candidates: Sequence[int], span: Any
+) -> None:
+    """Serve the shard once a majority of its replicas answer and agree."""
+    needed = g.replica_set.replication_factor // 2 + 1
+    responses: list[_Leg] = []
+    for _, node in _candidates(g, run, candidates, span):
+        leg = _run_leg(g, run.shard, run.new_leg(node), g.retry_policy)
+        if leg.result is None:
+            run.fail(node, leg.error)
+            continue
+        responses.append(leg)
+        if len(responses) >= needed:
+            break
+    if len(responses) < needed:
+        return
+    checksums = {records_checksum(leg.result.records) for leg in responses}
+    if len(checksums) > 1:
+        _count_backend("replica_divergence_total", g.backend_name)
+        nodes = tuple(leg.node for leg in responses)
+        raise ReplicaDivergenceError(
+            f"quorum read of shard {run.shard} on {g.label} diverged across "
+            f"nodes {nodes}: {len(checksums)} distinct checksums",
+            shard=run.shard,
+            nodes=nodes,
+        )
+    run.quorum_checked += 1
+    # A quorum read completes when its slowest member answers.
+    run.serve(
+        responses[0].result, responses[0].node, max(leg.effective for leg in responses)
+    )
+    span.set(quorum=f"{len(responses)}/{needed}")
 
 
-def scatter_gather_replicated(
+def _finish_shard(g: _Gather, run: _ShardRun, num_candidates: int, span: Any) -> None:
+    """Stamp the shard span, cache the answer, or declare the shard down."""
+    attempts = run.attempts
+    result = run.result
+    if result is None:
+        if g.allow_partial:
+            metrics.counter("shard_failures_total").inc()
+            span.set(attempts=attempts, outcome="failed")
+            return
+        where = (
+            "failed"
+            if num_candidates == 1
+            else f"failed on all {num_candidates} replicas"
+        )
+        raise ShardFailureError(
+            f"shard {run.shard} of {g.label} {where} after {attempts} "
+            f"attempt(s): {run.last_error}",
+            shard=run.shard,
+            attempts=attempts,
+        ) from run.last_error
+    if span.recording:
+        # Row counts force a streaming shard result to materialize, so
+        # only touch them under tracing.
+        span.set(attempts=attempts, rows=len(result.records), node=run.served)
+    else:
+        span.set(attempts=attempts, node=run.served)
+    if g.cache is not None:
+        g.cache.store(
+            (g.cache_key, run.shard),
+            result.records,
+            elapsed_seconds=result.elapsed_seconds,
+            plan_text=result.plan_text,
+            partial=result.partial,
+            served_node=run.served,
+        )
+
+
+def _abort_outcome(exc: BaseException) -> str:
+    """The shard-span ``outcome`` for a shard that raised instead of answering."""
+    if isinstance(exc, QueryCancelledError):
+        return "cancelled"
+    if isinstance(exc, QueryTimeoutError):
+        return "deadline"
+    if isinstance(exc, ShardFailureError):
+        return "failed"
+    return "error"
+
+
+def _execute_shard(g: _Gather, shard: int) -> _ShardRun:
+    """One shard's whole journey: cache, then replicas, healthiest first.
+
+    A shard that raises still closes its span honestly (attempts burned,
+    and why it stopped), and — unless it merely observed a cancellation —
+    cancels the gather so sibling shards stop at their next checkpoint.
+    """
+    run = _ShardRun(shard)
+    with ambient_span("shard", shard=shard, backend=g.backend_name) as span:
+        try:
+            if g.cache is not None:
+                entry = g.cache.lookup((g.cache_key, shard))
+                if entry is not None:
+                    span.set(attempts=0, node=entry.served_node, cache_hits=1)
+                    run.serve(_cached_shard_result(entry), entry.served_node, 0.0)
+                    return run
+            candidates = g.health.order(g.replica_set.replicas_for(shard))
+            if g.quorum_reads and len(candidates) > 1:
+                _read_quorum(g, run, candidates, span)
+            else:
+                for position, _ in _candidates(g, run, candidates, span):
+                    if _read_hedged(g, run, candidates, position, span):
+                        break
+            _finish_shard(g, run, len(candidates), span)
+        except BaseException as exc:
+            span.set(attempts=run.attempts, outcome=_abort_outcome(exc))
+            if not isinstance(exc, QueryCancelledError):
+                g.token.cancel(
+                    f"shard {shard} failed fatally: {type(exc).__name__}: {exc}"
+                )
+            raise
+    return run
+
+
+def scatter_gather(
     run_on_replica: Callable[[int, int], ResultSet],
     replica_set: ReplicaSet,
     spec: MergeSpec,
@@ -542,455 +603,163 @@ def scatter_gather_replicated(
     result_cache: ResultCache | None = None,
     cache_key: Any = None,
 ) -> ResultSet:
-    """Replica-aware scatter-gather: failover, hedging, quorum checks.
+    """Run a query on every shard of *replica_set* and merge the answers.
 
-    ``stream=True`` behaves as in :func:`scatter_gather`; quorum reads
-    additionally materialize shard results (their row checksums need the
-    full records) before the merged stream is assembled.
+    ``run_on_replica(shard, node)`` runs the shard query on one copy.  A
+    shard's replicas are tried healthiest-first
+    (:meth:`NodeHealthBoard.order`).  An attempt that raises a
+    :class:`~repro.errors.ConnectorError` is retried under
+    *retry_policy*; a replica whose budget is exhausted — or whose
+    circuit breaker is open — causes a **failover** to the next, and a
+    shard is down only once every replica is exhausted: that raises
+    :class:`ShardFailureError`, or with ``allow_partial=True`` drops the
+    shard and flags the merged answer ``partial=True``.  Non-connector
+    errors (bad queries) propagate unchanged and cancel the sibling
+    shards.  A slow attempt is **hedged** against the next healthy
+    replica (:func:`_read_hedged`); with ``quorum_reads=True`` a majority
+    of replicas must answer with equal row checksums, else
+    :class:`~repro.errors.ReplicaDivergenceError`.  With R=1 every shard
+    has one candidate, so none of the replica machinery can trigger.
 
-    Per-shard result caching (*result_cache* + *cache_key*) works as in
-    :func:`scatter_gather`: a cached shard is served before any replica
-    is tried — so a shard whose primary is down costs neither a failover
-    nor a hedge while its answer is cached — and the cache remembers
-    which node originally served the entry for honest ``served_by``
-    reporting.  Quorum reads bypass the cache entirely: they exist to
-    cross-check *fresh* replica answers.
+    With *result_cache* and *cache_key* set, each shard's complete
+    answer is cached under ``(cache_key, shard)`` together with the node
+    that served it, and served from cache before any replica is tried —
+    the caller owns making *cache_key* semantic (query text plus dataset
+    versions).  Streaming, analyze-mode and quorum gathers bypass the
+    cache (:func:`_shard_cache_for`); failed shards store nothing.
 
-    For each shard, its replicas are tried healthiest-first
-    (:meth:`NodeHealthBoard.order`); a replica whose retry budget is
-    exhausted — or whose per-node circuit breaker is open — causes a
-    **failover** to the next candidate, and only when *every* replica is
-    exhausted does the shard count as down (``ShardFailureError``, or an
-    ``allow_partial`` drop).  A successful attempt whose effective time
-    exceeds the serving node's hedge threshold launches one **hedged**
-    attempt on the next healthy replica; the earlier finisher wins and
-    its completion time becomes the shard's elapsed time.  With
-    ``quorum_reads=True`` a majority of replicas (``R//2 + 1``) must
-    answer and their row checksums must agree, else
-    :class:`~repro.errors.ReplicaDivergenceError`.
-
-    *fault_injector* hooks fire once per attempt under the key
-    ``"<backend_name>#shard<i>@node<j>"`` — substring rules targeting
-    ``"#shard<i>"`` keep working, node rules match the ``@node<j>``
-    suffix.  Under the serial dispatcher timing stays the seed's model
-    (``max(per-shard effective time) + merge time + coordinator
-    overhead``) and hedges are simulated post-hoc from the attempt's
-    effective time.  Under a racing dispatcher (``threads``) a hedge with
-    a *fixed* ``threshold_seconds`` is a real race — the hedge launches
-    once the primary has been running that long on the wall clock, and
-    the first actual finisher wins — while adaptive (EWMA-based)
-    thresholds, which live on the simulated clock, stay post-hoc in
-    every mode; the reported wall time is measured either way.
+    *dispatcher* decides how shard tasks run.  Under ``serial`` they run
+    in order on this thread and ``elapsed_seconds`` is the simulated
+    ``max(per-shard effective time) + merge time + coordinator
+    overhead``; under ``threads`` they run concurrently and the shard
+    term is the *measured* dispatch wall time.  With ``stream=True`` and
+    a record-stream merge kind the result drains lazily through the
+    dispatcher into the k-way merge; blocking merges and analyze mode
+    materialize, and quorum reads materialize each shard first.
     """
-    num_shards = replica_set.num_shards
+    dispatcher = resolve_dispatcher(dispatcher)
     if health is None:
         health = NodeHealthBoard(replica_set.num_nodes, cluster_name=backend_name)
-    dispatcher = resolve_dispatcher(dispatcher)
-    shard_cache = _shard_cache_for(
-        result_cache, cache_key, stream=stream, quorum_reads=quorum_reads
+    g = _Gather(
+        run_on_replica=run_on_replica,
+        replica_set=replica_set,
+        health=health,
+        hedge=hedge if hedge is not None else HedgePolicy(enabled=False),
+        quorum_reads=quorum_reads,
+        retry_policy=retry_policy,
+        fault_injector=fault_injector,
+        backend_name=backend_name,
+        allow_partial=allow_partial,
+        dispatcher=dispatcher,
+        cache=_shard_cache_for(
+            result_cache, cache_key, stream=stream, quorum_reads=quorum_reads
+        ),
+        cache_key=cache_key,
+        deadline=current_deadline(),
+        token=CancellationToken(parent=current_token()),
     )
-    deadline = current_deadline()
-    # Every shard of this gather shares one child token: the first fatal
-    # shard error (or an abandoned result stream) cancels it, and sibling
-    # in-flight replica work stops at its next checkpoint.
-    gather_token = CancellationToken(parent=current_token())
-
-    def hedge_budget_allows(threshold: float | None) -> bool:
-        # A hedge only fires `threshold` seconds into the primary; if the
-        # deadline lands before then, the second request is pure waste.
-        if deadline is None:
-            return True
-        return deadline.remaining() > max(threshold or 0.0, 0.0)
-
-    def execute_shard(shard: int) -> _ReplicaShardOutcome:
-        out = _ReplicaShardOutcome(shard)
-        candidates = health.order(replica_set.replicas_for(shard))
-        with ambient_span("shard", shard=shard, backend=backend_name) as shard_span:
-            if shard_cache is not None:
-                entry = shard_cache.lookup((cache_key, shard))
-                if entry is not None:
-                    shard_span.set(
-                        attempts=0, node=entry.served_node, cache_hits=1
-                    )
-                    out.result = _cached_shard_result(entry)
-                    out.served = entry.served_node
-                    return out
-            result: ResultSet | None = None
-            served = -1
-            effective = 0.0
-            attempts = 0
-            last_error: Exception | None = None
-
-            if quorum_reads and len(candidates) > 1:
-                needed = replica_set.replication_factor // 2 + 1
-                responses: list[tuple[int, ResultSet, float]] = []
-                for node in candidates:
-                    if len(responses) >= needed:
-                        break
-                    if not health.allow(node):
-                        last_error = CircuitOpenError(
-                            f"circuit open for node{node} of {backend_name or 'cluster'}"
-                        )
-                        out.failovers += 1
-                        _count_backend("failovers_total", backend_name)
-                        continue
-                    key = f"{backend_name}#shard{shard}@node{node}"
-                    outcome = _run_replica_attempt(
-                        run_on_replica, shard, node, key,
-                        health=health, retry_policy=retry_policy,
-                        fault_injector=fault_injector,
-                    )
-                    attempts += outcome.attempts
-                    if outcome.result is None:
-                        last_error = outcome.error
-                        out.failovers += 1
-                        _count_backend("failovers_total", backend_name)
-                        shard_span.add_child(
-                            "failover", 0.0, shard=shard, failed_node=node
-                        )
-                        continue
-                    responses.append((node, outcome.result, outcome.effective_seconds))
-                if len(responses) >= needed:
-                    checksums = {records_checksum(r.records) for _, r, _ in responses}
-                    if len(checksums) > 1:
-                        _count_backend("replica_divergence_total", backend_name)
-                        nodes = tuple(node for node, _, _ in responses)
-                        raise ReplicaDivergenceError(
-                            f"quorum read of shard {shard} on "
-                            f"{backend_name or 'cluster'} diverged across nodes "
-                            f"{nodes}: {len(checksums)} distinct checksums",
-                            shard=shard,
-                            nodes=nodes,
-                        )
-                    out.quorum_checked += 1
-                    served, result, _ = responses[0]
-                    # A quorum read completes when its slowest member answers.
-                    effective = max(eff for _, _, eff in responses)
-                    shard_span.set(quorum=f"{len(responses)}/{needed}")
-            else:
-                for position, node in enumerate(candidates):
-                    if position > 0:
-                        out.failovers += 1
-                        _count_backend("failovers_total", backend_name)
-                        shard_span.add_child(
-                            "failover", 0.0, shard=shard,
-                            from_node=candidates[position - 1], to_node=node,
-                        )
-                    if not health.allow(node):
-                        last_error = CircuitOpenError(
-                            f"circuit open for node{node} of {backend_name or 'cluster'}"
-                        )
-                        continue
-                    key = f"{backend_name}#shard{shard}@node{node}"
-
-                    if (
-                        hedge is not None
-                        and dispatcher.supports_racing
-                        and hedge.threshold_seconds is not None
-                    ):
-                        # Real hedging: a fixed threshold is a wall-clock
-                        # SLO, so the hedge genuinely races the
-                        # still-running primary.  Adaptive (EWMA-based)
-                        # thresholds live on the simulated clock and keep
-                        # the post-hoc path below in every dispatch mode.
-                        threshold = hedge.threshold_for(health.node(node))
-                        hedge_node = (
-                            next(
-                                (
-                                    n
-                                    for n in candidates[position + 1:]
-                                    if health.allow(n) and health.node(n).state != DOWN
-                                ),
-                                None,
-                            )
-                            if threshold is not None and hedge_budget_allows(threshold)
-                            else None
-                        )
-                        if hedge_node is not None:
-                            hedge_key = f"{backend_name}#shard{shard}@node{hedge_node}"
-                            race = dispatcher.race(
-                                functools.partial(
-                                    _run_replica_attempt,
-                                    run_on_replica, shard, node, key,
-                                    health=health, retry_policy=retry_policy,
-                                    fault_injector=fault_injector,
-                                ),
-                                functools.partial(
-                                    _run_replica_attempt,
-                                    run_on_replica, shard, hedge_node, hedge_key,
-                                    health=health, retry_policy=None,
-                                    fault_injector=fault_injector,
-                                ),
-                                threshold,
-                            )
-                            outcome = race.primary
-                            if outcome is not None:
-                                attempts += outcome.attempts
-                            else:
-                                # The primary leg lost the wall-clock race
-                                # and was cooperatively cancelled; its
-                                # abandoned work counts as `cancelled`,
-                                # not as a failed attempt.
-                                out.cancelled += 1
-                            hedged: _ReplicaAttempt | None = (
-                                race.hedge_value if race.hedged else None
-                            )
-                            primary_first = race.primary_first
-                            if (
-                                hedged is None
-                                and outcome is not None
-                                and outcome.result is not None
-                                and outcome.effective_seconds > threshold
-                                and hedge_budget_allows(threshold)
-                            ):
-                                # The primary was only *simulatedly* slow
-                                # (injector-charged latency under a no-op
-                                # sleep hook), so the wall-clock race never
-                                # fired.  Hedge post-hoc from effective
-                                # times, like the serial dispatcher, so
-                                # deterministic chaos drives the same
-                                # hedging in both modes.
-                                hedged = _run_replica_attempt(
-                                    run_on_replica, shard, hedge_node, hedge_key,
-                                    health=health, retry_policy=None,
-                                    fault_injector=fault_injector,
-                                )
-                                primary_first = (
-                                    threshold + hedged.effective_seconds
-                                    >= outcome.effective_seconds
-                                )
-                            won = False
-                            if hedged is not None:
-                                out.hedges += 1
-                                _count_backend("hedges_total", backend_name)
-                                attempts += hedged.attempts
-                            if hedged is not None and hedged.result is not None and (
-                                outcome is None
-                                or outcome.result is None
-                                or not primary_first
-                            ):
-                                # The hedge genuinely finished first (or
-                                # rescued a failed/cancelled primary).
-                                won = True
-                                out.hedge_wins += 1
-                                _count_backend("hedge_wins_total", backend_name)
-                                result = hedged.result
-                                served = hedge_node
-                                effective = threshold + hedged.effective_seconds
-                            elif outcome is not None and outcome.result is not None:
-                                result = outcome.result
-                                served = node
-                                effective = outcome.effective_seconds
-                            if hedged is not None:
-                                shard_span.add_child(
-                                    "hedge",
-                                    hedged.effective_seconds * 1000.0,
-                                    shard=shard,
-                                    node=hedge_node,
-                                    win=won,
-                                )
-                            if result is None:
-                                last_error = (
-                                    outcome.error if outcome is not None else None
-                                ) or (hedged.error if hedged is not None else None)
-                                continue
-                            break
-
-                    outcome = _run_replica_attempt(
-                        run_on_replica, shard, node, key,
-                        health=health, retry_policy=retry_policy,
-                        fault_injector=fault_injector,
-                    )
-                    attempts += outcome.attempts
-                    if outcome.result is None:
-                        last_error = outcome.error
-                        continue
-                    result = outcome.result
-                    served = node
-                    effective = outcome.effective_seconds
-
-                    # Tail-latency hedging under serial dispatch: race a
-                    # slow-but-successful attempt against the next healthy
-                    # replica, simulated post-hoc from effective times.
-                    threshold = (
-                        hedge.threshold_for(health.node(node))
-                        if hedge is not None
-                        else None
-                    )
-                    if (
-                        threshold is not None
-                        and effective > threshold
-                        and hedge_budget_allows(threshold)
-                    ):
-                        hedge_node = next(
-                            (
-                                n
-                                for n in candidates[position + 1:]
-                                if health.allow(n) and health.node(n).state != DOWN
-                            ),
-                            None,
-                        )
-                        if hedge_node is not None:
-                            out.hedges += 1
-                            _count_backend("hedges_total", backend_name)
-                            hedge_key = f"{backend_name}#shard{shard}@node{hedge_node}"
-                            # A hedge is a race, not a retry: one attempt only.
-                            hedged = _run_replica_attempt(
-                                run_on_replica, shard, hedge_node, hedge_key,
-                                health=health, retry_policy=None,
-                                fault_injector=fault_injector,
-                            )
-                            attempts += hedged.attempts
-                            won = False
-                            if hedged.result is not None:
-                                # The hedge launched `threshold` seconds in;
-                                # it wins if it still finishes first.
-                                hedged_total = threshold + hedged.effective_seconds
-                                if hedged_total < effective:
-                                    won = True
-                                    out.hedge_wins += 1
-                                    _count_backend("hedge_wins_total", backend_name)
-                                    result = hedged.result
-                                    served = hedge_node
-                                    effective = hedged_total
-                            shard_span.add_child(
-                                "hedge",
-                                hedged.effective_seconds * 1000.0,
-                                shard=shard,
-                                node=hedge_node,
-                                win=won,
-                            )
-                    break
-
-            out.attempts = attempts
-            if result is None:
-                if allow_partial:
-                    metrics.counter("shard_failures_total").inc()
-                    shard_span.set(attempts=attempts, outcome="failed")
-                    return out
-                shard_span.set(attempts=attempts, outcome="failed")
-                if len(candidates) == 1:
-                    message = (
-                        f"shard {shard} of {backend_name or 'cluster'} failed after "
-                        f"{attempts} attempt(s): {last_error}"
-                    )
-                else:
-                    message = (
-                        f"shard {shard} of {backend_name or 'cluster'} failed on "
-                        f"all {len(candidates)} replicas after {attempts} "
-                        f"attempt(s): {last_error}"
-                    )
-                raise ShardFailureError(
-                    message, shard=shard, attempts=attempts
-                ) from last_error
-            if shard_span.recording:
-                # Row counts force a streaming shard result to
-                # materialize, so only touch them under tracing.
-                shard_span.set(attempts=attempts, rows=len(result.records), node=served)
-            else:
-                shard_span.set(attempts=attempts, node=served)
-            if shard_cache is not None:
-                shard_cache.store(
-                    (cache_key, shard),
-                    result.records,
-                    elapsed_seconds=result.elapsed_seconds,
-                    plan_text=result.plan_text,
-                    partial=result.partial,
-                    served_node=served,
-                )
-            out.result = result
-            out.effective = effective
-            out.served = served
-            return out
-
-    def run_shard(shard: int) -> _ReplicaShardOutcome:
-        try:
-            return execute_shard(shard)
-        except QueryCancelledError:
-            raise
-        except BaseException as exc:
-            gather_token.cancel(
-                f"shard {shard} failed fatally: {type(exc).__name__}: {exc}"
-            )
-            raise
-
     dispatch_started = time.perf_counter()
-    with budget_scope(token=gather_token):
-        outcomes = dispatcher.map_shards(
-            [functools.partial(run_shard, shard) for shard in range(num_shards)]
+    with budget_scope(token=g.token):
+        runs = dispatcher.map_shards(
+            [
+                functools.partial(_execute_shard, g, shard)
+                for shard in range(replica_set.num_shards)
+            ]
         )
     dispatch_elapsed = time.perf_counter() - dispatch_started
+    return _merge_runs(g, runs, dispatch_elapsed, spec, stream, coordinator_overhead)
 
-    shard_results: list[ResultSet] = []
-    shard_elapsed: list[float] = []
-    shard_profiles: list[tuple[int, int, OpProfile]] = []
-    shard_attempts: list[int] = []
-    served_by: list[int] = []
-    failed_shards: list[int] = []
-    failovers = 0
-    hedges = 0
-    hedge_wins = 0
-    quorum_checked = 0
-    cancelled_legs = 0
-    for out in outcomes:
-        shard_attempts.append(out.attempts)
-        failovers += out.failovers
-        hedges += out.hedges
-        hedge_wins += out.hedge_wins
-        quorum_checked += out.quorum_checked
-        cancelled_legs += out.cancelled
-        if out.result is None:
-            failed_shards.append(out.shard)
-            served_by.append(-1)
-        else:
-            shard_results.append(out.result)
-            shard_elapsed.append(out.effective)
-            served_by.append(out.served)
-            if out.result.op_profile is not None:
-                shard_profiles.append((out.shard, out.served, out.result.op_profile))
 
-    if not shard_results:
+def _gather_stats(g: _Gather, runs: Sequence[_ShardRun]) -> QueryStats:
+    """Coordinator-side counters of one gather (shard stats fold in later)."""
+    stats = QueryStats()
+    for run in runs:
+        # Cache-served shards have zero attempts; they spent no retries.
+        stats.retries += max(0, run.attempts - 1)
+        if run.result is None:
+            stats.failed_shards += 1
+        stats.failovers += run.failovers
+        stats.hedges += run.hedges
+        stats.hedge_wins += run.hedge_wins
+        stats.quorum_reads += run.quorum_checked
+        stats.cancelled += run.cancelled
+    stats.dispatch_mode = g.dispatcher.mode
+    stats.parallelism = g.dispatcher.parallelism_for(len(runs))
+    return stats
+
+
+def _rollup_profiles(
+    answered: Sequence[_ShardRun], title: str, rows_out: int, merge_elapsed: float
+) -> OpProfile | None:
+    """Shard operator profiles under one coordinator node (analyze mode).
+
+    Each child names its shard and serving replica, so EXPLAIN ANALYZE
+    shows the cluster; ``None`` when the shards ran without profiling.
+    """
+    children = []
+    for run in answered:
+        profile = run.result.op_profile
+        if profile is not None:
+            wrapper = OpProfile(f"Shard[{run.shard}]@node{run.served}", children=[profile])
+            wrapper.rows_out = profile.rows_out
+            wrapper.time_ns = profile.time_ns
+            children.append(wrapper)
+    if not children:
+        return None
+    rollup = OpProfile(title, children=children)
+    rollup.rows_out = rows_out
+    rollup.time_ns = int(sum(child.time_ns for child in children) + merge_elapsed * 1e9)
+    return rollup
+
+
+def _merge_runs(
+    g: _Gather,
+    runs: Sequence[_ShardRun],
+    dispatch_elapsed: float,
+    spec: MergeSpec,
+    stream: bool,
+    coordinator_overhead: float,
+) -> ResultSet:
+    """Merge the shard answers into the gather's result."""
+    num_shards = len(runs)
+    answered = [run for run in runs if run.result is not None]
+    shard_attempts = tuple(run.attempts for run in runs)
+    if not answered:
         raise ShardFailureError(
-            f"every shard of {backend_name or 'cluster'} is down "
-            f"({num_shards} of {num_shards} failed)",
+            f"every shard of {g.label} is down ({num_shards} of {num_shards} failed)",
             attempts=sum(shard_attempts),
         )
-
-    stats = QueryStats()
-    # Cache-served shards have zero attempts; they spent no retries.
-    stats.retries += sum(max(0, attempts - 1) for attempts in shard_attempts)
-    stats.failed_shards += len(failed_shards)
-    stats.failovers += failovers
-    stats.hedges += hedges
-    stats.hedge_wins += hedge_wins
-    stats.quorum_reads += quorum_checked
-    stats.cancelled += cancelled_legs
-    stats.dispatch_mode = dispatcher.mode
-    stats.parallelism = dispatcher.parallelism_for(num_shards)
-    shard_wall = dispatch_elapsed if dispatcher.real_time else max(shard_elapsed)
+    stats = _gather_stats(g, runs)
+    shard_results = [run.result for run in answered]
+    served_by = tuple(run.served for run in runs)
+    if g.dispatcher.real_time:
+        shard_wall = dispatch_elapsed
+    else:
+        shard_wall = max(run.effective for run in answered)
+    failed_shards = [run.shard for run in runs if run.result is None]
     partial = bool(failed_shards)
     degraded = f", partial: lost shards {failed_shards}" if partial else ""
     plan = shard_results[0].plan_text
     plan_text = f"scatter-gather[{num_shards} shards, {spec.kind}{degraded}]\n{plan}"
 
     if _stream_supported(stream, spec, shard_results):
-        with budget_scope(token=gather_token):
+        with budget_scope(token=g.token):
             # Producers capture the gather's budget frame here, so a
             # consumer close (which cancels the token) stops them at
             # their next record boundary.
-            sources = dispatcher.stream_shards(
+            sources = g.dispatcher.stream_shards(
                 [result.iter_records() for result in shard_results]
             )
         return StreamingResultSet(
             _merge_stream_with_stats(
-                spec, sources, stats, shard_results, cancel_token=gather_token
+                spec, sources, stats, shard_results, cancel_token=g.token
             ),
             stats=stats,
             plan_text=plan_text,
             elapsed_seconds=shard_wall + coordinator_overhead,
             partial=partial,
-            shard_attempts=tuple(shard_attempts),
-            served_by=tuple(served_by),
+            shard_attempts=shard_attempts,
+            served_by=served_by,
         )
 
     merge_started = time.perf_counter()
@@ -998,33 +767,20 @@ def scatter_gather_replicated(
     merge_elapsed = time.perf_counter() - merge_started
     for result in shard_results:
         stats.merge(result.stats)
-    elapsed = shard_wall + merge_elapsed + coordinator_overhead
-    op_profile = None
-    if shard_profiles:
-        # Analyze mode ran on the shards: roll their operator profiles up
-        # under one coordinator node, each child naming its serving replica.
-        children = []
-        for shard, node, profile in shard_profiles:
-            wrapper = OpProfile(f"Shard[{shard}]@node{node}", children=[profile])
-            wrapper.rows_out = profile.rows_out
-            wrapper.time_ns = profile.time_ns
-            children.append(wrapper)
-        op_profile = OpProfile(
-            f"ScatterGather[{num_shards} shards, {spec.kind}]", children=children
-        )
-        op_profile.rows_out = len(merged)
-        op_profile.time_ns = int(
-            sum(child.time_ns for child in children) + merge_elapsed * 1e9
-        )
     return ResultSet(
         records=merged,
         stats=stats,
         plan_text=plan_text,
-        elapsed_seconds=elapsed,
+        elapsed_seconds=shard_wall + merge_elapsed + coordinator_overhead,
         partial=partial,
-        shard_attempts=tuple(shard_attempts),
-        op_profile=op_profile,
-        served_by=tuple(served_by),
+        shard_attempts=shard_attempts,
+        op_profile=_rollup_profiles(
+            answered,
+            f"ScatterGather[{num_shards} shards, {spec.kind}]",
+            len(merged),
+            merge_elapsed,
+        ),
+        served_by=served_by,
     )
 
 
@@ -1078,3 +834,177 @@ def shard_records(
         value = record.get(shard_key)
         shards[stable_hash(value) % num_shards].append(record)
     return shards
+
+
+class ShardedCluster:
+    """N engines, one primary per shard, behind a scatter-gather coordinator.
+
+    A backend subclass names itself (``backend``), builds one engine
+    (``_make_engine``) and adds its backend-named verbs.  ``_make_engine``
+    gets the *replica* label to put in the engine's name — the node index
+    for a shard's primary (so primaries keep the seed's names),
+    ``"<node>-r<shard>"`` for a backup, which says what it holds — plus
+    the engine keywords the caller set.
+    """
+
+    #: ``"<backend>[N]"`` names the cluster in stats, metrics and
+    #: fault-injector keys.
+    backend: str
+
+    def __init__(
+        self,
+        num_nodes: int,
+        *,
+        query_prep_overhead: float | None = None,
+        retry_policy: RetryPolicy | None = None,
+        fault_injector: FaultInjector | None = None,
+        allow_partial: bool = False,
+        replication_factor: int | None = None,
+        hedge: HedgePolicy | None = None,
+        quorum_reads: bool = False,
+        breaker_factory: Callable[[int], CircuitBreaker | None] | None = None,
+        dispatch: "Dispatcher | str | None" = None,
+        memory_budget: int | str | None = None,
+        cache: "ResultCache | bool | int | str | None" = None,
+        admission: "AdmissionController | bool | None" = None,
+    ) -> None:
+        if num_nodes < 1:
+            raise ValueError("a cluster needs at least one node")
+        self.num_nodes = num_nodes
+        self.name = name = f"{self.backend}[{num_nodes}]"
+        self.dispatcher = resolve_dispatcher(dispatch)
+        self.retry_policy = retry_policy
+        self.fault_injector = fault_injector
+        self.allow_partial = allow_partial
+        #: Coordinator-side load shedding (``admission=`` / ``REPRO_ADMISSION``).
+        self.admission = resolve_admission(admission, backend=name)
+        self.replication_factor = resolve_replication_factor(replication_factor, num_nodes)
+        self.replica_set = ReplicaSet(num_nodes, num_nodes, self.replication_factor)
+        engine_knobs: dict[str, Any] = {"memory_budget": memory_budget}
+        if query_prep_overhead is not None:
+            # Unset, each backend's engines keep their own default.
+            engine_knobs["query_prep_overhead"] = query_prep_overhead
+        self.store = ReplicaStore(
+            self.replica_set,
+            lambda shard, node: self._make_engine(
+                str(node) if node == shard else f"{node}-r{shard}", **engine_knobs
+            ),
+        )
+        #: One primary engine per shard — the seed-compatible view.
+        self.nodes = self.store.primaries()
+        self.health = NodeHealthBoard(
+            num_nodes, cluster_name=name, breaker_factory=breaker_factory
+        )
+        self.hedge = hedge if hedge is not None else HedgePolicy()
+        self.quorum_reads = quorum_reads
+        #: Per-shard result cache (``cache=`` / ``REPRO_CACHE``); entries
+        #: are keyed on the query's spelling plus the cluster's dataset
+        #: version vector, so every write invalidates by construction.
+        self.result_cache = resolve_result_cache(cache, backend=name)
+        self.dataset_versions = DatasetVersions()
+
+    def _make_engine(self, replica: str, **engine_knobs: Any) -> Any:
+        raise NotImplementedError
+
+    def _note_write(self, *names: str) -> None:
+        self.dataset_versions.bump(*names)
+        if self.result_cache is not None:
+            self.result_cache.note_invalidation(len(names))
+
+    def _on_every_copy(self, apply: Callable[[Any], Any], *written: str) -> None:
+        """Apply DDL to every replica copy; *written* names what it changed.
+
+        Indexes and stats change plan text, not answers — but cached
+        entries carry plan text, so they conservatively invalidate too.
+        """
+        for engine in self.store.all_engines():
+            apply(engine)
+        if written:
+            self._note_write(*written)
+
+    def _load(
+        self,
+        dataset: str,
+        records: Iterable[dict[str, Any]],
+        shard_key: str | None,
+        insert: Callable[[Any, list[dict[str, Any]]], int],
+    ) -> int:
+        """Shard *records* and insert each shard's rows into every copy."""
+        total = 0
+        shards = shard_records(list(records), self.num_nodes, shard_key)
+        for shard, shard_rows in enumerate(shards):
+            counts = [insert(copy, shard_rows) for copy in self.store.engines_for(shard)]
+            total += counts[0]  # the primary's count; backups repeat it
+        self._note_write(dataset)
+        return total
+
+    def _gather(
+        self,
+        run: Callable[..., ResultSet],
+        spec: MergeSpec,
+        text: str,
+        *collection: str,
+        stream: bool,
+    ) -> ResultSet:
+        """Run ``run(engine)`` on a copy of every shard and merge by *spec*.
+
+        *text* spells the query (and *collection* names its target, when
+        the text does not) for the semantic result-cache key.
+        """
+        injector, policy = cluster_resilience(self.fault_injector, self.retry_policy)
+        cache_key = None
+        if self.result_cache is not None:
+            versions = self.dataset_versions.vector(text, *collection)
+            cache_key = (self.name, *collection, text, versions)
+        # Tests stub shard engines with plain callables, so only pass the
+        # streaming knob through when it is actually on.
+        knobs = {"stream": True} if stream else {}
+        with admission_gate(self.admission):
+            return scatter_gather(
+                lambda shard, node: run(self.store.engine(shard, node), **knobs),
+                self.replica_set,
+                spec,
+                health=self.health,
+                hedge=self.hedge,
+                quorum_reads=self.quorum_reads,
+                retry_policy=policy,
+                fault_injector=injector,
+                backend_name=self.name,
+                allow_partial=self.allow_partial,
+                dispatcher=self.dispatcher,
+                stream=stream,
+                result_cache=self.result_cache,
+                cache_key=cache_key,
+            )
+
+
+class SQLShardedCluster(ShardedCluster):
+    """What the SQL and SQL++ clusters share beyond the skeleton.
+
+    Subclasses set ``dialect``, the query language their shards speak.
+    """
+
+    def create_index(self, table: str, column: str, **kwargs: Any) -> None:
+        self._on_every_copy(lambda e: e.create_index(table, column, **kwargs), table)
+
+    def analyze(self, table: str) -> None:
+        self._on_every_copy(lambda e: e.analyze(table), table)
+
+    @property
+    def catalog(self):
+        """Metadata view (identical on every node)."""
+        return self.nodes[0].catalog
+
+    def row_count(self, table: str) -> int:
+        return sum(node.row_count(table) for node in self.nodes)
+
+    def execute(self, query_text: str, *, stream: bool = False) -> ResultSet:
+        # AVG/STDDEV outputs make the shards ship partial states instead
+        # of local finals; every other query passes through byte-identical.
+        shard_query, spec = plan_select(query_text, self.dialect)
+        return self._gather(
+            lambda engine, **knobs: engine.execute(shard_query, **knobs),
+            spec,
+            query_text,
+            stream=stream,
+        )

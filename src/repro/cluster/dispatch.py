@@ -9,9 +9,9 @@ with a simulated parallel wall time (``max`` over shards).  A
   remaining shards, and the coordinator keeps reporting the simulated
   ``max(per-shard elapsed)`` wall time.
 - :class:`ThreadPoolDispatcher` runs shard tasks truly concurrently on a
-  bounded worker pool, reports *measured* wall time, and turns replica
-  hedging from a post-hoc simulation into a real race
-  (:meth:`Dispatcher.race`).
+  bounded worker pool, reports *measured* wall time, and turns a
+  fixed-threshold replica hedge from a post-hoc simulation into a real
+  race (:meth:`Dispatcher.race`).
 
 Selection: every cluster takes a ``dispatch=`` keyword (a mode string or
 a ready dispatcher instance); without one, the ``REPRO_DISPATCH``
@@ -109,15 +109,13 @@ class Dispatcher:
     """How a coordinator runs one query's per-shard tasks.
 
     ``mode`` names the policy (surfaced in ``QueryStats.dispatch_mode``),
-    ``real_time`` says whether the coordinator should report measured
+    and ``real_time`` says whether the coordinator should report measured
     dispatch wall time (thread mode) or keep the seed's simulated
-    ``max(per-shard elapsed)`` model (serial), and ``supports_racing``
-    whether :meth:`race` runs a genuine concurrent hedge race.
+    ``max(per-shard elapsed)`` model (serial).
     """
 
     mode: str = SERIAL
     real_time: bool = False
-    supports_racing: bool = False
 
     def parallelism_for(self, num_tasks: int) -> int:
         """How many of *num_tasks* can run at once under this dispatcher."""
@@ -149,8 +147,13 @@ class Dispatcher:
         threshold_seconds: float,
     ) -> RaceResult:
         """Run *primary*, launching *hedge* if it is still unfinished after
-        *threshold_seconds* — first real finisher wins."""
-        raise NotImplementedError(f"{self.mode} dispatch cannot race attempts")
+        *threshold_seconds* — first real finisher wins.
+
+        The base (serial) behaviour runs *primary* inline and never
+        launches the hedge on the wall clock (``hedged=False``): the
+        coordinator then judges the hedge post-hoc from effective times.
+        """
+        return RaceResult(primary())
 
 
 class SerialDispatcher(Dispatcher):
@@ -179,7 +182,6 @@ class ThreadPoolDispatcher(Dispatcher):
 
     mode = THREADS
     real_time = True
-    supports_racing = True
 
     def __init__(self, max_workers: int | None = None) -> None:
         if max_workers is not None and max_workers < 1:

@@ -13,99 +13,53 @@ copies — see ``docs/resilience.md``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
-from repro.cache import DatasetVersions, ResultCache, resolve_result_cache
-from repro.cluster.base import admission_gate, scatter_gather_replicated, shard_records
-from repro.cluster.dispatch import Dispatcher, resolve_dispatcher
-from repro.cluster.partial import plan_select
-from repro.cluster.replica import (
-    HedgePolicy,
-    NodeHealthBoard,
-    ReplicaSet,
-    ReplicaStore,
-    resolve_replication_factor,
-)
-from repro.resilience import CircuitBreaker, FaultInjector, RetryPolicy, cluster_resilience
-from repro.resilience.admission import AdmissionController, resolve_admission
+from repro.cluster.base import SQLShardedCluster
 from repro.sqlengine import OptimizerFeatures, SQLDatabase
-from repro.sqlengine.result import ResultSet
 
 #: Greenplum's per-query dispatch overhead (motion planning, QD→QE setup).
 DEFAULT_PREP_OVERHEAD = 0.0002
 
 
-class GreenplumCluster:
-    """N PostgreSQL-9.5-like segments behind a scatter-gather coordinator."""
+class GreenplumCluster(SQLShardedCluster):
+    """N PostgreSQL-9.5-like segments behind a scatter-gather coordinator.
+
+    Beyond ``features`` and ``exec_engine`` it takes every
+    :class:`~repro.cluster.base.ShardedCluster` keyword.
+    """
+
+    backend = "greenplum"
+    dialect = "sql"
 
     def __init__(
         self,
         num_nodes: int,
         *,
         features: OptimizerFeatures | None = None,
-        query_prep_overhead: float = DEFAULT_PREP_OVERHEAD,
-        retry_policy: RetryPolicy | None = None,
-        fault_injector: FaultInjector | None = None,
-        allow_partial: bool = False,
         exec_engine: str | None = None,
-        replication_factor: int | None = None,
-        hedge: HedgePolicy | None = None,
-        quorum_reads: bool = False,
-        breaker_factory: Callable[[int], CircuitBreaker | None] | None = None,
-        dispatch: "Dispatcher | str | None" = None,
-        memory_budget: int | str | None = None,
-        cache: "ResultCache | bool | int | str | None" = None,
-        admission: "AdmissionController | bool | None" = None,
+        **cluster_knobs: Any,
     ) -> None:
-        if num_nodes < 1:
-            raise ValueError("a cluster needs at least one node")
-        self.num_nodes = num_nodes
-        self.dispatcher = resolve_dispatcher(dispatch)
-        self.retry_policy = retry_policy
-        self.fault_injector = fault_injector
-        self.allow_partial = allow_partial
         self.features = features if features is not None else OptimizerFeatures.greenplum()
-        self.name = f"greenplum[{num_nodes}]"
-        #: Coordinator-side load shedding (``admission=`` / ``REPRO_ADMISSION``).
-        self.admission = resolve_admission(admission, backend=self.name)
-        self.replication_factor = resolve_replication_factor(replication_factor, num_nodes)
-        self.replica_set = ReplicaSet(num_nodes, num_nodes, self.replication_factor)
+        self._exec_engine = exec_engine
+        super().__init__(num_nodes, **cluster_knobs)
 
-        def make_engine(shard: int, node: int) -> SQLDatabase:
-            # The primary keeps the seed's name; backups say what they hold.
-            suffix = f"seg{node}" if node == shard else f"seg{node}-r{shard}"
-            return SQLDatabase(
-                self.features,
-                query_prep_overhead=query_prep_overhead,
-                name=f"greenplum-{suffix}",
-                exec_engine=exec_engine,
-                memory_budget=memory_budget,
-            )
-
-        self.store = ReplicaStore(self.replica_set, make_engine)
-        #: One primary engine per shard — the seed-compatible view.
-        self.nodes = self.store.primaries()
-        self.health = NodeHealthBoard(
-            num_nodes, cluster_name=self.name, breaker_factory=breaker_factory
+    def _make_engine(
+        self,
+        replica: str,
+        query_prep_overhead: float = DEFAULT_PREP_OVERHEAD,
+        **engine_knobs: Any,
+    ) -> SQLDatabase:
+        return SQLDatabase(
+            self.features,
+            query_prep_overhead=query_prep_overhead,
+            name=f"greenplum-seg{replica}",
+            exec_engine=self._exec_engine,
+            **engine_knobs,
         )
-        self.hedge = hedge if hedge is not None else HedgePolicy()
-        self.quorum_reads = quorum_reads
-        #: Per-shard result cache (``cache=`` / ``REPRO_CACHE``); entries
-        #: are keyed on the query text plus the cluster's dataset version
-        #: vector, so every write below invalidates by construction.
-        self.result_cache = resolve_result_cache(cache, backend=self.name)
-        self.dataset_versions = DatasetVersions()
 
-    def _note_write(self, *names: str) -> None:
-        self.dataset_versions.bump(*names)
-        if self.result_cache is not None:
-            self.result_cache.note_invalidation(len(names))
-
-    # ------------------------------------------------------------------
     def create_table(self, name: str, columns: Iterable[str] | None = None, primary_key: str | None = None) -> None:
-        for engine in self.store.all_engines():
-            engine.create_table(name, columns, primary_key)
-        self._note_write(name)
+        self._on_every_copy(lambda e: e.create_table(name, columns, primary_key), name)
 
     def insert(
         self,
@@ -113,70 +67,7 @@ class GreenplumCluster:
         records: Iterable[dict[str, Any]],
         shard_key: str | None = None,
     ) -> int:
-        shards = shard_records(list(records), self.num_nodes, shard_key)
-        total = 0
-        for shard, shard_rows in enumerate(shards):
-            copies = self.store.engines_for(shard)
-            total += copies[0].insert(table, shard_rows)
-            for backup in copies[1:]:
-                backup.insert(table, shard_rows)
-        self._note_write(table)
-        return total
-
-    def create_index(self, table: str, column: str, **kwargs: Any) -> None:
-        for engine in self.store.all_engines():
-            engine.create_index(table, column, **kwargs)
-        # Indexes and stats change plan text, not answers — but cached
-        # entries carry plan text, so conservatively invalidate anyway.
-        self._note_write(table)
-
-    def analyze(self, table: str) -> None:
-        for engine in self.store.all_engines():
-            engine.analyze(table)
-        self._note_write(table)
-
-    @property
-    def catalog(self):
-        return self.nodes[0].catalog
-
-    def row_count(self, table: str) -> int:
-        return sum(node.row_count(table) for node in self.nodes)
-
-    # ------------------------------------------------------------------
-    def execute(self, query_text: str, *, stream: bool = False) -> ResultSet:
-        # AVG/STDDEV outputs make the shards ship partial states instead
-        # of local finals; every other query passes through byte-identical.
-        shard_query, spec = plan_select(query_text, "sql")
-        injector, policy = cluster_resilience(self.fault_injector, self.retry_policy)
-        cache_key = None
-        if self.result_cache is not None:
-            cache_key = (
-                self.name,
-                query_text,
-                self.dataset_versions.vector(query_text),
-            )
-        # Tests stub shard engines with plain callables, so only pass the
-        # streaming knob through when it is actually on.
-        shard_kwargs = {"stream": True} if stream else {}
-        with admission_gate(self.admission):
-            return scatter_gather_replicated(
-                lambda shard, node: self.store.engine(shard, node).execute(
-                    shard_query, **shard_kwargs
-                ),
-                self.replica_set,
-                spec,
-                health=self.health,
-                hedge=self.hedge,
-                quorum_reads=self.quorum_reads,
-                retry_policy=policy,
-                fault_injector=injector,
-                backend_name=self.name,
-                allow_partial=self.allow_partial,
-                dispatcher=self.dispatcher,
-                stream=stream,
-                result_cache=self.result_cache,
-                cache_key=cache_key,
-            )
+        return self._load(table, records, shard_key, lambda e, rows: e.insert(table, rows))
 
     def explain(self, query_text: str) -> str:
         return self.nodes[0].explain(query_text)

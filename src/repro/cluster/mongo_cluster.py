@@ -3,100 +3,35 @@
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
-from repro.cache import DatasetVersions, ResultCache, resolve_result_cache
-from repro.cluster.base import admission_gate, scatter_gather_replicated, shard_records
-from repro.cluster.dispatch import Dispatcher, resolve_dispatcher
+from repro.cluster.base import ShardedCluster
 from repro.cluster.partial import plan_pipeline
-from repro.cluster.replica import (
-    HedgePolicy,
-    NodeHealthBoard,
-    ReplicaSet,
-    ReplicaStore,
-    resolve_replication_factor,
-)
 from repro.docstore import MongoDatabase
-from repro.docstore.database import DEFAULT_PREP_OVERHEAD
-from repro.resilience import CircuitBreaker, FaultInjector, RetryPolicy, cluster_resilience
-from repro.resilience.admission import AdmissionController, resolve_admission
 from repro.sqlengine.result import ResultSet
 
 
-class MongoDBCluster:
+class MongoDBCluster(ShardedCluster):
     """N mongod shards behind a merging router.
 
     Compatible with :class:`~repro.core.connectors.MongoDBConnector`
     (``aggregate``, ``has_collection``, ``create_collection``).  As the
-    paper notes, ``$lookup`` only joins unsharded data, so expression 12
-    raises :class:`~repro.errors.UnsupportedOperationError` here.  With
+    paper notes, ``$lookup`` only joins unsharded data, so on more than
+    one node expression 12 raises
+    :class:`~repro.errors.UnsupportedOperationError`.  With
     ``replication_factor`` > 1 each shard keeps replica-set-style copies
     on neighbouring nodes and reads fail over between them — see
-    ``docs/resilience.md``.
+    ``docs/resilience.md``.  Takes every
+    :class:`~repro.cluster.base.ShardedCluster` keyword.
     """
 
-    def __init__(
-        self,
-        num_nodes: int,
-        *,
-        query_prep_overhead: float = DEFAULT_PREP_OVERHEAD,
-        retry_policy: RetryPolicy | None = None,
-        fault_injector: FaultInjector | None = None,
-        allow_partial: bool = False,
-        replication_factor: int | None = None,
-        hedge: HedgePolicy | None = None,
-        quorum_reads: bool = False,
-        breaker_factory: Callable[[int], CircuitBreaker | None] | None = None,
-        dispatch: "Dispatcher | str | None" = None,
-        memory_budget: int | str | None = None,
-        cache: "ResultCache | bool | int | str | None" = None,
-        admission: "AdmissionController | bool | None" = None,
-    ) -> None:
-        if num_nodes < 1:
-            raise ValueError("a cluster needs at least one node")
-        self.num_nodes = num_nodes
-        self.dispatcher = resolve_dispatcher(dispatch)
-        self.retry_policy = retry_policy
-        self.fault_injector = fault_injector
-        self.allow_partial = allow_partial
-        self.name = f"mongodb-cluster[{num_nodes}]"
-        #: Coordinator-side load shedding (``admission=`` / ``REPRO_ADMISSION``).
-        self.admission = resolve_admission(admission, backend=self.name)
-        self.replication_factor = resolve_replication_factor(replication_factor, num_nodes)
-        self.replica_set = ReplicaSet(num_nodes, num_nodes, self.replication_factor)
+    backend = "mongodb-cluster"
 
-        def make_engine(shard: int, node: int) -> MongoDatabase:
-            suffix = str(node) if node == shard else f"{node}-r{shard}"
-            return MongoDatabase(
-                query_prep_overhead=query_prep_overhead,
-                name=f"mongod-{suffix}",
-                memory_budget=memory_budget,
-            )
+    def _make_engine(self, replica: str, **engine_knobs: Any) -> MongoDatabase:
+        return MongoDatabase(name=f"mongod-{replica}", **engine_knobs)
 
-        self.store = ReplicaStore(self.replica_set, make_engine)
-        #: One primary engine per shard — the seed-compatible view.
-        self.nodes = self.store.primaries()
-        self.health = NodeHealthBoard(
-            num_nodes, cluster_name=self.name, breaker_factory=breaker_factory
-        )
-        self.hedge = hedge if hedge is not None else HedgePolicy()
-        self.quorum_reads = quorum_reads
-        #: Per-shard result cache (``cache=`` / ``REPRO_CACHE``); entries
-        #: are keyed on the serialized pipeline plus the cluster's dataset
-        #: version vector, so every write below invalidates by construction.
-        self.result_cache = resolve_result_cache(cache, backend=self.name)
-        self.dataset_versions = DatasetVersions()
-
-    def _note_write(self, *names: str) -> None:
-        self.dataset_versions.bump(*names)
-        if self.result_cache is not None:
-            self.result_cache.note_invalidation(len(names))
-
-    # ------------------------------------------------------------------
     def create_collection(self, name: str) -> None:
-        for engine in self.store.all_engines():
-            engine.create_collection(name)
-        self._note_write(name)
+        self._on_every_copy(lambda e: e.create_collection(name), name)
 
     def has_collection(self, name: str) -> bool:
         return self.nodes[0].has_collection(name)
@@ -107,27 +42,21 @@ class MongoDBCluster:
         documents: Iterable[dict[str, Any]],
         shard_key: str | None = None,
     ) -> int:
-        shards = shard_records(list(documents), self.num_nodes, shard_key)
-        total = 0
-        for shard, shard_docs in enumerate(shards):
-            copies = self.store.engines_for(shard)
-            total += copies[0].collection(collection).insert_many(shard_docs)
-            for backup in copies[1:]:
-                backup.collection(collection).insert_many(shard_docs)
-        self._note_write(collection)
-        return total
+        return self._load(
+            collection,
+            documents,
+            shard_key,
+            lambda e, docs: e.collection(collection).insert_many(docs),
+        )
 
     def create_index(self, collection: str, field: str) -> None:
-        for engine in self.store.all_engines():
-            engine.collection(collection).create_index(field)
-        # Indexes change plan text, not answers — but cached entries
-        # carry plan text, so conservatively invalidate anyway.
-        self._note_write(collection)
+        self._on_every_copy(
+            lambda e: e.collection(collection).create_index(field), collection
+        )
 
     def estimated_document_count(self, collection: str) -> int:
         return sum(node.estimated_document_count(collection) for node in self.nodes)
 
-    # ------------------------------------------------------------------
     def aggregate(
         self,
         collection: str,
@@ -135,44 +64,20 @@ class MongoDBCluster:
         *,
         stream: bool = False,
     ) -> ResultSet:
-        if self.num_nodes == 1:
-            # A single shard holds all the data, so even $lookup is fine —
-            # this matches the paper running expression 12 on one node.
-            return self.nodes[0].aggregate(collection, pipeline, stream=stream)
         # $avg/$stdDevPop accumulators make the shards ship partial states
         # instead of local finals; other pipelines pass through unchanged.
-        shard_pipeline, spec = plan_pipeline(pipeline)
-        injector, policy = cluster_resilience(self.fault_injector, self.retry_policy)
-        cache_key = None
+        # One node holds all the data: its answer is final as it stands
+        # ($lookup included — the paper runs expression 12 on one node).
+        shard_pipeline, spec = plan_pipeline(pipeline, sharded=self.num_nodes > 1)
+        # Pipelines are parsed JSON; serialize them back (sorted keys) for a
+        # stable, hashable cache-key spelling — when there is a cache.
+        text = ""
         if self.result_cache is not None:
-            # Pipelines are parsed JSON; serialize them back (sorted keys)
-            # for a stable, hashable key spelling.
             text = json.dumps(pipeline, sort_keys=True, default=repr)
-            cache_key = (
-                self.name,
-                collection,
-                text,
-                self.dataset_versions.vector(text, collection),
-            )
-        # Tests stub shard engines with plain callables, so only pass the
-        # streaming knob through when it is actually on.
-        shard_kwargs = {"stream": True} if stream else {}
-        with admission_gate(self.admission):
-            return scatter_gather_replicated(
-                lambda shard, node: self.store.engine(shard, node).aggregate(
-                    collection, shard_pipeline, **shard_kwargs
-                ),
-                self.replica_set,
-                spec,
-                health=self.health,
-                hedge=self.hedge,
-                quorum_reads=self.quorum_reads,
-                retry_policy=policy,
-                fault_injector=injector,
-                backend_name=self.name,
-                allow_partial=self.allow_partial,
-                dispatcher=self.dispatcher,
-                stream=stream,
-                result_cache=self.result_cache,
-                cache_key=cache_key,
-            )
+        return self._gather(
+            lambda engine, **knobs: engine.aggregate(collection, shard_pipeline, **knobs),
+            spec,
+            text,
+            collection,
+            stream=stream,
+        )

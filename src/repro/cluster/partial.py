@@ -185,7 +185,7 @@ def plan_select(query_text: str, language: str) -> tuple[str, MergeSpec]:
 
 
 def plan_pipeline(
-    pipeline: list[dict[str, Any]],
+    pipeline: list[dict[str, Any]], *, sharded: bool = True
 ) -> tuple[list[dict[str, Any]], MergeSpec]:
     """Derive ``(shard_pipeline, merge_spec)`` for a Mongo pipeline.
 
@@ -194,8 +194,12 @@ def plan_pipeline(
     accumulators in the final ``$group`` stage are replaced by
     partial-state accumulators rendered through ``mongo.ini``'s
     ``[PARTIAL AGGREGATION]`` rules, reusing the original operand
-    expression verbatim.
+    expression verbatim.  ``sharded=False`` (a one-node cluster) is the
+    identity plan: the one shard's answer is already final, whatever the
+    pipeline holds — ``$lookup`` included.
     """
+    if not sharded:
+        return pipeline, MergeSpec(kind="concat")
     spec = spec_for_pipeline(pipeline)
     if not spec.needs_rewrite:
         return pipeline, spec

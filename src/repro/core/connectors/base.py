@@ -135,6 +135,19 @@ class SendRecord:
         return max(0, self.attempts - 1) + self.shard_retries
 
 
+def _engines_of(database: Any) -> list[Any]:
+    """Every engine instance behind *database*.
+
+    A cluster answers with all its replica copies, not just the
+    primaries: backups must run with the same settings, or a failover
+    would silently change the exec path or the memory ceiling.
+    """
+    store = getattr(database, "store", None)
+    if hasattr(store, "all_engines"):
+        return store.all_engines()
+    return [database]
+
+
 def set_exec_engine(database: Any, exec_engine: str) -> None:
     """Point *database* (or every node of a cluster) at an execution engine.
 
@@ -143,19 +156,8 @@ def set_exec_engine(database: Any, exec_engine: str) -> None:
     """
     if exec_engine not in ("row", "vector"):
         raise ValueError(f"unknown exec_engine {exec_engine!r}")
-    store = getattr(database, "store", None)
-    if store is not None and hasattr(store, "all_engines"):
-        # Replicated cluster: backups must run the same engine as
-        # primaries or a failover would silently change the exec path.
-        for engine in store.all_engines():
-            engine.exec_engine = exec_engine
-        return
-    nodes = getattr(database, "nodes", None)
-    if nodes is not None:
-        for node in nodes:
-            node.exec_engine = exec_engine
-    else:
-        database.exec_engine = exec_engine
+    for engine in _engines_of(database):
+        engine.exec_engine = exec_engine
 
 
 def set_memory_budget(database: Any, memory_budget: int | str | None) -> None:
@@ -163,22 +165,11 @@ def set_memory_budget(database: Any, memory_budget: int | str | None) -> None:
 
     The connector-level counterpart of the ``REPRO_MEM_BUDGET``
     environment variable; accepts the same spellings (bytes, or a string
-    with an optional ``k``/``m``/``g`` suffix).  Replicated clusters get
-    the budget on every copy so a failover cannot silently change the
-    memory ceiling.
+    with an optional ``k``/``m``/``g`` suffix).
     """
     budget = resolve_budget(memory_budget)
-    store = getattr(database, "store", None)
-    if store is not None and hasattr(store, "all_engines"):
-        for engine in store.all_engines():
-            engine.memory_budget = budget
-        return
-    nodes = getattr(database, "nodes", None)
-    if nodes is not None:
-        for node in nodes:
-            node.memory_budget = budget
-    else:
-        database.memory_budget = budget
+    for engine in _engines_of(database):
+        engine.memory_budget = budget
 
 
 def _default_optimization_level() -> int:

@@ -15,15 +15,20 @@ import pytest
 from repro.cluster import GreenplumCluster, MongoDBCluster
 from repro.cluster.dispatch import SerialDispatcher, ThreadPoolDispatcher
 from repro.errors import ReproError
+from repro.resilience import FaultInjector
 from repro.wisconsin import wisconsin_records
 
 RECORDS = 400
 SHARDS = 3
 
 
-def _greenplum(dispatch, budget=None):
+def _greenplum(dispatch, budget=None, **knobs):
     gp = GreenplumCluster(
-        SHARDS, query_prep_overhead=0.0, dispatch=dispatch, memory_budget=budget
+        SHARDS,
+        query_prep_overhead=0.0,
+        dispatch=dispatch,
+        memory_budget=budget,
+        **knobs,
     )
     gp.create_table("B.data", primary_key="unique2")
     gp.insert("B.data", wisconsin_records(RECORDS), shard_key="unique1")
@@ -115,7 +120,13 @@ class TestLimitPushdown:
 
     @pytest.mark.parametrize("stream", [False, True])
     def test_ordered_limit_ships_k_rows_per_shard(self, stream):
-        gp = _greenplum("serial")
+        # Pinned to one copy per shard behind a private, empty injector:
+        # the per-primary counts below assume every primary serves its
+        # own shard, which the CI chaos matrix (REPRO_NODE_DOWN /
+        # REPRO_REPLICATION) would otherwise change process-wide.
+        gp = _greenplum(
+            "serial", replication_factor=1, fault_injector=FaultInjector()
+        )
         query = f'SELECT * FROM B.data t ORDER BY t."unique1" LIMIT {self.K}'
 
         def run():

@@ -11,6 +11,7 @@ either completes within its budget or fails fast with
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 
@@ -22,7 +23,7 @@ from repro.cluster import GreenplumCluster
 from repro.cluster.base import scatter_gather
 from repro.cluster.dispatch import ThreadPoolDispatcher
 from repro.cluster.merge import MergeSpec
-from repro.cluster.replica import HedgePolicy
+from repro.cluster.replica import HedgePolicy, ReplicaSet
 from repro.eager import frame_from_records
 from repro.errors import (
     ExecutionError,
@@ -483,11 +484,15 @@ class TestDispatcherCancellation:
             dispatcher.close()
 
     def test_fatal_shard_error_cancels_the_siblings(self):
+        # Pools of dispatchers that earlier tests dropped live until the GC
+        # frees their clusters; free them now so only this one's workers
+        # can show up in the leak check below.
+        gc.collect()
         dispatcher = ThreadPoolDispatcher(max_workers=4)
         batches = {1: 0, 2: 0, 3: 0}
         limit = 5_000
 
-        def run_on_shard(shard: int) -> ResultSet:
+        def run_on_replica(shard: int, node: int) -> ResultSet:
             if shard == 0:
                 time.sleep(0.05)
                 raise ExecutionError("shard 0 hit a poison record")
@@ -503,7 +508,7 @@ class TestDispatcherCancellation:
             # The real error wins over the siblings' cancellations.
             with pytest.raises(ExecutionError, match="poison"):
                 scatter_gather(
-                    run_on_shard, 4, MergeSpec(kind="concat"),
+                    run_on_replica, ReplicaSet(4, 4, 1), MergeSpec(kind="concat"),
                     dispatcher=dispatcher,
                 )
             progress = dict(batches)

@@ -26,9 +26,16 @@ from repro.cluster.dispatch import (
     resolve_dispatcher,
 )
 from repro.cluster.merge import spec_for_select
-from repro.cluster.replica import HedgePolicy
-from repro.errors import ReproError, TransientBackendError
+from repro.cluster.replica import HedgePolicy, ReplicaSet
+from repro.errors import (
+    QueryCancelledError,
+    QueryTimeoutError,
+    ReproError,
+    TransientBackendError,
+)
 from repro.obs import Tracer
+from repro.resilience import FaultInjector
+from repro.resilience.deadline import CancellationToken, Deadline, budget_scope
 from repro.sqlengine.parser import parse
 from repro.sqlengine.result import ResultSet
 
@@ -170,53 +177,84 @@ def _shard_result(count: int, elapsed: float = 0.001) -> ResultSet:
 COUNT_SPEC = spec_for_select(parse("SELECT COUNT(*) FROM (SELECT * FROM t) x", "sql"))
 
 
+def unreplicated(num_shards: int) -> ReplicaSet:
+    """One copy per shard: the seed's layout, and production's default."""
+    return ReplicaSet(num_shards, num_shards, 1)
+
+
 class TestScatterGatherDispatch:
     def test_thread_dispatch_matches_serial_answers(self):
-        def run(shard: int) -> ResultSet:
+        def run(shard: int, node: int) -> ResultSet:
             return _shard_result(shard + 1)
 
-        serial = scatter_gather(run, 4, COUNT_SPEC, dispatcher="serial")
-        threaded = scatter_gather(run, 4, COUNT_SPEC, dispatcher="threads")
+        serial = scatter_gather(run, unreplicated(4), COUNT_SPEC, dispatcher="serial")
+        threaded = scatter_gather(run, unreplicated(4), COUNT_SPEC, dispatcher="threads")
         assert serial.records == threaded.records == [{"count": 10}]
         assert serial.stats.dispatch_mode == "serial"
         assert serial.stats.parallelism == 1
         assert threaded.stats.dispatch_mode == "threads"
         assert threaded.stats.parallelism == 4
+        # R=1: every shard is served by its own node, nothing else moves.
+        assert serial.served_by == threaded.served_by == (0, 1, 2, 3)
+        assert serial.shard_attempts == threaded.shard_attempts == (1, 1, 1, 1)
 
     def test_thread_mode_reports_measured_wall_time(self):
-        def run(shard: int) -> ResultSet:
+        def run(shard: int, node: int) -> ResultSet:
             time.sleep(0.05)
             return _shard_result(1, elapsed=10.0)  # absurd simulated time
 
-        result = scatter_gather(run, 4, COUNT_SPEC, dispatcher="threads")
+        result = scatter_gather(run, unreplicated(4), COUNT_SPEC, dispatcher="threads")
         # Measured, not simulated: four 50ms sleeps overlap on the pool.
         assert result.elapsed_seconds < 1.0
 
     def test_serial_mode_keeps_simulated_wall_time(self):
-        def run(shard: int) -> ResultSet:
+        def run(shard: int, node: int) -> ResultSet:
             return _shard_result(1, elapsed=10.0)
 
-        result = scatter_gather(run, 4, COUNT_SPEC, dispatcher="serial")
+        result = scatter_gather(run, unreplicated(4), COUNT_SPEC, dispatcher="serial")
         assert result.elapsed_seconds > 10.0
 
-    def test_non_connector_error_closes_shard_span_honestly(self):
+    @pytest.mark.parametrize(
+        "why, raised, outcome, attempts",
+        [
+            ("error", ValueError, "error", 1),
+            ("cancelled", QueryCancelledError, "cancelled", 0),
+            ("deadline", QueryTimeoutError, "deadline", 0),
+        ],
+    )
+    def test_non_connector_error_closes_shard_span_honestly(
+        self, why, raised, outcome, attempts
+    ):
+        """A shard that dies of a non-connector error, a cancelled query
+        or an expired deadline still says how many attempts it burned
+        and why it stopped."""
         tracer = Tracer()
+        token = CancellationToken()
+        now = [0.0]
 
-        def run(shard: int) -> ResultSet:
+        def run(shard: int, node: int) -> ResultSet:
+            # Shard 0 answers, then pulls the rug from under shard 1.
             if shard == 1:
                 raise ValueError("malformed query")
+            if why == "cancelled":
+                token.cancel("caller gave up")
+            if why == "deadline":
+                now[0] = 10.0
             return _shard_result(1)
 
-        with pytest.raises(ValueError):
-            with tracer.span("root"):
+        with pytest.raises(raised):
+            with tracer.span("root"), budget_scope(
+                deadline=Deadline(5.0, clock=lambda: now[0]), token=token
+            ):
                 scatter_gather(
-                    run, 2, COUNT_SPEC, backend_name="gp", dispatcher="serial"
+                    run, unreplicated(2), COUNT_SPEC,
+                    backend_name="gp", dispatcher="serial",
                 )
         (root,) = tracer.spans
         failed = [s for s in root.find("shard") if s.attributes["shard"] == 1]
         assert failed, "failing shard recorded no span"
-        assert failed[0].attributes["outcome"] == "error"
-        assert failed[0].attributes["attempts"] == 1
+        assert failed[0].attributes["outcome"] == outcome
+        assert failed[0].attributes["attempts"] == attempts
 
 
 # ----------------------------------------------------------------------
@@ -249,10 +287,14 @@ def test_serial_covers_every_cell(dispatch_answers):
 # Thread-mode hedging is a real race
 # ----------------------------------------------------------------------
 def test_thread_dispatch_hedge_race_rescues_slow_replica():
+    # A private, empty injector: the served-by assertion below assumes
+    # node 1 is reachable, which the CI chaos matrix (REPRO_NODE_DOWN=1)
+    # would otherwise break process-wide.
     cluster = GreenplumCluster(
         2,
         query_prep_overhead=0.0,
         replication_factor=2,
+        fault_injector=FaultInjector(),
         hedge=HedgePolicy(threshold_seconds=0.02),
         dispatch="threads",
     )

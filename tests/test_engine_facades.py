@@ -6,8 +6,9 @@ import pytest
 
 from repro.cluster import AsterixDBCluster, GreenplumCluster, MongoDBCluster
 from repro.docstore import MongoDatabase
-from repro.errors import CatalogError
+from repro.errors import CatalogError, ShardFailureError
 from repro.graphdb import Neo4jDatabase
+from repro.resilience import FaultInjector
 from repro.sqlengine import SQLDatabase
 from repro.sqlpp import AsterixDB
 
@@ -104,3 +105,42 @@ class TestClusterFacades:
             {"$count": "k"},
         ])
         assert result.records == [{"k": 4}]
+
+    def test_single_node_mongo_cluster_is_a_cluster(self):
+        """One shard goes through the same gather as many: an injected
+        outage fails it, the result cache serves it, stats are stamped —
+        and its answer is the engine's, verbatim.  (The shard-merge layer
+        only understands PolyFrame-shaped pipelines; one shard needs none.)"""
+        documents = [{"g": n % 2, "n": n} for n in range(6)]
+        engine = MongoDatabase()
+        injector = FaultInjector()
+        cluster = MongoDBCluster(
+            1, query_prep_overhead=0.0, fault_injector=injector, cache=True
+        )
+        for db in (engine, cluster):
+            db.create_collection("c")
+        engine.collection("c").insert_many(documents)
+        cluster.insert_many("c", documents)
+        pipeline = [{"$match": {}}, {"$count": "k"}]
+        first = cluster.aggregate("c", pipeline)
+        assert first.records == [{"k": 6}]
+        assert first.stats.dispatch_mode and first.stats.parallelism == 1
+        assert cluster.result_cache.misses == 1
+        again = cluster.aggregate("c", pipeline)
+        assert again.records == first.records
+        assert cluster.result_cache.hits == 1
+        group_by_dict = {"$group": {"_id": {"g": "$g"}, "x": {"$sum": "$n"}}}
+        for pipeline in (
+            [{"$group": {"_id": "$g", "x": {"$sum": "$n"}}}],
+            [{"$match": {}}, {"$count": "k"}, {"$project": {"k2": "$k"}}],
+            [{"$group": {"_id": None, "x": {"$avg": "$n"}}}],
+            [group_by_dict, {"$match": {"x": 9}}],
+            [group_by_dict, {"$sort": {"x": -1}}],
+        ):
+            expected = engine.aggregate("c", pipeline).records
+            assert expected, pipeline
+            assert cluster.aggregate("c", pipeline).records == expected, pipeline
+        cluster.insert_many("c", [{"n": 6}])  # a write invalidates
+        injector.down("mongodb-cluster")
+        with pytest.raises(ShardFailureError):
+            cluster.aggregate("c", pipeline)

@@ -33,7 +33,10 @@ def canonical(value):
 
 def run_scenario(scenario: str) -> tuple[dict, dict]:
     injector = FaultInjector(sleep=no_sleep)
-    hedge = None
+    # The default hedge policy is adaptive: it reads a wall-clock latency
+    # EWMA, so a scheduling hiccup could hedge a perfectly healthy run.
+    # Only the `hedged` scenario wants hedges, from a fixed threshold.
+    hedge = HedgePolicy(enabled=False)
     if scenario == "node_down":
         injector.node_down(1)
     elif scenario == "hedged":

@@ -19,8 +19,10 @@ from repro.bench.expressions import EXPRESSIONS, DataFrameAPI, benchmark_params
 from repro.cluster import GreenplumCluster
 from repro.cluster.base import (
     round_robin_shards,
+    scatter_gather,
     shard_records,
 )
+from repro.cluster.merge import MergeSpec
 from repro.cluster.replica import (
     DOWN,
     SUSPECT,
@@ -50,6 +52,7 @@ from repro.resilience import (
     cluster_resilience,
     no_sleep,
 )
+from repro.sqlengine.result import ResultSet
 from repro.resilience.faults import (
     ENV_FAULT_RATE,
     ENV_NODE_DOWN,
@@ -400,6 +403,45 @@ class TestFailover:
         ]
         assert failovers, "no failover spans recorded"
         assert failovers[0].attributes["to_node"] == 2
+
+    @pytest.mark.parametrize(
+        "quorum_reads, dead, failovers, steps",
+        [
+            (False, {0}, 1, [(0, 1)]),
+            (False, {0, 1, 2}, 2, [(0, 1), (1, 2)]),
+            (True, {1}, 1, [(1, 2)]),
+            # Quorum lost on the *last* replica: nothing left to step to.
+            (True, {1, 2}, 1, [(1, 2)]),
+            (True, {2}, 0, []),  # nodes 0+1 are the majority; 2 is never asked
+        ],
+    )
+    def test_a_failover_is_a_step_to_the_next_replica(
+        self, quorum_reads, dead, failovers, steps
+    ):
+        """Shard 0 of two loses copies.  Plain and quorum reads share one
+        walker, so one counting rule:
+        each step from a replica that could not answer to the next one is
+        a failover — counted in the stats and the metric, with a span
+        naming both nodes — and a failure on the last candidate is not."""
+
+        def run(shard: int, node: int) -> ResultSet:
+            if shard == 0 and node in dead:
+                raise TransientBackendError(f"shard 0's copy on node{node} is lost")
+            return ResultSet(records=[{"n": 1}], elapsed_seconds=0.001)
+
+        before = metrics.counter_value("failovers_total")
+        tracer = Tracer()
+        with tracer.span("root"):
+            result = scatter_gather(
+                run, ReplicaSet(2, 3, 3), MergeSpec(kind="concat"),
+                quorum_reads=quorum_reads, allow_partial=True, dispatcher="serial",
+            )
+        assert result.stats.failovers == failovers
+        assert metrics.counter_value("failovers_total") == before + failovers
+        (root,) = tracer.spans
+        spans = [span.attributes for span in root.walk() if span.name == "failover"]
+        assert [(a["from_node"], a["to_node"]) for a in spans] == steps
+        assert all(a["shard"] == 0 for a in spans)
 
     def test_same_outage_with_single_copy_still_fails(self):
         injector = FaultInjector(sleep=no_sleep)

@@ -15,6 +15,7 @@ from repro.bench.systems import SystemUnderTest
 from repro.cluster import GreenplumCluster
 from repro.cluster.base import scatter_gather, shard_records, stable_hash
 from repro.cluster.merge import MergeSpec
+from repro.cluster.replica import ReplicaSet
 from repro.errors import (
     CircuitOpenError,
     ConnectorError,
@@ -341,8 +342,14 @@ class TestConnectorResilience:
 # ----------------------------------------------------------------------
 class TestScatterGatherResilience:
     def test_zero_shards_is_a_clear_error(self):
-        with pytest.raises(ReproError, match="at least one shard"):
-            scatter_gather(lambda shard: ResultSet(), 0, MergeSpec(kind="concat"))
+        # A gather is defined over a ReplicaSet, which is where a
+        # shard-less cluster is refused.
+        with pytest.raises(ReproError, match="num_shards must be >= 1"):
+            scatter_gather(
+                lambda shard, node: ResultSet(),
+                ReplicaSet(0, 1, 1),
+                MergeSpec(kind="concat"),
+            )
 
     def test_first_attempt_failures_recover_via_retries(self):
         injector = FaultInjector()
