@@ -150,12 +150,6 @@ class ResultCache:
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def _count(self, name: str, amount: int = 1) -> None:
-        if amount:
-            metrics.counter(name).inc(amount)
-            if self.backend:
-                metrics.counter(name, backend=self.backend).inc(amount)
-
     def lookup(self, key: Hashable) -> CacheEntry | None:
         """The cached entry for *key*, if present and not expired."""
         now = self._clock()
@@ -167,15 +161,15 @@ class ResultCache:
                     del self._entries[key]
                     self._bytes -= entry.nbytes
                     self.evictions += 1
-                    self._count("result_cache_evictions_total")
+                    metrics.count("result_cache_evictions_total", self.backend)
                     entry = None
             if entry is None:
                 self.misses += 1
-                self._count("result_cache_misses_total")
+                metrics.count("result_cache_misses_total", self.backend)
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            self._count("result_cache_hits_total")
+            metrics.count("result_cache_hits_total", self.backend)
             return entry
 
     def store(
@@ -224,7 +218,7 @@ class ResultCache:
                 self._bytes -= victim.nbytes
                 evicted += 1
             self.evictions += evicted
-        self._count("result_cache_evictions_total", evicted)
+        metrics.count("result_cache_evictions_total", self.backend, evicted)
         return True
 
     def admit_stream(self, key: Hashable, result: Any) -> None:
@@ -278,7 +272,7 @@ class ResultCache:
         """Record that a write bumped version counters (observability)."""
         with self._lock:
             self.invalidations += count
-        self._count("result_cache_invalidations_total", count)
+        metrics.count("result_cache_invalidations_total", self.backend, count)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -15,6 +15,13 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Hashable
 
+from repro.resilience.deadline import CancellationToken, Deadline
+
+#: How often a follower with a budget wakes to check it: a token has no
+#: wait of its own, and an injected deadline clock does not move with the
+#: wall clock, so sleeping out ``deadline.remaining()`` is not an option.
+_POLL_SECONDS = 0.01
+
 
 class _Flight:
     __slots__ = ("event", "value", "error")
@@ -32,7 +39,13 @@ class Singleflight:
         self._lock = threading.Lock()
         self._flights: dict[Hashable, _Flight] = {}
 
-    def run(self, key: Hashable, fn: Callable[[], Any]) -> tuple[bool, Any]:
+    def run(
+        self,
+        key: Hashable,
+        fn: Callable[[], Any],
+        deadline: Deadline | None = None,
+        token: CancellationToken | None = None,
+    ) -> tuple[bool, Any]:
         """Run *fn* once per concurrent *key*; followers share the answer.
 
         Returns ``(waited, value)``: ``waited`` is False for the leader
@@ -41,6 +54,11 @@ class Singleflight:
         flight is removed before followers wake, so a *later* call with
         the same key starts a fresh flight — this deduplicates concurrent
         calls only, it is not a cache.
+
+        A follower waits no longer than its own budget: once *deadline*
+        expires it raises :class:`~repro.errors.QueryTimeoutError`, once
+        *token* is cancelled :class:`~repro.errors.QueryCancelledError`;
+        the leader carries on undisturbed (its budget is *fn*'s business).
         """
         with self._lock:
             flight = self._flights.get(key)
@@ -59,7 +77,12 @@ class Singleflight:
                     self._flights.pop(key, None)
                 flight.event.set()
             return False, flight.value
-        flight.event.wait()
+        bounded = deadline is not None or token is not None
+        while not flight.event.wait(_POLL_SECONDS if bounded else None):
+            if token is not None:
+                token.check(where="singleflight wait")
+            if deadline is not None:
+                deadline.check(where="singleflight wait")
         if flight.error is not None:
             raise flight.error
         return True, flight.value

@@ -71,8 +71,10 @@ DEFAULT_COORDINATOR_OVERHEAD = 0.0002
 
 
 @contextmanager
-def admission_gate(admission: AdmissionController | None) -> Iterator[None]:
+def admission_gate(admission: AdmissionController | None) -> Iterator[float]:
     """Hold one cluster admission slot for the duration of the block.
+
+    Yields the seconds the query waited in the controller's queue.
 
     The coordinator-side counterpart of the connector's per-send gate:
     a cluster constructed with ``admission=`` sheds load *before* the
@@ -83,12 +85,12 @@ def admission_gate(admission: AdmissionController | None) -> Iterator[None]:
     release.  A ``None`` controller — the seed default — is a no-op.
     """
     if admission is None:
-        yield
+        yield 0.0
         return
     ticket = admission.acquire(deadline=current_deadline())
     started = time.perf_counter()
     try:
-        yield
+        yield ticket.queue_wait_seconds
     except BaseException:
         ticket.release(time.perf_counter() - started, ok=False)
         raise
@@ -187,13 +189,6 @@ def _merge_stream_with_stats(
                 close()
         for result in shard_results:
             stats.merge(result.stats)
-
-
-def _count_backend(name: str, backend_name: str, amount: int = 1) -> None:
-    """Bump a counter both plain and labeled by backend (when named)."""
-    metrics.counter(name).inc(amount)
-    if backend_name:
-        metrics.counter(name, backend=backend_name).inc(amount)
 
 
 @dataclass(slots=True)
@@ -362,7 +357,7 @@ def _candidates(
     for position, node in enumerate(nodes):
         if run.failed_node is not None:
             run.failovers += 1
-            _count_backend("failovers_total", g.backend_name)
+            metrics.count("failovers_total", g.backend_name)
             span.add_child(
                 "failover", 0.0, shard=run.shard,
                 from_node=run.failed_node, to_node=node,
@@ -450,13 +445,13 @@ def _read_hedged(
                 primary_first = threshold + hedged.effective >= primary.effective
     if hedged is not None:
         run.hedges += 1
-        _count_backend("hedges_total", g.backend_name)
+        metrics.count("hedges_total", g.backend_name)
         won = hedged.result is not None and not (
             primary.result is not None and primary_first
         )
         if won:
             run.hedge_wins += 1
-            _count_backend("hedge_wins_total", g.backend_name)
+            metrics.count("hedge_wins_total", g.backend_name)
             run.serve(hedged.result, hedge_node, threshold + hedged.effective)
         span.add_child(
             "hedge", hedged.effective * 1000.0, shard=shard, node=hedge_node, win=won
@@ -487,7 +482,7 @@ def _read_quorum(
         return
     checksums = {records_checksum(leg.result.records) for leg in responses}
     if len(checksums) > 1:
-        _count_backend("replica_divergence_total", g.backend_name)
+        metrics.count("replica_divergence_total", g.backend_name)
         nodes = tuple(leg.node for leg in responses)
         raise ReplicaDivergenceError(
             f"quorum read of shard {run.shard} on {g.label} diverged across "
@@ -959,8 +954,8 @@ class ShardedCluster:
         # Tests stub shard engines with plain callables, so only pass the
         # streaming knob through when it is actually on.
         knobs = {"stream": True} if stream else {}
-        with admission_gate(self.admission):
-            return scatter_gather(
+        with admission_gate(self.admission) as queued:
+            result = scatter_gather(
                 lambda shard, node: run(self.store.engine(shard, node), **knobs),
                 self.replica_set,
                 spec,
@@ -976,6 +971,8 @@ class ShardedCluster:
                 result_cache=self.result_cache,
                 cache_key=cache_key,
             )
+        result.stats.queue_wait_ms += queued * 1000.0
+        return result
 
 
 class SQLShardedCluster(ShardedCluster):

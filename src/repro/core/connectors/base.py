@@ -21,13 +21,19 @@ import abc
 import logging
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Any, Iterator
 
 from repro.cache import DatasetVersions, ResultCache, Singleflight, resolve_result_cache
 from repro.core.plan.cache import CompiledQueryCache
 from repro.core.rewrite import RewriteEngine
-from repro.errors import CircuitOpenError, OverloadError, QueryTimeoutError, ReproError
+from repro.errors import (
+    CircuitOpenError,
+    OverloadError,
+    QueryCancelledError,
+    QueryTimeoutError,
+    ReproError,
+)
 from repro.exec.batch import DEFAULT_BATCH_SIZE
 from repro.exec.memory import resolve_budget
 from repro.obs import OpProfile, analyze_active, metrics, span_for
@@ -73,7 +79,8 @@ class SendRecord:
     cluster's scatter-gather spent below this send; ``failovers`` and
     ``hedges`` count replica failovers and hedged requests spent below
     this send (replicated clusters only); ``outcome`` is one of ``'ok'``,
-    ``'partial'``, ``'error'``, ``'rejected'``.
+    ``'partial'``, ``'error'``, ``'rejected'``, ``'shed'``,
+    ``'cancelled'``.
 
     ``rows_scanned`` is the engine's total data touches for the query
     (heap fetches plus index entries), and ``exec_engine`` which
@@ -87,9 +94,9 @@ class SendRecord:
 
     ``peak_mem_bytes`` is the engine's peak accounted operator memory for
     the query and ``spill_bytes`` how much it wrote to disk spill runs
-    (zero for engines without blocking operators, and for streaming
-    sends, whose stats are only final on ``result.stats`` once the
-    stream is drained).
+    (zero for engines without blocking operators; a streaming send's
+    record has the dispatch-time stats until its stream drains, then the
+    final ones).
 
     ``cache_hits`` / ``cache_misses`` count result-cache probes behind
     this send (a whole-send hit has ``attempts == 0`` — the backend was
@@ -129,10 +136,80 @@ class SendRecord:
     deadline_budget_ms: float = 0.0
     cancelled: int = 0
 
+    @classmethod
+    def from_stats(
+        cls, stats: QueryStats, *, queue_wait_ms: float, **own: Any
+    ) -> "SendRecord":
+        """The record of an answered send: what its result's *stats* say.
+
+        The one place :class:`~repro.sqlengine.result.QueryStats` maps
+        onto a record.  *queue_wait_ms* is the connector's own gate; any
+        per-cluster gate below it is already in *stats* and adds to it.
+        *own* are the fields only the send itself knows: its two times,
+        ``attempts``, ``outcome`` and ``deadline_budget_ms``.
+        """
+        return cls(
+            shard_retries=stats.retries,
+            rows_scanned=stats.heap_fetches + stats.index_entries,
+            exec_engine=stats.exec_engine,
+            failovers=stats.failovers,
+            hedges=stats.hedges,
+            dispatch_mode=stats.dispatch_mode,
+            parallelism=stats.parallelism,
+            peak_mem_bytes=stats.peak_mem_bytes,
+            spill_bytes=stats.spill_bytes,
+            cache_hits=stats.result_cache_hits,
+            cache_misses=stats.result_cache_misses,
+            singleflight_waits=stats.singleflight_waits,
+            queue_wait_ms=queue_wait_ms + stats.queue_wait_ms,
+            cancelled=stats.cancelled,
+            **own,
+        )
+
     @property
     def retries(self) -> int:
         """Total extra attempts spent on this query, at every level."""
         return max(0, self.attempts - 1) + self.shard_retries
+
+
+@dataclass(slots=True)
+class _Send:
+    """What every step of one :meth:`DatabaseConnector.send` shares.
+
+    The connector-side twin of ``cluster/base.py::_Gather``: built once
+    at the top of ``send()``.  The first ten fields are read-only after
+    that; the rest accumulate as the send proceeds, and are what
+    :meth:`DatabaseConnector._log` turns into the :class:`SendRecord`.
+    """
+
+    query: str
+    collection: str
+    streaming: bool
+    injector: FaultInjector | None
+    policy: RetryPolicy | None
+    breaker: CircuitBreaker | None
+    deadline: Deadline | None
+    token: CancellationToken | None
+    dspan: Any
+    started: float
+    #: The result-cache (and singleflight) key; ``None`` with caching off.
+    key: Any = None
+    attempts: int = 0
+    cache_misses: int = 0
+    singleflight_waits: int = 0
+    #: Seconds spent in the connector's own admission queue.
+    queue_wait: float = 0.0
+    #: The admission slot this send holds, and since when.
+    ticket: AdmissionTicket | None = None
+    admitted_at: float = 0.0
+    #: What :meth:`DatabaseConnector._log` recorded; ``None`` until the
+    #: send has ended.
+    record: SendRecord | None = None
+
+    def release(self, ok: bool) -> None:
+        """Return the admission slot, feeding the latency to its controller."""
+        if self.ticket is not None:
+            self.ticket.release(time.perf_counter() - self.admitted_at, ok=ok)
 
 
 def _engines_of(database: Any) -> list[Any]:
@@ -270,7 +347,6 @@ class DatabaseConnector(abc.ABC):
         #: inject a fake clock here for deterministic budget accounting.
         self.deadline_clock = time.monotonic
         self.admission = resolve_admission(admission, backend=self.name)
-        self._warned_stream_retry = False
         if optimization_level is None:
             optimization_level = _default_optimization_level()
         self.optimization_level = optimization_level
@@ -303,36 +379,26 @@ class DatabaseConnector(abc.ABC):
     def send(self, query: str, collection: str, *, stream: bool = False) -> ResultSet:
         """Execute *query* (already rewritten) and return the raw result.
 
-        Wraps the backend call with circuit breaking, fault injection,
-        deadline enforcement, bounded retries, and timing/outcome
-        bookkeeping (see :class:`SendRecord`); backends implement
-        :meth:`_execute`.  When tracing is enabled the whole send is one
-        ``dispatch`` span with an ``attempt`` child per execution try, and
-        the finished :class:`SendRecord` is mirrored onto the span's
-        attributes.
+        Wraps the backend call (:meth:`_execute`) in, outermost first: the
+        result-cache probe and singleflight (with caching on), the
+        admission gate, and per attempt the cancellation and deadline
+        checks, circuit breaker, fault hook, ``timeout`` and retry
+        backoff — ``docs/resilience.md`` has the ordered list.  Every
+        step reads one :class:`_Send` context, and however the send ends
+        :meth:`_log` records it exactly once (:class:`SendRecord`) and
+        mirrors the record onto the ``dispatch`` span, whose children
+        are ``cache``, ``queue`` and one ``attempt`` per try.
 
         With ``stream=True`` the result drains lazily from the engine
-        (when the backend supports it) — but only when no retry policy
-        is configured: a retry needs the attempt's full outcome before
-        :meth:`send` returns, so retry-wrapped sends materialize instead
-        (a warning is logged once per connector; the old behaviour
-        silently dropped the stream).  A per-attempt ``timeout`` no
-        longer forces materialization: it is enforced on the *drain* as
-        a deadline, checked at every batch boundary, as is any ambient
-        or configured :class:`~repro.resilience.Deadline` — a streamed
-        query whose budget runs out raises
-        :class:`~repro.errors.QueryTimeoutError` at the next boundary
-        instead of bypassing the limit.  A streaming send's
-        :class:`SendRecord` carries the stats known at dispatch time;
-        drain-dependent numbers (rows scanned, memory peaks) are final
-        on ``result.stats`` once the stream is exhausted.
-
-        With result caching on (``cache=`` / ``REPRO_CACHE``) the send
-        first probes the :class:`~repro.cache.ResultCache` under a
-        ``cache`` child span — a hit is served without touching the
-        breaker, injector, or backend (``attempts == 0``) — and
-        concurrent identical non-streaming sends are deduplicated
-        through singleflight: one executes, the rest share its answer.
+        (when the backend supports it).  A retry policy then retries
+        *opening* the stream; a failure during the drain is not retried.
+        The budget is enforced on the drain, at every record boundary —
+        for a streamed send a per-attempt ``timeout`` is the budget of
+        the whole send, drain included — and a streamed query that runs
+        out raises :class:`~repro.errors.QueryTimeoutError` at the next
+        boundary.  A streaming send's :class:`SendRecord` carries the
+        stats known at dispatch time and is restamped in place once the
+        stream is exhausted.
         """
         injector = self.fault_injector
         policy = self.retry_policy
@@ -340,334 +406,279 @@ class DatabaseConnector(abc.ABC):
             injector, global_policy = global_resilience()
             if policy is None:
                 policy = global_policy
-        breaker = self.circuit_breaker
-        streaming = stream and policy is None
-        if stream and policy is not None and not self._warned_stream_retry:
-            self._warned_stream_retry = True
-            logger.warning(
-                "%s: streaming send materializes because a retry policy is "
-                "configured — a retry needs the attempt's full outcome "
-                "before send() returns (deadlines still apply; see "
-                "docs/deadlines.md)",
-                self.name,
-            )
         frame = current_frame()
         deadline = frame.deadline
-        token = frame.token
         if deadline is None:
             seconds = resolve_deadline_seconds(self.deadline)
             if seconds is not None:
                 deadline = Deadline(seconds, clock=self.deadline_clock)
-        if deadline is None and streaming and self.timeout is not None:
+        if deadline is None and stream and self.timeout is not None:
             # No end-to-end budget, but a per-attempt timeout: for a
             # streamed attempt "the attempt" is the whole drain, so the
             # timeout becomes the drain deadline.
             deadline = Deadline(self.timeout.seconds, clock=self.deadline_clock)
         cache = self.result_cache
 
-        self._count("queries_total")
+        metrics.count("queries_total", self.name)
         with span_for(self, "dispatch", backend=self.name, collection=collection) as dspan:
-            total_started = time.perf_counter()
-            key = None
+            s = _Send(
+                query, collection, stream, injector, policy, self.circuit_breaker,
+                deadline, frame.token, dspan, time.perf_counter(),
+            )
             if cache is not None:
-                key = (
-                    self.name,
-                    self.optimization_level,
-                    collection,
-                    query,
-                    self.dataset_versions.vector(query, collection),
-                )
-                hit = self._serve_cache_hit(cache, key, dspan, total_started)
+                hit = self._probe_cache(s, cache)
                 if hit is not None:
                     return hit
-            if cache is not None and not streaming:
+            if cache is not None and not stream:
                 # Singleflight: concurrent identical sends execute once.
-                # The leader runs the full attempt loop (and stores the
-                # answer below); followers share it without executing.
-                lead: list[bool] = []
-
-                def produce():
-                    lead.append(True)
-                    return self._run_attempts(
-                        query, collection, streaming, injector, policy,
-                        breaker, dspan, total_started, cache_active=True,
-                        deadline=deadline, token=token,
-                    )
-
+                # The leader runs the attempts (and stores the answer
+                # below); followers share it without executing.
                 try:
-                    waited, payload = self._singleflight.run(key, produce)
-                except BaseException:
-                    if not lead:
-                        # The leader failed; record this follower's view
-                        # (it never executed an attempt of its own).
-                        dspan.set(outcome=OUTCOME_ERROR, attempts=0)
-                        self.send_log.append(
-                            SendRecord(
-                                time.perf_counter() - total_started,
-                                0.0,
-                                attempts=0,
-                                outcome=OUTCOME_ERROR,
-                                cache_misses=1,
-                                singleflight_waits=1,
-                            )
-                        )
+                    waited, result = self._singleflight.run(
+                        s.key, lambda: self._run_attempts(s), s.deadline, s.token
+                    )
+                except BaseException as exc:
+                    if s.record is None:
+                        # A leader logs its own failure; with nothing
+                        # logged this send was a follower, and either its
+                        # leader failed or its own budget ran out waiting.
+                        s.singleflight_waits = 1
+                        cancelled = isinstance(exc, QueryCancelledError)
+                        self._log(s, OUTCOME_CANCELLED if cancelled else OUTCOME_ERROR)
                     raise
                 if waited:
-                    return self._serve_singleflight(payload, dspan, total_started)
-                result, attempt, queue_wait, stream_release = payload
+                    s.singleflight_waits = 1
+                    metrics.count("singleflight_waits_total", self.name)
+                    return self._serve_shared(
+                        s, result, QueryStats(result_cache_misses=1, singleflight_waits=1)
+                    )
             else:
-                result, attempt, queue_wait, stream_release = self._run_attempts(
-                    query, collection, streaming, injector, policy,
-                    breaker, dspan, total_started, cache_active=cache is not None,
-                    deadline=deadline, token=token,
-                )
+                result = self._run_attempts(s)
 
-            if getattr(result, "streaming", False) and (
-                deadline is not None or token is not None or stream_release is not None
+            result.stats.result_cache_misses += s.cache_misses
+            if result.streaming and (
+                s.deadline is not None or s.token is not None or s.ticket is not None
             ):
-                self._guard_stream(result, deadline, token, stream_release, query)
-            real = time.perf_counter() - total_started
-            if cache is not None:
-                result.stats.result_cache_misses += 1
-            record = SendRecord(
-                real,
-                result.elapsed_seconds,
-                attempts=attempt,
-                outcome=OUTCOME_PARTIAL if result.partial else OUTCOME_OK,
-                shard_retries=result.stats.retries,
-                rows_scanned=result.stats.heap_fetches + result.stats.index_entries,
-                exec_engine=result.stats.exec_engine,
-                failovers=result.stats.failovers,
-                hedges=result.stats.hedges,
-                dispatch_mode=result.stats.dispatch_mode,
-                parallelism=result.stats.parallelism,
-                peak_mem_bytes=result.stats.peak_mem_bytes,
-                spill_bytes=result.stats.spill_bytes,
-                cache_hits=result.stats.result_cache_hits,
-                cache_misses=result.stats.result_cache_misses,
-                singleflight_waits=result.stats.singleflight_waits,
-                queue_wait_ms=queue_wait * 1000.0 + result.stats.queue_wait_ms,
-                deadline_budget_ms=(
-                    deadline.remaining() * 1000.0 if deadline is not None else 0.0
-                ),
-                cancelled=result.stats.cancelled,
+                self._guard_stream(s, result)
+            record = self._log(
+                s, OUTCOME_PARTIAL if result.partial else OUTCOME_OK, result
             )
-            self.send_log.append(record)
-            on_drain = getattr(result, "on_drain", None)
-            if streaming and on_drain is not None:
-                # Drain-dependent numbers (rows scanned, memory peaks,
-                # spill volume) are only final once the stream is
-                # exhausted; restamp the log entry in place then.
-                self._restamp_on_drain(
-                    result, record, len(self.send_log) - 1, queue_wait
-                )
             if cache is not None:
-                if getattr(result, "streaming", False):
+                if result.streaming:
                     # Tee the stream into the cache: admitted only if it
                     # drains to completion (never a truncated answer).
-                    cache.admit_stream(key, result)
+                    cache.admit_stream(s.key, result)
                 else:
                     cache.store(
-                        key,
+                        s.key,
                         result.records,
-                        elapsed_seconds=real,
+                        elapsed_seconds=record.real_seconds,
                         plan_text=result.plan_text,
                         partial=result.partial,
                     )
-            self._count("retries_total", record.retries)
-            self._count("rows_scanned", record.rows_scanned)
-            metrics.histogram("query_seconds", backend=self.name).observe(real)
-            if dspan.recording:
-                dspan.set(
-                    rows=len(result.records),
-                    real_seconds=record.real_seconds,
-                    reported_seconds=record.reported_seconds,
-                    attempts=record.attempts,
-                    outcome=record.outcome,
-                    shard_retries=record.shard_retries,
-                    rows_scanned=record.rows_scanned,
-                    exec_engine=record.exec_engine,
-                    failovers=record.failovers,
-                    hedges=record.hedges,
-                    dispatch_mode=record.dispatch_mode,
-                    parallelism=record.parallelism,
-                    peak_mem_bytes=record.peak_mem_bytes,
-                    spill_bytes=record.spill_bytes,
-                    cache_hits=record.cache_hits,
-                    cache_misses=record.cache_misses,
-                    singleflight_waits=record.singleflight_waits,
-                    queue_wait_ms=record.queue_wait_ms,
-                    deadline_budget_ms=record.deadline_budget_ms,
-                    cancelled=record.cancelled,
-                )
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(
                 "%s <- %s (%d rows, %.2fms, %d attempts)\n%s",
-                self.name, collection, len(result.records), real * 1000, attempt, query,
+                self.name, collection, len(result.records),
+                record.real_seconds * 1000, record.attempts, query,
             )
         return result
 
-    def _run_attempts(
-        self,
-        query: str,
-        collection: str,
-        streaming: bool,
-        injector: FaultInjector | None,
-        policy: RetryPolicy | None,
-        breaker: CircuitBreaker | None,
-        dspan: Any,
-        total_started: float,
-        *,
-        cache_active: bool = False,
-        deadline: Deadline | None = None,
-        token: CancellationToken | None = None,
-    ) -> tuple[ResultSet, int, float, "Any | None"]:
-        """The admission/breaker/injector/timeout/retry loop of one send.
+    def _log(self, s: _Send, outcome: str, result: ResultSet | None = None) -> SendRecord:
+        """The one exit of a send: record it, count it, mirror it on the span.
 
-        Returns ``(result, attempts, queue_wait_seconds, stream_release)``
-        where ``stream_release`` is a callable releasing the admission
-        slot of a *streaming* result (``None`` otherwise) — a streamed
-        query occupies its slot until the stream drains or is closed,
-        not just until dispatch returns.
+        Every way a send ends comes through here exactly once, so every
+        ``send()`` appends exactly one :class:`SendRecord`.  *result* is
+        the answer being returned; without one the send failed (or was
+        refused) and the record carries what the context accumulated.
         """
-        cache_misses = 1 if cache_active else 0
-        queue_wait = 0.0
-        ticket = self._admit(deadline, dspan, total_started, cache_misses)
-        if ticket is not None:
-            queue_wait = ticket.queue_wait_seconds
-        admitted_at = time.perf_counter()
+        real = time.perf_counter() - s.started
+        if result is None:
+            record = SendRecord(
+                real,
+                0.0,
+                attempts=s.attempts,
+                outcome=outcome,
+                cache_misses=s.cache_misses,
+                singleflight_waits=s.singleflight_waits,
+                queue_wait_ms=s.queue_wait * 1000.0,
+                cancelled=int(outcome == OUTCOME_CANCELLED),
+            )
+        else:
+            if not s.attempts:
+                # A shared answer (cache hit, singleflight follower) ran
+                # nothing: its engine time is the lookup or the wait.
+                result.elapsed_seconds = real
+            budget = s.deadline.remaining() * 1000.0 if s.deadline is not None else 0.0
+
+            def stamp() -> SendRecord:
+                return SendRecord.from_stats(
+                    result.stats,
+                    queue_wait_ms=s.queue_wait * 1000.0,
+                    real_seconds=real,
+                    reported_seconds=result.elapsed_seconds,
+                    attempts=s.attempts,
+                    outcome=outcome,
+                    deadline_budget_ms=budget,
+                )
+
+            record = stamp()
+        self.send_log.append(record)
+        s.record = record
+        if outcome == OUTCOME_ERROR and s.deadline is not None and s.deadline.expired():
+            metrics.count("deadline_exceeded_total", self.name)
+        metrics.count("retries_total", self.name, record.retries)
+        metrics.count("rows_scanned", self.name, record.rows_scanned)
+        if result is not None:
+            metrics.histogram("query_seconds", backend=self.name).observe(real)
+            if s.streaming and hasattr(result, "on_drain"):
+                # Drain-dependent numbers (rows scanned, memory peaks,
+                # spill volume) are only final once the stream is
+                # exhausted; restamp the log entry in place then.
+                index = len(self.send_log) - 1
+                result.on_drain(lambda: self._restamp(s, stamp(), index))
+        if s.dspan.recording:
+            # Counting the rows drains a stream, which restamps `s.record`.
+            rows = {"rows": len(result.records)} if result is not None else {}
+            s.dspan.set(**rows, **asdict(s.record))
+        return s.record
+
+    def _restamp(self, s: _Send, updated: SendRecord, index: int) -> None:
+        """Swap a drained stream's final record in for its log entry."""
+        record, s.record = s.record, updated
+        if index < len(self.send_log) and self.send_log[index] is record:
+            self.send_log[index] = updated
+        metrics.count(
+            "rows_scanned", self.name, updated.rows_scanned - record.rows_scanned
+        )
+
+    def _probe_cache(self, s: _Send, cache: ResultCache) -> ResultSet | None:
+        """Key the send and probe the result cache; serve and log a hit.
+
+        Under analyze mode a hit carries a synthetic ``ResultCache[hit]``
+        operator profile so ``explain(analyze=True)`` shows where the
+        answer came from.
+        """
+        s.key = (
+            self.name,
+            self.optimization_level,
+            s.collection,
+            s.query,
+            self.dataset_versions.vector(s.query, s.collection),
+        )
+        with span_for(self, "cache", op="lookup") as cspan:
+            entry = cache.lookup(s.key)
+            cspan.set(outcome="hit" if entry is not None else "miss")
+        if entry is None:
+            s.cache_misses = 1
+            return None
+        result = self._serve_shared(s, entry, QueryStats(result_cache_hits=1))
+        if analyze_active():
+            profile = OpProfile("ResultCache[hit]")
+            profile.rows_out = len(result.records)
+            profile.time_ns = int(result.elapsed_seconds * 1e9)
+            result.op_profile = profile
+        return result
+
+    def _serve_shared(self, s: _Send, source: Any, stats: QueryStats) -> ResultSet:
+        """Serve and log an answer this send did not execute.
+
+        *source* is a cache entry or a singleflight leader's result.  The
+        send never touched the breaker, injector or backend —
+        ``attempts == 0`` — and both its real and reported time are the
+        lookup, or the wait on the leader.  Records are shared with the
+        source (a fresh list, the same record objects); *stats* are the
+        send's own.
+        """
+        result = ResultSet(
+            records=list(source.records), stats=stats, plan_text=source.plan_text
+        )
+        if isinstance(source, ResultSet):
+            # A leader's answer may be degraded; a cache entry never is.
+            result.partial = source.partial
+            result.shard_attempts = source.shard_attempts
+            result.served_by = source.served_by
+        self._log(s, OUTCOME_PARTIAL if result.partial else OUTCOME_OK, result)
+        return result
+
+    def _run_attempts(self, s: _Send) -> ResultSet:
+        """Admit the send, then try the backend until an attempt answers.
+
+        Every failing way out logs the send before raising.  A streaming
+        answer keeps its admission slot (``s.ticket``) until the stream
+        drains or is closed, not just until dispatch returns;
+        :meth:`_guard_stream` returns it.
+        """
+        self._admit(s)
         ok = False
         result: ResultSet | None = None
         try:
-            attempt = 0
             while True:
-                attempt += 1
-                if token is not None and token.cancelled:
-                    dspan.set(outcome=OUTCOME_CANCELLED, attempts=attempt - 1)
-                    self.send_log.append(
-                        SendRecord(
-                            time.perf_counter() - total_started,
-                            0.0,
-                            attempts=attempt - 1,
-                            outcome=OUTCOME_CANCELLED,
-                            cache_misses=cache_misses,
-                            queue_wait_ms=queue_wait * 1000.0,
-                            cancelled=1,
-                        )
-                    )
-                    token.check(where=f"{self.name} dispatch")
-                if deadline is not None and deadline.expired():
+                if s.token is not None and s.token.cancelled:
+                    self._log(s, OUTCOME_CANCELLED)
+                    s.token.check(where=f"{self.name} dispatch")
+                if s.deadline is not None and s.deadline.expired():
                     # Eager: an attempt that starts with no budget left
                     # cannot finish in time, so fail now instead.
-                    self._count("deadline_exceeded_total")
-                    dspan.set(outcome=OUTCOME_ERROR, attempts=attempt - 1)
-                    self.send_log.append(
-                        SendRecord(
-                            time.perf_counter() - total_started,
-                            0.0,
-                            attempts=attempt - 1,
-                            outcome=OUTCOME_ERROR,
-                            cache_misses=cache_misses,
-                            queue_wait_ms=queue_wait * 1000.0,
-                        )
-                    )
-                    deadline.check(backend=self.name, query=query)
-                if breaker is not None:
+                    self._log(s, OUTCOME_ERROR)
+                    s.deadline.check(backend=self.name, query=s.query)
+                if s.breaker is not None:
                     try:
-                        breaker.allow()
+                        s.breaker.allow()
                     except CircuitOpenError:
-                        self._count("circuit_rejections_total")
-                        dspan.set(outcome=OUTCOME_REJECTED, attempts=attempt - 1)
-                        self.send_log.append(
-                            SendRecord(
-                                time.perf_counter() - total_started,
-                                0.0,
-                                attempts=attempt - 1,
-                                outcome=OUTCOME_REJECTED,
-                                cache_misses=cache_misses,
-                                queue_wait_ms=queue_wait * 1000.0,
-                            )
-                        )
+                        metrics.count("circuit_rejections_total", self.name)
+                        self._log(s, OUTCOME_REJECTED)
                         raise
+                s.attempts += 1
                 attempt_started = time.perf_counter()
-                with span_for(self, "attempt", number=attempt) as aspan:
+                with span_for(self, "attempt", number=s.attempts) as aspan:
                     try:
-                        if injector is not None:
-                            injector.before_request(self.name)
-                        result = (
-                            self._execute_stream(query, collection)
-                            if streaming
-                            else self._execute(query, collection)
-                        )
-                        if self.timeout is not None and not streaming:
-                            self.timeout.check(
-                                time.perf_counter() - attempt_started,
-                                backend=self.name,
-                                query=query,
-                            )
-                        if deadline is not None and not streaming:
-                            # Streamed attempts are checked per batch on
-                            # the drain, where the work actually happens.
-                            deadline.check(backend=self.name, query=query)
+                        if s.injector is not None:
+                            s.injector.before_request(self.name)
+                        if s.streaming:
+                            # Only the open happens here; the budget is
+                            # checked per record on the drain, where the
+                            # work actually happens.
+                            result = self._execute_stream(s.query, s.collection)
+                        else:
+                            result = self._execute(s.query, s.collection)
+                            if self.timeout is not None:
+                                self.timeout.check(
+                                    time.perf_counter() - attempt_started,
+                                    backend=self.name,
+                                    query=s.query,
+                                )
+                            if s.deadline is not None:
+                                s.deadline.check(backend=self.name, query=s.query)
                     except Exception as exc:
-                        if breaker is not None:
-                            breaker.record_failure()
-                        if policy is not None and policy.should_retry(exc, attempt):
+                        if s.breaker is not None:
+                            s.breaker.record_failure()
+                        if s.policy is not None and s.policy.should_retry(exc, s.attempts):
                             aspan.set(
                                 error=f"{type(exc).__name__}: {exc}", retried=True
                             )
                             logger.debug(
                                 "%s attempt %d failed (%s); retrying",
-                                self.name, attempt, exc,
+                                self.name, s.attempts, exc,
                             )
                             # Clamped: if the budget runs out during the
                             # backoff, the next loop iteration fails
                             # eagerly instead of launching the attempt.
-                            policy.wait(attempt, deadline=deadline)
+                            s.policy.wait(s.attempts, deadline=s.deadline)
                             continue
-                        self._count("retries_total", attempt - 1)
-                        if isinstance(exc, QueryTimeoutError) and (
-                            deadline is not None and deadline.expired()
-                        ):
-                            self._count("deadline_exceeded_total")
-                        dspan.set(outcome=OUTCOME_ERROR, attempts=attempt)
-                        self.send_log.append(
-                            SendRecord(
-                                time.perf_counter() - total_started,
-                                0.0,
-                                attempts=attempt,
-                                outcome=OUTCOME_ERROR,
-                                cache_misses=cache_misses,
-                                queue_wait_ms=queue_wait * 1000.0,
-                            )
-                        )
+                        self._log(s, OUTCOME_ERROR)
                         raise
                     break
             ok = True
         finally:
-            if ticket is not None and not (
-                ok and getattr(result, "streaming", False)
-            ):
-                ticket.release(time.perf_counter() - admitted_at, ok=ok)
+            if not (ok and result.streaming):
+                s.release(ok)
+        if s.breaker is not None:
+            s.breaker.record_success()
+        return result
 
-        stream_release = None
-        if ticket is not None and getattr(result, "streaming", False):
-
-            def stream_release(drained_ok: bool) -> None:
-                ticket.release(time.perf_counter() - admitted_at, ok=drained_ok)
-
-        if breaker is not None:
-            breaker.record_success()
-        return result, attempt, queue_wait, stream_release
-
-    def _admit(
-        self,
-        deadline: Deadline | None,
-        dspan: Any,
-        total_started: float,
-        cache_misses: int,
-    ) -> "AdmissionTicket | None":
-        """Gate one send through the admission controller, if configured.
+    def _admit(self, s: _Send) -> None:
+        """Gate the send through the admission controller, if configured.
 
         A shed query is logged with outcome ``'shed'`` and raises the
         retryable :class:`~repro.errors.OverloadError` without ever
@@ -675,61 +686,34 @@ class DatabaseConnector(abc.ABC):
         deadline expires while waiting raises
         :class:`~repro.errors.QueryTimeoutError` the same way.
         """
-        controller = self.admission
-        if controller is None:
-            return None
+        if self.admission is None:
+            return
         with span_for(self, "queue", backend=self.name) as qspan:
             try:
-                ticket = controller.acquire(deadline)
+                s.ticket = self.admission.acquire(s.deadline)
             except OverloadError:
                 qspan.set(outcome="shed")
-                dspan.set(outcome=OUTCOME_SHED, attempts=0)
-                self.send_log.append(
-                    SendRecord(
-                        time.perf_counter() - total_started,
-                        0.0,
-                        attempts=0,
-                        outcome=OUTCOME_SHED,
-                        cache_misses=cache_misses,
-                    )
-                )
+                self._log(s, OUTCOME_SHED)
                 raise
             except QueryTimeoutError:
                 qspan.set(outcome="timeout")
-                self._count("deadline_exceeded_total")
-                dspan.set(outcome=OUTCOME_ERROR, attempts=0)
-                self.send_log.append(
-                    SendRecord(
-                        time.perf_counter() - total_started,
-                        0.0,
-                        attempts=0,
-                        outcome=OUTCOME_ERROR,
-                        cache_misses=cache_misses,
-                    )
-                )
+                self._log(s, OUTCOME_ERROR)
                 raise
-            qspan.set(queue_wait_ms=ticket.queue_wait_seconds * 1000.0)
-        return ticket
+            s.queue_wait = s.ticket.queue_wait_seconds
+            s.admitted_at = time.perf_counter()
+            qspan.set(queue_wait_ms=s.queue_wait * 1000.0)
 
-    def _guard_stream(
-        self,
-        result: ResultSet,
-        deadline: Deadline | None,
-        token: CancellationToken | None,
-        stream_release: "Any | None",
-        query: str,
-    ) -> None:
-        """Enforce deadline/cancellation on a stream at batch boundaries.
+    def _guard_stream(self, s: _Send, result: ResultSet) -> None:
+        """Enforce deadline/cancellation on a stream at record boundaries.
 
         Wraps the streaming result's source so every record boundary
-        checks the remaining deadline budget and the cancellation token
-        — a deadline-exceeded streamed query raises
-        :class:`~repro.errors.QueryTimeoutError` at the next boundary
-        instead of draining to completion (or hanging), and a cancelled
-        one stops with :class:`~repro.errors.QueryCancelledError`.  The
-        admission slot of a streamed query (``stream_release``) is
-        returned when the stream drains, fails, or is closed.
+        checks the budget (see :meth:`send`) instead of draining to
+        completion, or hanging; a cancelled drain stops with
+        :class:`~repro.errors.QueryCancelledError`.  The admission slot
+        of a streamed query is returned when the stream drains, fails,
+        or is closed.
         """
+        deadline, token = s.deadline, s.token
 
         def guarded(source: Iterator[Any]) -> Iterator[Any]:
             drained_ok = False
@@ -739,145 +723,20 @@ class DatabaseConnector(abc.ABC):
                         result.stats.cancelled += 1
                         token.check(where=f"{self.name} stream drain")
                     if deadline is not None and deadline.expired():
-                        self._count("deadline_exceeded_total")
+                        metrics.count("deadline_exceeded_total", self.name)
                         deadline.check(
-                            backend=self.name, query=query, where="stream drain"
+                            backend=self.name, query=s.query, where="stream drain"
                         )
                     yield record
                 drained_ok = True
             finally:
-                if stream_release is not None:
-                    stream_release(drained_ok)
+                s.release(drained_ok)
 
         result.wrap_source(guarded)
-
-    def _serve_cache_hit(
-        self, cache: ResultCache, key: Any, dspan: Any, total_started: float
-    ) -> ResultSet | None:
-        """Probe the result cache; build and log a served result on a hit.
-
-        A hit never touches the circuit breaker, fault injector, or
-        backend — its :class:`SendRecord` has ``attempts == 0`` and both
-        its real and reported time are the measured lookup cost.  Under
-        analyze mode the result carries a synthetic ``ResultCache[hit]``
-        operator profile so ``explain(analyze=True)`` shows where the
-        answer came from.
-        """
-        with span_for(self, "cache", op="lookup") as cspan:
-            entry = cache.lookup(key)
-            cspan.set(outcome="hit" if entry is not None else "miss")
-        if entry is None:
-            return None
-        real = time.perf_counter() - total_started
-        result = ResultSet(
-            records=list(entry.records),
-            stats=QueryStats(result_cache_hits=1),
-            plan_text=entry.plan_text,
-            elapsed_seconds=real,
-        )
-        if analyze_active():
-            profile = OpProfile("ResultCache[hit]")
-            profile.rows_out = len(result.records)
-            profile.time_ns = int(real * 1e9)
-            result.op_profile = profile
-        record = SendRecord(real, real, attempts=0, cache_hits=1)
-        self.send_log.append(record)
-        metrics.histogram("query_seconds", backend=self.name).observe(real)
-        if dspan.recording:
-            dspan.set(
-                rows=len(result.records),
-                real_seconds=real,
-                reported_seconds=real,
-                attempts=0,
-                outcome=OUTCOME_OK,
-                cache_hits=1,
-            )
-        return result
-
-    def _serve_singleflight(
-        self, payload: tuple, dspan: Any, total_started: float
-    ) -> ResultSet:
-        """Clone a singleflight leader's answer for a follower send.
-
-        The follower never executed — ``attempts == 0`` — and its time
-        is the wait on the leader.  Records are shared with the leader's
-        result (a fresh list, the same record objects, exactly like a
-        cache hit); stats are the follower's own.
-        """
-        leader_result = payload[0]
-        real = time.perf_counter() - total_started
-        result = ResultSet(
-            records=list(leader_result.records),
-            stats=QueryStats(result_cache_misses=1, singleflight_waits=1),
-            plan_text=leader_result.plan_text,
-            elapsed_seconds=real,
-            partial=leader_result.partial,
-            shard_attempts=leader_result.shard_attempts,
-            served_by=leader_result.served_by,
-        )
-        self._count("singleflight_waits_total")
-        outcome = OUTCOME_PARTIAL if result.partial else OUTCOME_OK
-        record = SendRecord(
-            real,
-            real,
-            attempts=0,
-            outcome=outcome,
-            cache_misses=1,
-            singleflight_waits=1,
-        )
-        self.send_log.append(record)
-        metrics.histogram("query_seconds", backend=self.name).observe(real)
-        if dspan.recording:
-            dspan.set(
-                rows=len(result.records),
-                real_seconds=real,
-                reported_seconds=real,
-                attempts=0,
-                outcome=outcome,
-                cache_misses=1,
-                singleflight_waits=1,
-            )
-        return result
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        """Increment both the headline and the per-backend metric series."""
-        if amount:
-            metrics.counter(name).inc(amount)
-            metrics.counter(name, backend=self.name).inc(amount)
 
     @abc.abstractmethod
     def _execute(self, query: str, collection: str) -> ResultSet:
         """Backend-specific execution of an already-rewritten query."""
-
-    def _restamp_on_drain(
-        self, result: ResultSet, record: SendRecord, index: int, queue_wait: float
-    ) -> None:
-        """Refresh a streaming send's log entry once its stream drains."""
-
-        def restamp() -> None:
-            stats = result.stats
-            updated = replace(
-                record,
-                shard_retries=stats.retries,
-                rows_scanned=stats.heap_fetches + stats.index_entries,
-                exec_engine=stats.exec_engine,
-                failovers=stats.failovers,
-                hedges=stats.hedges,
-                dispatch_mode=stats.dispatch_mode,
-                parallelism=stats.parallelism,
-                peak_mem_bytes=stats.peak_mem_bytes,
-                spill_bytes=stats.spill_bytes,
-                cache_hits=stats.result_cache_hits,
-                cache_misses=stats.result_cache_misses,
-                singleflight_waits=stats.singleflight_waits,
-                queue_wait_ms=queue_wait * 1000.0 + stats.queue_wait_ms,
-                cancelled=stats.cancelled,
-            )
-            if self.send_log[index] is record:
-                self.send_log[index] = updated
-            self._count("rows_scanned", updated.rows_scanned - record.rows_scanned)
-
-        result.on_drain(restamp)
 
     def _execute_stream(self, query: str, collection: str) -> ResultSet:
         """Execute with a lazily-draining result when the engine can.

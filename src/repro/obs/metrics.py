@@ -142,6 +142,13 @@ class MetricsRegistry:
                 histogram = self._histograms.setdefault(key, Histogram(name, key[1]))
         return histogram
 
+    def count(self, name: str, backend: str = "", amount: int = 1) -> None:
+        """Bump a counter both plain and labeled by *backend* (when named)."""
+        if amount:
+            self.counter(name).inc(amount)
+            if backend:
+                self.counter(name, backend=backend).inc(amount)
+
     # -- reading --------------------------------------------------------
     def counter_value(self, name: str, **labels: Any) -> int:
         """Current value of a counter series (0 if never incremented)."""

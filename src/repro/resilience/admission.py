@@ -282,9 +282,7 @@ class AdmissionController:
         return self.backend or "backend"
 
     def _count_shed(self, reason: str) -> None:
-        metrics.counter("queries_shed_total").inc()
-        if self.backend:
-            metrics.counter("queries_shed_total", backend=self.backend).inc()
+        metrics.count("queries_shed_total", self.backend)
         metrics.counter("queries_shed_total", reason=reason).inc()
 
     def _sync_gauges(self) -> None:

@@ -132,7 +132,7 @@ class ResultSet:
 
         Always False for materialized results, so callers can ask for
         ``stream=True``, get a documented materialize fallback (tracing,
-        retry policies, blocking merges), and not special-case it.
+        blocking merges), and not special-case it.
         """
         return False
 

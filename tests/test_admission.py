@@ -285,9 +285,8 @@ class TestConnectorAdmission:
     def test_streaming_send_holds_its_slot_until_drained(self, monkeypatch):
         monkeypatch.delenv("REPRO_DEADLINE", raising=False)
         ctrl = AdmissionController(initial_limit=2, max_limit=2, max_queue=0)
-        # An explicit empty injector blocks the CI chaos env's global
-        # injector + default retry policy, which would force this
-        # streaming send to materialize (stream + retry).
+        # An explicit empty injector keeps the CI chaos env's seeded
+        # faults out of the exact slot accounting below.
         connector = single_node_connector(FaultInjector(), admission=ctrl)
         result = connector.send("SELECT * FROM t x", "t", stream=True)
         assert getattr(result, "streaming", False)
@@ -358,6 +357,37 @@ class TestClusterAdmission:
             cluster.execute(self.COUNT)
         hold.release(0.01)
         assert cluster.execute(self.COUNT).scalar() == self.NUM_RECORDS
+        assert shared.inflight == 0
+
+    @pytest.mark.parametrize("stream", [False, True], ids=["gathered", "streamed"])
+    def test_time_queued_at_the_cluster_gate_is_recorded(self, stream):
+        # The gate's wait used to be dropped: `queue_wait_ms` stayed 0.0
+        # on the gathered stats and on the connector's SendRecord.
+        held_for = 0.05
+        shared = tiny_controller(max_queue=4)
+        cluster = self.build_cluster(admission=shared)
+        connector = PostgresConnector(
+            cluster, fault_injector=FaultInjector(), admission=False, cache=False
+        )
+        hold = shared.acquire()  # the only slot: the send must queue
+
+        def release_once_queued() -> None:
+            while shared.queue_depth == 0:
+                time.sleep(0.001)
+            time.sleep(held_for)  # measured from when the send was queued
+            hold.release(held_for)
+
+        holder = threading.Thread(target=release_once_queued)
+        holder.start()
+        query = "SELECT * FROM Bench.data t" if stream else self.COUNT
+        try:
+            result = connector.send(query, "Bench.data", stream=stream)
+        finally:
+            holder.join()
+        rows = list(result.iter_records())  # the stamp survives the drain
+        assert len(rows) == (self.NUM_RECORDS if stream else 1)
+        assert result.stats.queue_wait_ms >= held_for * 1000.0
+        assert connector.send_log[-1].queue_wait_ms == result.stats.queue_wait_ms
         assert shared.inflight == 0
 
     def test_cluster_admission_off_by_default(self, monkeypatch):

@@ -336,6 +336,92 @@ class TestConnectorDeadline:
 
 
 # ----------------------------------------------------------------------
+# A singleflight follower waits no longer than its own budget
+# ----------------------------------------------------------------------
+class TestSingleflightFollowerBudget:
+    """`REPRO_CACHE=1` coalesces identical sends; a follower used to block
+    on its leader with no timeout, however short its own deadline."""
+
+    @staticmethod
+    def gated_connector():
+        """A caching connector whose backend blocks until released."""
+        connector = single_node_connector(FaultInjector(), cache=True, admission=False)
+        entered, release = threading.Event(), threading.Event()
+        original = connector._db.execute
+
+        def gated(*args, **kwargs):
+            entered.set()
+            release.wait(10.0)
+            return original(*args, **kwargs)
+
+        connector._db.execute = gated
+        return connector, entered, release
+
+    def follow(self, connector, entered, give_up, **frame):
+        """Lead one send, follow with another under *frame*; return its error."""
+        leader = threading.Thread(target=connector.send, args=(QUERY, "t"))
+        leader.start()
+        assert entered.wait(5.0)
+        errors = []
+
+        def follower():
+            with budget_scope(**frame):
+                try:
+                    connector.send(QUERY, "t")
+                except BaseException as exc:  # noqa: BLE001 - asserted below
+                    errors.append(exc)
+
+        thread = threading.Thread(target=follower)
+        thread.start()
+        time.sleep(0.05)  # the follower reaches the wait
+        give_up()
+        thread.join(2.0)
+        assert not thread.is_alive(), "the follower outwaited its own budget"
+        assert leader.is_alive()  # undisturbed, still executing
+        return leader, errors
+
+    def test_follower_deadline_expires_while_the_leader_runs(self):
+        clock = FakeClock()
+        connector, entered, release = self.gated_connector()
+        before = metrics.counter_value(
+            "deadline_exceeded_total", backend="PostgresConnector"
+        )
+        leader, errors = self.follow(
+            connector,
+            entered,
+            lambda: clock.advance(1.0),
+            deadline=Deadline(0.5, clock=clock),
+        )
+        assert isinstance(errors[0], QueryTimeoutError)
+        assert "singleflight wait" in str(errors[0])
+        (record,) = connector.send_log  # the leader has not logged yet
+        assert (record.outcome, record.attempts) == ("error", 0)
+        assert (record.cache_misses, record.singleflight_waits) == (1, 1)
+        after = metrics.counter_value(
+            "deadline_exceeded_total", backend="PostgresConnector"
+        )
+        assert after == before + 1
+        release.set()
+        leader.join(5.0)
+        assert [r.outcome for r in connector.send_log] == ["error", "ok"]
+        assert connector.send_log[-1].attempts == 1
+
+    def test_follower_cancelled_while_the_leader_runs(self):
+        token = CancellationToken()
+        connector, entered, release = self.gated_connector()
+        leader, errors = self.follow(
+            connector, entered, lambda: token.cancel("user abort"), token=token
+        )
+        assert isinstance(errors[0], QueryCancelledError)
+        (record,) = connector.send_log
+        assert (record.outcome, record.attempts) == ("cancelled", 0)
+        assert (record.singleflight_waits, record.cancelled) == (1, 1)
+        release.set()
+        leader.join(5.0)
+        assert connector.send_log[-1].outcome == "ok"
+
+
+# ----------------------------------------------------------------------
 # Streaming sends honor the budget at batch boundaries
 # ----------------------------------------------------------------------
 class TestStreamingDeadline:
@@ -345,9 +431,8 @@ class TestStreamingDeadline:
     def test_stream_raises_at_the_next_batch_boundary(self, monkeypatch):
         monkeypatch.delenv(ENV_DEADLINE, raising=False)
         clock = FakeClock()
-        # An explicit empty injector blocks the CI chaos env's global
-        # injector + default retry policy, which would force this
-        # streaming send to materialize (stream + retry).
+        # An explicit empty injector keeps the CI chaos env's seeded
+        # faults (and their retries) out of the exact timeline below.
         connector = single_node_connector(FaultInjector(), deadline=5.0)
         connector.deadline_clock = clock
         result = connector.send(self.STREAM_QUERY, "t", stream=True)
@@ -374,17 +459,23 @@ class TestStreamingDeadline:
         with pytest.raises(QueryTimeoutError):
             next(records)
 
-    def test_stream_with_retry_policy_warns_once_and_materializes(self, caplog):
-        connector = single_node_connector(retry_policy=no_sleep_policy())
-        with caplog.at_level("WARNING"):
-            result = connector.send(self.STREAM_QUERY, "t", stream=True)
-        assert not getattr(result, "streaming", False)
-        warnings = [r for r in caplog.records if "materializes" in r.message]
-        assert len(warnings) == 1
-        caplog.clear()
-        with caplog.at_level("WARNING"):
-            connector.send(self.STREAM_QUERY, "t", stream=True)
-        assert not [r for r in caplog.records if "materializes" in r.message]
+    @needs_real_streaming
+    def test_stream_with_retry_policy_retries_the_open_and_streams(self):
+        # A retry policy used to turn a streaming send into a materialized
+        # one (with a once-per-connector warning); now the *open* is
+        # retried and the drain streams.
+        materialized = single_node_connector(FaultInjector()).send(
+            self.STREAM_QUERY, "t"
+        )
+        injector = FaultInjector()
+        injector.fail_first(2)
+        connector = single_node_connector(injector, retry_policy=no_sleep_policy())
+        result = connector.send(self.STREAM_QUERY, "t", stream=True)
+        assert result.streaming  # opened on the third try, nothing drained yet
+        assert connector.send_log[-1].attempts == 3
+        assert list(result.iter_records()) == materialized.records
+        assert not result.streaming
+        assert len(connector.send_log) == 1
 
     @needs_real_streaming
     def test_cancelled_token_stops_the_stream(self, monkeypatch):

@@ -37,8 +37,7 @@ def test_every_action_traced(caplog):
         len(frame)
         frame["v"].max()
         frame.collect()
-    # Count the DEBUG trace lines only: under the CI chaos env the
-    # global retry policy makes the streaming collect() materialize,
-    # which emits a one-time WARNING on the same logger.
-    traces = [r for r in caplog.records if r.levelno == logging.DEBUG]
+    # Count the per-query trace lines only: under the CI chaos env a
+    # retried attempt logs its own DEBUG line on the same logger.
+    traces = [r for r in caplog.records if " <- " in r.getMessage()]
     assert len(traces) == 3

@@ -6,6 +6,10 @@ seeded RNGs, breakers take a fake clock, and retry sleeps are no-ops.
 
 from __future__ import annotations
 
+import threading
+import time
+from dataclasses import asdict
+
 import pytest
 
 from repro import PolyFrame, PostgresConnector
@@ -16,6 +20,7 @@ from repro.cluster import GreenplumCluster
 from repro.cluster.base import scatter_gather, shard_records, stable_hash
 from repro.cluster.merge import MergeSpec
 from repro.cluster.replica import ReplicaSet
+from repro.core.connectors import DatabaseConnector
 from repro.errors import (
     CircuitOpenError,
     ConnectorError,
@@ -25,6 +30,7 @@ from repro.errors import (
     ShardFailureError,
     TransientBackendError,
 )
+from repro.obs import Tracer, metrics
 from repro.resilience import (
     CLOSED,
     HALF_OPEN,
@@ -35,9 +41,11 @@ from repro.resilience import (
     QueryTimeout,
     RetryPolicy,
 )
+from repro.resilience.admission import AdmissionController
+from repro.resilience.deadline import CancellationToken, Deadline, budget_scope
 from repro.resilience.faults import _reset_global_resilience
 from repro.sqlengine import SQLDatabase
-from repro.sqlengine.result import ResultSet
+from repro.sqlengine.result import QueryStats, ResultSet, StreamingResultSet
 from repro.wisconsin import loaders, wisconsin_records
 
 NUM_RECORDS = 120
@@ -531,3 +539,247 @@ class TestGlobalInjection:
         connector = single_node_connector()
         assert connector.send("SELECT COUNT(*) FROM t x", "t").scalar() == 2
         assert connector.send_log[-1].attempts == 1
+
+
+# ----------------------------------------------------------------------
+# One exit: every way a send() can end, as one table
+# ----------------------------------------------------------------------
+class StubConnector(DatabaseConnector):
+    """A connector whose backend is whatever the scenario hands it."""
+
+    language = "sql"
+
+    def __init__(self, execute=None, *, execute_stream=None, **kwargs):
+        # Explicit (possibly empty) knobs keep the CI matrices' process-wide
+        # chaos, cache, admission and deadline settings out of the table.
+        kwargs.setdefault("fault_injector", FaultInjector())
+        kwargs.setdefault("cache", False)
+        kwargs.setdefault("admission", False)
+        kwargs.setdefault("deadline", 0)
+        super().__init__(**kwargs)
+        self._run = execute or (lambda: ResultSet(records=list(STUB_ROWS)))
+        self._run_stream = execute_stream
+
+    def _execute(self, query, collection):
+        return self._run()
+
+    def _execute_stream(self, query, collection):
+        return self._run_stream() if self._run_stream is not None else self._run()
+
+    def collection_exists(self, namespace, collection):
+        return True
+
+
+STUB_ROWS = ({"v": 1}, {"v": 2}, {"v": 3})
+
+
+def _held_controller(**kwargs) -> AdmissionController:
+    controller = AdmissionController(initial_limit=1, max_limit=1, **kwargs)
+    controller.acquire()  # the only slot, never released
+    return controller
+
+
+def _send_all(connector, sends: int = 1, *, stream: bool = False):
+    """Send *sends* times in sequence; failures are part of the scenario."""
+    results = []
+    for _ in range(sends):
+        try:
+            results.append(connector.send("Q", "t", stream=stream))
+        except ReproError:
+            results.append(None)
+    return results
+
+
+def _leader_and_follower(connector, gate: threading.Event):
+    """Two identical sends: the second arrives while the first executes."""
+    threads = [threading.Thread(target=_send_all, args=(connector,)) for _ in range(2)]
+    threads[0].start()
+    while connector._singleflight.in_flight() == 0:
+        time.sleep(0.001)
+    threads[1].start()
+    time.sleep(0.05)  # the follower reaches the wait
+    gate.set()
+    for thread in threads:
+        thread.join()
+
+
+def exit_ok(stub):
+    connector = stub()
+    _send_all(connector)
+    return connector, [("ok", 1, 0, 0, 0)]
+
+
+def exit_partial(stub):
+    connector = stub(lambda: ResultSet(records=list(STUB_ROWS), partial=True))
+    _send_all(connector)
+    return connector, [("partial", 1, 0, 0, 0)]
+
+
+def exit_error_after_the_last_attempt(stub):
+    injector = FaultInjector()
+    injector.fail_first(5)
+    connector = stub(fault_injector=injector, retry_policy=no_sleep_policy(3))
+    _send_all(connector)
+    return connector, [("error", 3, 0, 0, 0)]
+
+
+def exit_breaker_rejected(stub):
+    injector = FaultInjector()
+    injector.fail_first(1)
+    breaker = CircuitBreaker(window=1, min_calls=1, cooldown_seconds=1000.0)
+    connector = stub(fault_injector=injector, circuit_breaker=breaker)
+    _send_all(connector, 2)
+    return connector, [("error", 1, 0, 0, 0), ("rejected", 0, 0, 0, 0)]
+
+
+def exit_shed(stub):
+    connector = stub(admission=_held_controller(max_queue=0))
+    _send_all(connector)
+    return connector, [("shed", 0, 0, 0, 0)]
+
+
+def exit_deadline_expired_in_the_queue(stub):
+    connector = stub(admission=_held_controller(max_queue=4), deadline=0.02)
+    _send_all(connector)
+    return connector, [("error", 0, 0, 0, 0)]
+
+
+def exit_deadline_expired_before_an_attempt(stub):
+    clock = FakeClock()
+    connector = stub()
+    with budget_scope(Deadline(5.0, clock=clock)):
+        clock.advance(6.0)
+        _send_all(connector)
+    return connector, [("error", 0, 0, 0, 0)]
+
+
+def exit_cancelled(stub):
+    token = CancellationToken()
+    token.cancel("user abort")
+    connector = stub()
+    with budget_scope(token=token):
+        _send_all(connector)
+    return connector, [("cancelled", 0, 0, 0, 0)]
+
+
+def exit_cache_hit(stub):
+    connector = stub(cache=True)
+    _send_all(connector, 2)
+    return connector, [("ok", 1, 0, 1, 0), ("ok", 0, 1, 0, 0)]
+
+
+def exit_singleflight_follower(stub):
+    gate = threading.Event()
+
+    def gated():
+        gate.wait(5.0)
+        return ResultSet(records=list(STUB_ROWS))
+
+    connector = stub(gated, cache=True)
+    _leader_and_follower(connector, gate)
+    return connector, [("ok", 1, 0, 1, 0), ("ok", 0, 0, 1, 1)]
+
+
+def exit_follower_of_a_failed_leader(stub):
+    gate = threading.Event()
+
+    def gated():
+        gate.wait(5.0)
+        raise ExecutionError("no such table")
+
+    connector = stub(gated, cache=True)
+    _leader_and_follower(connector, gate)
+    return connector, [("error", 1, 0, 1, 0), ("error", 0, 0, 1, 1)]
+
+
+def _counting_stream() -> StreamingResultSet:
+    """A stream whose scan counter only moves as it drains."""
+    stats = QueryStats()
+
+    def source():
+        for row in STUB_ROWS:
+            stats.heap_fetches += 1
+            yield row
+
+    return StreamingResultSet(source(), stats=stats)
+
+
+def exit_stream_restamped_on_drain(stub):
+    connector = stub(execute_stream=_counting_stream)
+    (result,) = _send_all(connector, stream=True)
+    assert list(result.iter_records()) == list(STUB_ROWS)
+    assert connector.send_log[-1].rows_scanned == len(STUB_ROWS)  # restamped in place
+    return connector, [("ok", 1, 0, 0, 0)]
+
+
+def exit_stream_opened_on_the_third_try(stub):
+    injector = FaultInjector()
+    injector.fail_first(2)
+    connector = stub(
+        execute_stream=_counting_stream,
+        fault_injector=injector,
+        retry_policy=no_sleep_policy(3),
+    )
+    (result,) = _send_all(connector, stream=True)
+    assert list(result.iter_records()) == list(STUB_ROWS)
+    return connector, [("ok", 3, 0, 0, 0)]
+
+
+SEND_EXITS = [
+    exit_ok,
+    exit_partial,
+    exit_error_after_the_last_attempt,
+    exit_breaker_rejected,
+    exit_shed,
+    exit_deadline_expired_in_the_queue,
+    exit_deadline_expired_before_an_attempt,
+    exit_cancelled,
+    exit_cache_hit,
+    exit_singleflight_follower,
+    exit_follower_of_a_failed_leader,
+    exit_stream_restamped_on_drain,
+    exit_stream_opened_on_the_third_try,
+]
+
+
+@pytest.mark.parametrize("scenario", SEND_EXITS, ids=lambda fn: fn.__name__)
+def test_every_send_ends_through_the_one_exit(scenario):
+    tracer = Tracer()
+
+    def stub(*args, **kwargs) -> StubConnector:
+        connector = StubConnector(*args, **kwargs)
+        connector.set_tracer(tracer)
+        return connector
+
+    observed = metrics.histogram("query_seconds", backend="StubConnector")
+    observed_before = observed.count
+
+    connector, expected = scenario(stub)
+
+    # Exactly one record per send(), carrying the seed's values.
+    log = connector.send_log
+    got = [
+        (r.outcome, r.attempts, r.cache_hits, r.cache_misses, r.singleflight_waits)
+        for r in log
+    ]
+    assert sorted(got) == sorted(expected)  # threads append in either order
+    # query_seconds: once per answered send, never for a failed one.
+    answered = [r for r in log if r.outcome in ("ok", "partial")]
+    assert observed.count - observed_before == len(answered)
+    # One dispatch span per send, carrying the full record (plus the row
+    # count when there is an answer) on top of what it was opened with.
+    dispatches = [span for span in tracer.spans if span.name == "dispatch"]
+    assert len(dispatches) == len(log)
+    mirrored = []
+    for span in dispatches:
+        attrs = dict(span.attributes)
+        assert attrs.pop("backend") == "StubConnector"
+        assert attrs.pop("collection") == "t"
+        failed = attrs.pop("error", None) is not None
+        assert failed == (attrs["outcome"] not in ("ok", "partial"))
+        assert ("rows" in attrs) == (not failed)
+        assert attrs.pop("rows", len(STUB_ROWS)) == len(STUB_ROWS)
+        mirrored.append(attrs)
+    key = lambda row: row["real_seconds"]  # noqa: E731 - unique per send
+    assert sorted(mirrored, key=key) == sorted(map(asdict, log), key=key)
+

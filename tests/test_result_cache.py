@@ -394,8 +394,8 @@ class TestConnectorIntegration:
         "streaming sends",
     )
     def test_streaming_send_admits_only_full_drains(self):
-        # An explicit (ruleless) injector keeps global chaos policies out
-        # so stream=True really streams even under REPRO_FAULT_RATE.
+        # An explicit (ruleless) injector keeps the chaos env's seeded
+        # faults out of the exact entry counts below.
         connector = _connector(cache=True, fault_injector=FaultInjector())
         query = 'SELECT * FROM Bench.data t ORDER BY t."unique1"'
 
