@@ -19,11 +19,12 @@ indexed field, matching the paper's expression-12 observation.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, TYPE_CHECKING
+import itertools
+from typing import Any, Callable, Iterable, Iterator, TYPE_CHECKING
 
 from repro.errors import ExecutionError, UnsupportedOperationError
 from repro.docstore.collection import Collection
-from repro.docstore.exprs import ExprEvaluator, get_path
+from repro.docstore.exprs import Compiled, compile_expr, compile_match, compile_path
 from repro.exec.kernels import Descending, finalize_avg, finalize_std
 from repro.exec.memory import (
     MemoryBudget,
@@ -33,7 +34,7 @@ from repro.exec.memory import (
 )
 from repro.obs.profile import OpProfile, profiled_rows
 from repro.sqlengine.result import QueryStats
-from repro.storage.keys import SENTINEL_MISSING, index_key
+from repro.storage.keys import SENTINEL_MISSING, index_key, sorts_before
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.docstore.database import MongoDatabase
@@ -269,69 +270,67 @@ class PipelineExecutor:
         raise ExecutionError(f"unsupported pipeline stage {op!r}")
 
     def _stage_match(self, docs: Iterable[dict], spec: dict) -> Iterator[dict]:
-        evaluator = ExprEvaluator()
-        for doc in docs:
-            if _matches(evaluator, doc, spec):
-                yield doc
+        predicate = compile_match(spec)
+        return (doc for doc in docs if predicate(doc, None))
 
     def _stage_project(self, docs: Iterable[dict], spec: dict) -> Iterator[dict]:
-        evaluator = ExprEvaluator()
-        exclusion_only = all(value in (0, False) for value in spec.values())
-        for doc in docs:
-            if exclusion_only:
-                yield {key: value for key, value in doc.items() if key not in spec}
-                continue
-            out: dict[str, Any] = {}
-            if "_id" in doc and spec.get("_id", 1) not in (0, False):
-                out["_id"] = doc["_id"]
-            for key, value in spec.items():
-                if key == "_id":
-                    continue
-                if value in (1, True):
-                    resolved = get_path(doc, key)
-                    if resolved is not SENTINEL_MISSING:
-                        out[key] = resolved
-                elif value in (0, False):
+        if all(value in (0, False) for value in spec.values()):
+            for doc in docs:
+                out = doc.copy()
+                for key in spec:
                     out.pop(key, None)
-                else:
-                    computed = evaluator.evaluate(value, doc)
-                    if computed is not SENTINEL_MISSING:
-                        out[key] = computed
+                yield out
+            return
+        keep_id = spec.get("_id", 1) not in (0, False)
+        # Inclusions read the field's own path, computed members their
+        # expression; exclusions inside a mixed spec have nothing to drop.
+        members = [
+            (key, compile_path(key) if value in (1, True) else compile_expr(value))
+            for key, value in spec.items()
+            if key != "_id" and value not in (0, False)
+        ]
+        for doc in docs:
+            out = {"_id": doc["_id"]} if keep_id and "_id" in doc else {}
+            for key, fn in members:
+                value = fn(doc, None)
+                if value is not SENTINEL_MISSING:
+                    out[key] = value
             yield out
 
     def _stage_add_fields(self, docs: Iterable[dict], spec: dict) -> Iterator[dict]:
-        evaluator = ExprEvaluator()
+        members = [(key, compile_expr(value)) for key, value in spec.items()]
         for doc in docs:
             out = dict(doc)
-            for key, value in spec.items():
-                computed = evaluator.evaluate(value, doc)
-                if computed is not SENTINEL_MISSING:
-                    out[key] = computed
+            for key, fn in members:
+                value = fn(doc, None)
+                if value is not SENTINEL_MISSING:
+                    out[key] = value
             yield out
 
     def _stage_group(self, docs: Iterable[dict], spec: dict) -> Iterator[dict]:
-        evaluator = ExprEvaluator()
-        id_spec = spec.get("_id", None)
-        accumulators = {key: value for key, value in spec.items() if key != "_id"}
+        group_id_of, key_of = _compile_group_id(spec.get("_id"))
+        # (output name, accumulator spec, compiled argument); a malformed spec
+        # fails where it always did, when the first group needs its state.
+        accumulators = [
+            (name, agg, compile_expr(next(iter(agg.values()), None)))
+            for name, agg in spec.items()
+            if name != "_id"
+        ]
         groups = SpillableGroups(self.memory)
         try:
             for doc in docs:
-                group_id = (
-                    evaluator.evaluate(id_spec, doc) if id_spec is not None else None
-                )
-                key = _hashable(group_id)
+                key = key_of(doc)
                 entry = groups.get(key)
                 if entry is None:
+                    group_id = group_id_of(doc, None)
                     entry = (
-                        {name: _make_accumulator(agg) for name, agg in accumulators.items()},
+                        {name: _make_accumulator(agg) for name, agg, _fn in accumulators},
                         group_id,
                     )
                     groups.insert(key, entry, estimate_record_bytes(group_id))
                 accs = entry[0]
-                for name, agg_spec in accumulators.items():
-                    agg_op, agg_expr = next(iter(agg_spec.items()))
-                    value = evaluator.evaluate(agg_expr, doc)
-                    accs[name].add(value)
+                for name, _agg, fn in accumulators:
+                    accs[name].add(fn(doc, None))
             for accs, group_id in groups.finalized(_merge_doc_groups):
                 out = {"_id": group_id}
                 for name, acc in accs.items():
@@ -344,40 +343,26 @@ class PipelineExecutor:
         # One stable composite-key sort with per-key direction — equivalent
         # to the reversed sequence of stable single-key sorts MongoDB
         # specifies — so the spill path can merge runs on the same keys.
-        fields = list(spec.items())
+        fields = [(compile_path(field), direction < 0) for field, direction in spec.items()]
         sorter = SpillSorter(self.memory)
         try:
             for doc in docs:
-                key = tuple(
-                    Descending(part) if direction < 0 else part
-                    for part, direction in (
-                        (
-                            index_key(_missing_to_none(get_path(doc, field))),
-                            direction,
-                        )
-                        for field, direction in fields
-                    )
-                )
-                sorter.add(key, doc)
+                key = []
+                for fn, descending in fields:
+                    value = fn(doc, None)
+                    part = index_key(None if value is SENTINEL_MISSING else value)
+                    key.append(Descending(part) if descending else part)
+                sorter.add(tuple(key), doc)
             yield from sorter.sorted_records()
         finally:
             sorter.close()
 
     def _stage_limit(self, docs: Iterable[dict], limit: int) -> Iterator[dict]:
-        produced = 0
-        for doc in docs:
-            if produced >= limit:
-                return
-            yield doc
-            produced += 1
+        # islice stops after the n-th document without asking for one more.
+        return itertools.islice(docs, max(limit, 0))
 
     def _stage_skip(self, docs: Iterable[dict], count: int) -> Iterator[dict]:
-        skipped = 0
-        for doc in docs:
-            if skipped < count:
-                skipped += 1
-                continue
-            yield doc
+        return itertools.islice(docs, max(count, 0), None)
 
     def _stage_count(self, docs: Iterable[dict], name: str) -> Iterator[dict]:
         total = sum(1 for _doc in docs)
@@ -390,9 +375,10 @@ class PipelineExecutor:
         if not path.startswith("$"):
             raise ExecutionError("$unwind path must start with '$'")
         field = path[1:]
+        read = compile_path(field)
         preserve = bool(spec.get("preserveNullAndEmptyArrays", False))
         for doc in docs:
-            value = get_path(doc, field)
+            value = read(doc, None)
             if isinstance(value, list):
                 if not value and preserve:
                     yield doc
@@ -421,8 +407,9 @@ class PipelineExecutor:
         local_field = spec["localField"]
         foreign_field = spec["foreignField"]
         use_index = foreign.has_index(foreign_field)
+        local, remote = compile_path(local_field), compile_path(foreign_field)
         for doc in docs:
-            value = get_path(doc, local_field)
+            value = local(doc, None)
             matches: list[dict]
             if value is SENTINEL_MISSING or value is None:
                 matches = []
@@ -435,7 +422,7 @@ class PipelineExecutor:
             else:
                 matches = [
                     other for other in foreign.scan()
-                    if get_path(other, foreign_field) == value
+                    if remote(other, None) == value
                 ]
                 stats.heap_fetches += len(foreign)
             out = dict(doc)
@@ -453,11 +440,14 @@ class PipelineExecutor:
         let_spec = spec.get("let", {})
         sub_pipeline = spec["pipeline"]
         probe_field = _index_probe_field(sub_pipeline, let_spec, foreign)
-        base_evaluator = ExprEvaluator()
+        bindings = [(name, compile_expr(expr)) for name, expr in let_spec.items()]
+        # Sub-pipeline predicates compile once; ``let`` values arrive per
+        # outer document as the closures' variables argument.
+        predicate = compile_match(
+            *(stage["$match"] for stage in sub_pipeline if "$match" in stage)
+        )
         for doc in docs:
-            variables = {
-                name: base_evaluator.evaluate(expr, doc) for name, expr in let_spec.items()
-            }
+            variables = {name: fn(doc, None) for name, fn in bindings}
             if probe_field is not None:
                 var_name = probe_field[1]
                 value = variables.get(var_name, SENTINEL_MISSING)
@@ -468,15 +458,7 @@ class PipelineExecutor:
                         stats.heap_fetches += 1
                         matches.append(match)
             else:
-                evaluator = ExprEvaluator(variables)
-                matches = [
-                    other for other in foreign.scan()
-                    if all(
-                        _matches(evaluator, other, stage.get("$match", {}))
-                        for stage in sub_pipeline
-                        if "$match" in stage
-                    )
-                ]
+                matches = [other for other in foreign.scan() if predicate(other, variables)]
                 stats.heap_fetches += len(foreign)
             out = dict(doc)
             out[as_field] = matches
@@ -490,35 +472,8 @@ class PipelineExecutor:
 
 
 # ----------------------------------------------------------------------
-# Matching and accumulators
+# Lookup probing and accumulators
 # ----------------------------------------------------------------------
-
-
-def _matches(evaluator: ExprEvaluator, doc: dict, spec: dict) -> bool:
-    """Evaluate a $match specification against one document."""
-    for key, condition in spec.items():
-        if key == "$expr":
-            value = evaluator.evaluate(condition, doc)
-            if value is SENTINEL_MISSING or value is None or not value:
-                return False
-        elif isinstance(condition, dict) and any(k.startswith("$") for k in condition):
-            value = get_path(doc, key)
-            for op, operand in condition.items():
-                result = evaluator.evaluate({op: [_wrap_literal(value), operand]}, doc)
-                if not result:
-                    return False
-        else:
-            if get_path(doc, key) != condition:
-                return False
-    return True
-
-
-def _wrap_literal(value: Any) -> Any:
-    if value is SENTINEL_MISSING:
-        return {"$literal": SENTINEL_MISSING}
-    if isinstance(value, (str, dict, list)):
-        return {"$literal": value}
-    return value
 
 
 def _index_probe_field(
@@ -552,19 +507,10 @@ def _index_probe_field(
     return None
 
 
-class _Accumulator:
-    def add(self, value: Any) -> None:
-        raise NotImplementedError
-
-    def merge(self, other: "_Accumulator") -> None:
-        """Fold another accumulator's state into this one (spill merge)."""
-        raise NotImplementedError
-
-    def result(self) -> Any:
-        raise NotImplementedError
+# Accumulators ``add`` per document, ``merge`` a later spill run's state, ``result``.
 
 
-class _SumAcc(_Accumulator):
+class _SumAcc:
     def __init__(self) -> None:
         self.total = 0
 
@@ -579,7 +525,7 @@ class _SumAcc(_Accumulator):
         return self.total
 
 
-class _MinMaxAcc(_Accumulator):
+class _MinMaxAcc:
     def __init__(self, is_min: bool) -> None:
         self.is_min = is_min
         self.best: Any = None
@@ -587,11 +533,10 @@ class _MinMaxAcc(_Accumulator):
     def add(self, value: Any) -> None:
         if value is SENTINEL_MISSING or value is None:
             return
-        if self.best is None:
-            self.best = value
-        elif self.is_min and index_key(value) < index_key(self.best):
-            self.best = value
-        elif not self.is_min and index_key(value) > index_key(self.best):
+        best = self.best
+        if best is None or (
+            sorts_before(value, best) if self.is_min else sorts_before(best, value)
+        ):
             self.best = value
 
     def merge(self, other: "_MinMaxAcc") -> None:
@@ -602,7 +547,7 @@ class _MinMaxAcc(_Accumulator):
         return self.best
 
 
-class _AvgAcc(_Accumulator):
+class _AvgAcc:
     """Mean from exact (sum, count) partial state.
 
     Integer sums stay integers until the shared finalizer's single
@@ -628,7 +573,7 @@ class _AvgAcc(_Accumulator):
         return finalize_avg(self.total, self.count)
 
 
-class _StdAcc(_Accumulator):
+class _StdAcc:
     """$stdDevPop from (count, sum, sum-of-squares) partial state.
 
     Decomposable form instead of Welford's recurrence: exact in integer
@@ -658,8 +603,8 @@ class _StdAcc(_Accumulator):
 
 
 def _merge_doc_groups(
-    prior: tuple[dict[str, _Accumulator], Any], later: tuple[dict[str, _Accumulator], Any]
-) -> tuple[dict[str, _Accumulator], Any]:
+    prior: tuple[dict[str, Any], Any], later: tuple[dict[str, Any], Any]
+) -> tuple[dict[str, Any], Any]:
     """Fold a later spill run's group state into the earlier one."""
     prior_accs, group_id = prior
     later_accs, _later_id = later
@@ -668,21 +613,43 @@ def _merge_doc_groups(
     return (prior_accs, group_id)
 
 
-def _make_accumulator(spec: dict) -> _Accumulator:
+_ACCUMULATORS: dict[str, Callable[[], Any]] = {
+    "$sum": _SumAcc,
+    "$max": lambda: _MinMaxAcc(is_min=False),
+    "$min": lambda: _MinMaxAcc(is_min=True),
+    "$avg": _AvgAcc,
+    "$stdDevPop": _StdAcc,
+}
+
+
+def _make_accumulator(spec: dict) -> Any:
     if len(spec) != 1:
         raise ExecutionError(f"accumulator must have one operator: {spec}")
     op = next(iter(spec))
-    if op == "$sum":
-        return _SumAcc()
-    if op == "$max":
-        return _MinMaxAcc(is_min=False)
-    if op == "$min":
-        return _MinMaxAcc(is_min=True)
-    if op == "$avg":
-        return _AvgAcc()
-    if op == "$stdDevPop":
-        return _StdAcc()
-    raise ExecutionError(f"unsupported accumulator {op!r}")
+    if op not in _ACCUMULATORS:
+        raise ExecutionError(f"unsupported accumulator {op!r}")
+    return _ACCUMULATORS[op]()
+
+
+def _compile_group_id(id_spec: Any) -> tuple[Compiled, Callable[[dict], Any]]:
+    """``(group id builder, key builder)``; the key is ``_hashable(group id)``.
+
+    For a document-literal id (``{}``, ``{"f": "$f", ...}``) the key comes
+    from the member values in pre-sorted name order, so no row builds and
+    sorts a dict; the id itself is only built when a group is new.
+    """
+    group_id_of = compile_expr(id_spec)
+    if not isinstance(id_spec, dict) or (
+        len(id_spec) == 1 and next(iter(id_spec)).startswith("$")
+    ):
+        return group_id_of, lambda doc: _hashable(group_id_of(doc, None))
+    members = sorted(
+        ((name, compile_expr(value)) for name, value in id_spec.items()),
+        key=lambda member: member[0],
+    )
+    return group_id_of, lambda doc: tuple(
+        [(name, _hashable(fn(doc, None))) for name, fn in members]
+    )
 
 
 def _hashable(value: Any) -> Any:
@@ -693,7 +660,3 @@ def _hashable(value: Any) -> Any:
     if value is SENTINEL_MISSING:
         return ("__missing__",)
     return value
-
-
-def _missing_to_none(value: Any) -> Any:
-    return None if value is SENTINEL_MISSING else value

@@ -17,10 +17,11 @@ The executor reproduces the Neo4j behaviours the paper's results depend on:
 from __future__ import annotations
 
 import itertools
-import math
-from typing import Any, Iterator
+import operator
+from typing import Any, Callable, Iterator
 
 from repro.errors import ExecutionError
+from repro.exec.kernels import finalize_avg, finalize_std
 from repro.exec.memory import MemoryBudget, estimate_record_bytes
 from repro.obs.profile import OpProfile, profiled_rows
 from repro.graphdb.cypher_ast import (
@@ -44,7 +45,7 @@ from repro.graphdb.cypher_ast import (
 )
 from repro.graphdb.store import GraphStore
 from repro.sqlengine.result import QueryStats
-from repro.storage.keys import SENTINEL_MISSING, index_key
+from repro.storage.keys import SENTINEL_MISSING, index_key, sorts_before
 
 
 class NodeHandle:
@@ -139,24 +140,22 @@ class CypherExecutor:
                 node = parent
         if final_items is None:
             raise ExecutionError("query has no RETURN clause")
+        output = _output(final_items)
         if stream and not profile:
-            return self._emit(rows, final_items, string_reads_before)
-        out = [self._materialize_output(row, final_items) for row in rows]
+            return self._emit(rows, output, string_reads_before)
+        out = [output(row) for row in rows]
         self._stats.string_store_reads += self._store.strings.reads - string_reads_before
         if profile:
             self.last_profile = node
         return out
 
     def _emit(
-        self,
-        rows: Iterator[Row],
-        final_items: tuple[WithItem, ...],
-        string_reads_before: int,
+        self, rows: Iterator[Row], output: Callable[[Row], Any], string_reads_before: int
     ) -> Iterator[Any]:
         """Stream output records; stats become final once drained."""
         try:
             for row in rows:
-                yield self._materialize_output(row, final_items)
+                yield output(row)
         finally:
             self._stats.string_store_reads += (
                 self._store.strings.reads - string_reads_before
@@ -213,19 +212,13 @@ class CypherExecutor:
             rows, conjuncts = self._bind_pattern(rows, pattern, conjuncts, step, bound)
             bound.add(pattern.var)
         if conjuncts:
-            predicate = _conjoin(conjuncts)
-            rows = (
-                row for row in rows if self._truthy(self._eval(predicate, row))
-            )
+            rows = _where(rows, _conjoin(conjuncts))
         if step.order is not None and not step.order_served:
             # The ORDER BY folded into this step could not ride an index;
             # sort explicitly (Neo4j's fallback Sort operator).
             var, prop, descending = step.order
             materialized = list(rows)
-            materialized.sort(
-                key=lambda row: index_key(self._eval(Prop(var, prop), row)),
-                reverse=descending,
-            )
+            materialized.sort(key=_sort_key(Prop(var, prop)), reverse=descending)
             rows = self._account_rows(materialized)
         return rows
 
@@ -293,8 +286,9 @@ class CypherExecutor:
         self, rows: Iterator[Row], pattern: Pattern, prop: str, bound_expr: CypherExpr
     ) -> Iterator[Row]:
         tree = self._store.index(pattern.label, prop)
+        bound_value = _compile(bound_expr)
         for row in rows:
-            value = self._eval(bound_expr, row)
+            value = bound_value(row, None)
             if value is None:
                 continue
             for node_id in tree.search(index_key(value)):
@@ -410,11 +404,14 @@ class CypherExecutor:
                 self._memory.release(nbytes)
             rows = self._account_rows(aggregated)
         else:
-            rows = (self._project_row(row, clause.items) for row in rows)
+            items = [(item.output_name(), _compile(item.expr)) for item in clause.items]
+            if len(items) == 1:
+                ((name, fn),) = items
+                rows = ({name: fn(row, None)} for row in rows)
+            else:
+                rows = ({name: fn(row, None) for name, fn in items} for row in rows)
         if clause.where is not None:
-            rows = (
-                row for row in rows if self._truthy(self._eval(clause.where, row))
-            )
+            rows = _where(rows, clause.where)
         if clause.order_by:
             rows = self._account_rows(self._order(list(rows), clause.order_by))
         if clause.distinct:
@@ -426,23 +423,14 @@ class CypherExecutor:
     def _distinct(self, rows: Iterator[Row]) -> Iterator[Row]:
         seen: set = set()
         for row in rows:
-            key = _hashable(self._plain(row))
+            key = _hashable({name: _plain_value(value) for name, value in row.items()})
             if key not in seen:
                 seen.add(key)
                 yield row
 
-    def _project_row(self, row: Row, items: tuple[WithItem, ...]) -> Row:
-        out: Row = {}
-        for item in items:
-            out[item.output_name()] = self._eval(item.expr, row)
-        return out
-
     def _order(self, rows: list[Row], keys: tuple[OrderKey, ...]) -> list[Row]:
         for key in reversed(keys):
-            rows.sort(
-                key=lambda row: index_key(self._eval(key.expr, row)),
-                reverse=key.descending,
-            )
+            rows.sort(key=_sort_key(key.expr), reverse=key.descending)
         return rows
 
     # ------------------------------------------------------------------
@@ -472,167 +460,260 @@ class CypherExecutor:
         for item in items:
             classify(item.expr)
 
-        groups: dict[tuple, tuple[list["_Acc"], Row]] = {}
+        # Resolved once per clause: group-key closures, (accumulator factory,
+        # argument closure) pairs, output closures reading a group's results.
+        key_parts = [_compile(expr) for expr in group_exprs]
+        aggregates = [_compile_aggregate(call) for call in agg_calls]
+        slots = {id(call): slot for slot, call in enumerate(agg_calls)}
+        outputs = [(item.output_name(), _compile(item.expr, slots)) for item in items]
+
+        def new_group(representative: Row) -> tuple[list[tuple[RowFn, Any]], Row]:
+            return [(argument, make()) for make, argument in aggregates], representative
+
+        groups: dict[tuple, tuple[list[tuple[RowFn, Any]], Row]] = {}
         for row in rows:
-            key = tuple(_hashable(self._plain_value(self._eval(e, row))) for e in group_exprs)
+            key = tuple([_hashable(_plain_value(part(row, None))) for part in key_parts])
             entry = groups.get(key)
             if entry is None:
-                entry = ([_make_acc(call) for call in agg_calls], row)
-                groups[key] = entry
-            accs, _rep = entry
-            for call, acc in zip(agg_calls, accs):
-                if call.star:
-                    acc.add_row()
-                else:
-                    acc.add_row()
-                    acc.add(self._eval(call.args[0], row))
+                entry = groups[key] = new_group(row)
+            for argument, acc in entry[0]:
+                acc.add(argument(row, None))
         if not group_exprs and not groups:
-            groups[()] = ([_make_acc(call) for call in agg_calls], {})
+            groups[()] = new_group({})
         out: list[Row] = []
-        for accs, representative in groups.values():
-            results = {id(call): acc.result() for call, acc in zip(agg_calls, accs)}
-            projected: Row = {}
-            for item in items:
-                projected[item.output_name()] = self._eval(
-                    item.expr, representative, agg_results=results
-                )
-            out.append(projected)
+        for fed, representative in groups.values():
+            results = [acc.result() for _argument, acc in fed]
+            out.append({name: fn(representative, results) for name, fn in outputs})
         return out
 
-    # ------------------------------------------------------------------
-    # Expression evaluation
-    # ------------------------------------------------------------------
-    def _eval(self, expr: CypherExpr, row: Row, agg_results: dict[int, Any] | None = None) -> Any:
-        if agg_results is not None and isinstance(expr, Func) and expr.name.lower() in AGGREGATES:
-            return agg_results[id(expr)]
-        if isinstance(expr, Lit):
-            return expr.value
-        if isinstance(expr, Var):
-            if expr.name not in row:
-                raise ExecutionError(f"unbound variable {expr.name!r}")
-            return row[expr.name]
-        if isinstance(expr, Prop):
-            base = row.get(expr.var)
-            if base is None:
-                return None
-            if isinstance(base, NodeHandle):
-                return base.get(expr.name)
-            if isinstance(base, dict):
-                return base.get(expr.name)
-            raise ExecutionError(f"cannot access property on {type(base).__name__}")
-        if isinstance(expr, Bin):
-            return self._eval_bin(expr, row, agg_results)
-        if isinstance(expr, Un):
-            value = self._eval(expr.operand, row, agg_results)
-            if expr.op == "NOT":
-                return None if value is None else not bool(value)
-            return None if value is None else -value
-        if isinstance(expr, IsNull):
-            value = self._eval(expr.operand, row, agg_results)
-            result = value is None
-            return not result if expr.negated else result
-        if isinstance(expr, MapLiteral):
-            return {
-                key: self._plain_value(self._eval(value, row, agg_results))
-                for key, value in expr.entries
-            }
-        if isinstance(expr, MapProjection):
-            return self._eval_map_projection(expr, row, agg_results)
-        if isinstance(expr, Func):
-            return self._eval_func(expr, row, agg_results)
-        raise ExecutionError(f"cannot evaluate {type(expr).__name__}")
 
-    def _eval_bin(self, expr: Bin, row: Row, agg_results) -> Any:
-        if expr.op in ("AND", "OR"):
-            left = self._eval(expr.left, row, agg_results)
-            right = self._eval(expr.right, row, agg_results)
-            if expr.op == "AND":
-                if left is False or right is False:
-                    return False
-                if left is None or right is None:
-                    return None
-                return bool(left) and bool(right)
-            if left is True or right is True:
-                return True
-            if left is None or right is None:
-                return None
-            return bool(left) or bool(right)
-        left = self._eval(expr.left, row, agg_results)
-        right = self._eval(expr.right, row, agg_results)
-        if left is None or right is None:
-            return None
-        if expr.op == "=":
-            return left == right
-        if expr.op == "!=":
-            return left != right
-        if expr.op in (">", "<", ">=", "<="):
-            lk, rk = index_key(left), index_key(right)
-            return {">": lk > rk, "<": lk < rk, ">=": lk >= rk, "<=": lk <= rk}[expr.op]
+# ----------------------------------------------------------------------
+# Expression compilation
+# ----------------------------------------------------------------------
+
+#: A compiled expression: ``fn(row, aggregate_results) -> value``; the
+#: second argument is ``None`` outside an aggregating WITH/RETURN.
+RowFn = Callable[[Row, Any], Any]
+
+
+def _compile(expr: CypherExpr, agg_slots: dict[int, int] | None = None) -> RowFn:
+    """Compile a Cypher expression into a closure, once per clause.
+
+    Node type, operator and function name are switched on here, not per
+    row.  Nothing raises at compile time: an unbound variable, unknown
+    function or misplaced aggregate raises when the closure is *called*.
+    With ``agg_slots`` (``id(aggregate call) -> position``) aggregate
+    calls compile to reads of the group's result list.
+    """
+    build = _BUILDERS.get(type(expr))
+    if build is None:
+        return _raises(f"cannot evaluate {type(expr).__name__}")
+    return build(expr, agg_slots)
+
+
+def _output(items: tuple[WithItem, ...]) -> Callable[[Row], Any]:
+    """The RETURN record of a row: the bare value of a single item, else a map."""
+    names = [item.output_name() for item in items]
+    if len(names) == 1:
+        return lambda row: _plain_value(row[names[0]])
+    return lambda row: {name: _plain_value(row[name]) for name in names}
+
+
+def _sort_key(expr: CypherExpr) -> Callable[[Row], tuple]:
+    value = _compile(expr)
+    return lambda row: index_key(value(row, None))
+
+
+def _where(rows: Iterator[Row], predicate: CypherExpr) -> Iterator[Row]:
+    test = _compile(predicate)
+    return (row for row in rows if test(row, None) is True)
+
+
+def _raises(message: str) -> RowFn:
+    def fail(_row: Row, _aggs: Any) -> Any:
+        raise ExecutionError(message)
+
+    return fail
+
+
+def _plain_value(value: Any) -> Any:
+    return value.materialize() if isinstance(value, NodeHandle) else value
+
+
+def _compile_var(expr: Var, _slots: Any) -> RowFn:
+    name = expr.name
+
+    def read(row: Row, _aggs: Any) -> Any:
         try:
-            if expr.op == "+":
-                return left + right
-            if expr.op == "-":
-                return left - right
-            if expr.op == "*":
-                return left * right
-            if expr.op == "/":
-                return left / right
-            if expr.op == "%":
-                return left % right
+            return row[name]
+        except KeyError:
+            raise ExecutionError(f"unbound variable {name!r}") from None
+
+    return read
+
+
+def _compile_prop(expr: Prop, _slots: Any) -> RowFn:
+    var, name = expr.var, expr.name
+
+    def read(row: Row, _aggs: Any) -> Any:
+        base = row.get(var)
+        if type(base) is NodeHandle:  # NodeHandle.get, without the extra call
+            value = base.store.read_property(base.node_id, name)
+            return None if value is SENTINEL_MISSING else value
+        if base is None:
+            return None
+        if isinstance(base, (NodeHandle, dict)):
+            return base.get(name)
+        raise ExecutionError(f"cannot access property on {type(base).__name__}")
+
+    return read
+
+
+_ORDERINGS = {">": operator.gt, "<": operator.lt, ">=": operator.ge, "<=": operator.le}
+#: Null-propagating binary operators; a TypeError or a zero divisor yields NULL.
+_ARITHMETIC = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "%": operator.mod,
+}
+
+
+def _compile_bin(expr: Bin, slots: Any) -> RowFn:
+    op = expr.op
+    left, right = _compile(expr.left, slots), _compile(expr.right, slots)
+    if op in ("AND", "OR"):
+        dominant = op == "OR"  # TRUE decides an OR, FALSE an AND, whatever the other side
+
+        def logical(row: Row, aggs: Any) -> Any:
+            lhs, rhs = left(row, aggs), right(row, aggs)  # both sides always run
+            if lhs is dominant or rhs is dominant:
+                return dominant
+            if lhs is None or rhs is None:
+                return None
+            return bool(lhs) or bool(rhs) if dominant else bool(lhs) and bool(rhs)
+
+        return logical
+    if op in _ORDERINGS:
+        compare = _ORDERINGS[op]
+
+        def ordered(row: Row, aggs: Any) -> Any:
+            lhs, rhs = left(row, aggs), right(row, aggs)
+            if lhs is None or rhs is None:
+                return None
+            kind = type(lhs)
+            if kind is type(rhs) and (kind is int or kind is str):
+                return compare(lhs, rhs)  # same rank: values order as their keys do
+            return compare(index_key(lhs), index_key(rhs))
+
+        return ordered
+    func = _ARITHMETIC.get(op)
+
+    def arithmetic(row: Row, aggs: Any) -> Any:
+        lhs, rhs = left(row, aggs), right(row, aggs)
+        if lhs is None or rhs is None:
+            return None
+        if func is None:
+            raise ExecutionError(f"unknown operator {op!r}")
+        try:
+            return func(lhs, rhs)
         except (TypeError, ZeroDivisionError):
             return None
-        raise ExecutionError(f"unknown operator {expr.op!r}")
 
-    def _eval_map_projection(self, expr: MapProjection, row: Row, agg_results) -> dict[str, Any]:
-        base = row.get(expr.var)
+    return arithmetic
+
+
+def _compile_un(expr: Un, slots: Any) -> RowFn:
+    operand = _compile(expr.operand, slots)
+    apply = operator.not_ if expr.op == "NOT" else operator.neg
+
+    def unary(row: Row, aggs: Any) -> Any:
+        value = operand(row, aggs)
+        return None if value is None else apply(value)
+
+    return unary
+
+
+def _compile_is_null(expr: IsNull, slots: Any) -> RowFn:
+    operand = _compile(expr.operand, slots)
+    if expr.negated:
+        return lambda row, aggs: operand(row, aggs) is not None
+    return lambda row, aggs: operand(row, aggs) is None
+
+
+def _compile_map_literal(expr: MapLiteral, slots: Any) -> RowFn:
+    entries = [(key, _compile(value, slots)) for key, value in expr.entries]
+    return lambda row, aggs: {key: _plain_value(fn(row, aggs)) for key, fn in entries}
+
+
+def _compile_map_projection(expr: MapProjection, slots: Any) -> RowFn:
+    var, include_all, extra_vars = expr.var, expr.include_all, expr.extra_vars
+    if not include_all and not extra_vars:
+        return _compile_map_literal(expr, slots)  # ``t{'k': ...}`` never reads t
+    entries = [(key, _compile(value, slots)) for key, value in expr.entries]
+
+    def project(row: Row, aggs: Any) -> dict[str, Any]:
         out: dict[str, Any] = {}
-        if expr.include_all:
+        if include_all:
+            base = row.get(var)
             if isinstance(base, NodeHandle):
-                out.update(base.materialize())
+                out = base.materialize()
             elif isinstance(base, dict):
                 out.update(base)
-        for key, value in expr.entries:
-            out[key] = self._plain_value(self._eval(value, row, agg_results))
-        for name in expr.extra_vars:
-            out[name] = self._plain_value(row.get(name))
+        for key, fn in entries:
+            out[key] = _plain_value(fn(row, aggs))
+        for name in extra_vars:
+            out[name] = _plain_value(row.get(name))
         return out
 
-    def _eval_func(self, expr: Func, row: Row, agg_results) -> Any:
-        name = expr.name.lower()
-        if name in AGGREGATES:
-            raise ExecutionError(f"aggregate {expr.name} outside aggregation context")
-        args = [self._eval(arg, row, agg_results) for arg in expr.args]
-        if name == "upper":
-            return None if args[0] is None else str(args[0]).upper()
-        if name == "lower":
-            return None if args[0] is None else str(args[0]).lower()
-        if name in ("tointeger", "toint"):
-            return None if args[0] is None else int(float(args[0]))
-        if name == "tostring":
-            return None if args[0] is None else str(args[0])
-        if name == "abs":
-            return None if args[0] is None else abs(args[0])
-        if name == "size":
-            return None if args[0] is None else len(args[0])
-        # apoc.convert.* arrives as nested idents; parser flattens to one name.
-        raise ExecutionError(f"unknown function {expr.name!r}")
+    return project
 
-    # ------------------------------------------------------------------
-    def _truthy(self, value: Any) -> bool:
-        return value is True
 
-    def _plain(self, row: Row) -> dict[str, Any]:
-        return {key: self._plain_value(value) for key, value in row.items()}
+_FUNCTIONS: dict[str, Callable[[Any], Any]] = {
+    "upper": lambda value: str(value).upper(),
+    "lower": lambda value: str(value).lower(),
+    "tointeger": lambda value: int(float(value)),
+    "toint": lambda value: int(float(value)),
+    "tostring": str,
+    "abs": abs,
+    "size": len,
+}
 
-    def _plain_value(self, value: Any) -> Any:
-        if isinstance(value, NodeHandle):
-            return value.materialize()
-        return value
 
-    def _materialize_output(self, row: Row, items: tuple[WithItem, ...]) -> Any:
-        if len(items) == 1:
-            return self._plain_value(row[items[0].output_name()])
-        return {item.output_name(): self._plain_value(row[item.output_name()]) for item in items}
+def _compile_func(expr: Func, slots: Any) -> RowFn:
+    name = expr.name.lower()
+    if name in AGGREGATES:
+        slot = None if slots is None else slots.get(id(expr))
+        if slot is None:
+            return _raises(f"aggregate {expr.name} outside aggregation context")
+        return lambda _row, aggs: aggs[slot]
+    func = _FUNCTIONS.get(name)
+    arguments = [_compile(arg, slots) for arg in expr.args]
+
+    def call(row: Row, aggs: Any) -> Any:
+        values = [argument(row, aggs) for argument in arguments]
+        if func is None:
+            # apoc.convert.* arrives as nested idents; parser flattens to one name.
+            raise ExecutionError(f"unknown function {expr.name!r}")
+        return None if values[0] is None else func(values[0])
+
+    return call
+
+
+_BUILDERS: dict[type, Callable[[Any, Any], RowFn]] = {
+    Lit: lambda expr, _slots: lambda _row, _aggs: expr.value,
+    Var: _compile_var,
+    Prop: _compile_prop,
+    Bin: _compile_bin,
+    Un: _compile_un,
+    IsNull: _compile_is_null,
+    MapLiteral: _compile_map_literal,
+    MapProjection: _compile_map_projection,
+    Func: _compile_func,
+}
 
 
 # ----------------------------------------------------------------------
@@ -736,112 +817,77 @@ def _match_prop_literal(expr: CypherExpr, var: str) -> tuple[str, str, Any] | No
     return None
 
 
-class _Acc:
-    def add(self, value: Any) -> None:
-        raise NotImplementedError
+class _CountAcc:
+    """COUNT(expr): non-null values; COUNT(*) feeds it a constant per row."""
 
-    def add_row(self) -> None:
-        pass
-
-    def result(self) -> Any:
-        raise NotImplementedError
-
-
-class _CountAcc(_Acc):
-    def __init__(self, star: bool) -> None:
-        self.star = star
-        self.rows = 0
-        self.values = 0
+    def __init__(self) -> None:
+        self.count = 0
 
     def add(self, value: Any) -> None:
         if value is not None:
-            self.values += 1
-
-    def add_row(self) -> None:
-        self.rows += 1
+            self.count += 1
 
     def result(self) -> int:
-        return self.rows if self.star else self.values
+        return self.count
 
 
-class _MinMaxAcc(_Acc):
+class _MinMaxAcc:
     def __init__(self, is_min: bool) -> None:
         self.is_min = is_min
         self.best: Any = None
 
     def add(self, value: Any) -> None:
-        if value is None:
-            return
-        if self.best is None:
-            self.best = value
-        elif self.is_min and index_key(value) < index_key(self.best):
-            self.best = value
-        elif not self.is_min and index_key(value) > index_key(self.best):
+        best = self.best
+        if value is not None and (
+            best is None
+            or (sorts_before(value, best) if self.is_min else sorts_before(best, value))
+        ):
             self.best = value
 
     def result(self) -> Any:
         return self.best
 
 
-class _SumAcc(_Acc):
-    def __init__(self) -> None:
-        self.total = 0
+class _MomentsAcc:
+    """SUM / AVG / STDEVP from exact (count, sum, sum-of-squares) state and the
+    finalizers the other three engines share, so the last digits agree."""
 
-    def add(self, value: Any) -> None:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            self.total += value
-
-    def result(self) -> Any:
-        return self.total
-
-
-class _AvgAcc(_Acc):
-    def __init__(self) -> None:
-        self.total = 0.0
+    def __init__(self, finalize: Callable[[int, Any, Any], Any]) -> None:
+        self.finalize = finalize
         self.count = 0
+        self.total: Any = 0
+        self.total_sq: Any = 0
 
     def add(self, value: Any) -> None:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            self.total += value
             self.count += 1
+            self.total += value
+            self.total_sq += value * value
 
     def result(self) -> Any:
-        return self.total / self.count if self.count else None
+        return self.finalize(self.count, self.total, self.total_sq)
 
 
-class _StdAcc(_Acc):
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def add(self, value: Any) -> None:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            return
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (value - self.mean)
-
-    def result(self) -> Any:
-        return math.sqrt(self.m2 / self.count) if self.count else None
+_ACCUMULATORS: dict[str, Callable[[], Any]] = {
+    "count": _CountAcc,
+    "min": lambda: _MinMaxAcc(is_min=True),
+    "max": lambda: _MinMaxAcc(is_min=False),
+    "sum": lambda: _MomentsAcc(lambda count, total, total_sq: total),
+    "avg": lambda: _MomentsAcc(lambda count, total, total_sq: finalize_avg(total, count)),
+    "stdevp": lambda: _MomentsAcc(finalize_std),
+    "stdev": lambda: _MomentsAcc(finalize_std),
+}
 
 
-def _make_acc(call: Func) -> _Acc:
-    name = call.name.lower()
-    if name == "count":
-        return _CountAcc(call.star)
-    if name == "min":
-        return _MinMaxAcc(is_min=True)
-    if name == "max":
-        return _MinMaxAcc(is_min=False)
-    if name == "sum":
-        return _SumAcc()
-    if name == "avg":
-        return _AvgAcc()
-    if name in ("stdevp", "stdev"):
-        return _StdAcc()
-    raise ExecutionError(f"unknown aggregate {call.name!r}")
+def _compile_aggregate(call: Func) -> tuple[Callable[[], Any], RowFn]:
+    """``(accumulator factory, argument closure)`` of one aggregate call."""
+    make = _ACCUMULATORS[call.name.lower()]
+    if call.star:
+        counted = True if make is _CountAcc else None  # only COUNT(*) counts rows
+        return make, lambda _row, _aggs: counted
+    if not call.args:  # ``count()``: fails at the first row, never on no rows
+        return make, lambda _row, _aggs: call.args[0]
+    return make, _compile(call.args[0])
 
 
 def _hashable(value: Any) -> Any:

@@ -18,8 +18,7 @@ Property keys are interned to integer ids (as in Neo4j's key token store).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from repro.errors import CatalogError, StorageError
 from repro.storage.btree import BPlusTree
@@ -31,8 +30,7 @@ KIND_STRING = 2
 KIND_NULL = 3
 
 
-@dataclass(frozen=True)
-class PropertyRecord:
+class PropertyRecord(NamedTuple):
     """One fixed-size property slot: key token, kind tag, inline payload."""
 
     key_id: int
@@ -44,20 +42,21 @@ class StringStore:
     """Append-only store for string property values."""
 
     def __init__(self) -> None:
-        self._data: list[str] = []
+        #: The strings by offset; whoever reads it directly adds to ``reads``.
+        self.data: list[str] = []
         self.reads = 0
 
     def append(self, value: str) -> int:
-        self._data.append(value)
-        return len(self._data) - 1
+        self.data.append(value)
+        return len(self.data) - 1
 
     def read(self, offset: int) -> str:
         """Fetch a string by offset; counted so tests can assert locality."""
         self.reads += 1
-        return self._data[offset]
+        return self.data[offset]
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self.data)
 
 
 class CountStore:
@@ -80,7 +79,8 @@ class GraphStore:
     def __init__(self) -> None:
         self._key_tokens: dict[str, int] = {}
         self._key_names: list[str] = []
-        self._nodes: list[tuple[str, tuple[PropertyRecord, ...]]] = []
+        #: ``(label, property records, how many of them are strings)``
+        self._nodes: list[tuple[str, tuple[PropertyRecord, ...], int]] = []
         self._label_index: dict[str, list[int]] = {}
         self._property_indexes: dict[tuple[str, str], BPlusTree] = {}
         self.strings = StringStore()
@@ -123,7 +123,8 @@ class GraphStore:
                     f"unsupported property type {type(value).__name__} for {name!r}"
                 )
         node_id = len(self._nodes)
-        self._nodes.append((label, tuple(records)))
+        strings = sum(record.kind == KIND_STRING for record in records)
+        self._nodes.append((label, tuple(records), strings))
         self._label_index.setdefault(label, []).append(node_id)
         self.counts.increment(label)
         for (index_label, prop), tree in self._property_indexes.items():
@@ -184,25 +185,21 @@ class GraphStore:
         key_id = self._key_tokens.get(name)
         if key_id is None:
             return SENTINEL_MISSING
-        _label, records = self._nodes[node_id]
-        for record in records:
-            if record.key_id == key_id:
-                if record.kind == KIND_STRING:
-                    return self.strings.read(record.payload)
-                return record.payload
+        for record in self._nodes[node_id][1]:
+            if record[0] == key_id:  # positional: most records are only passed over
+                _key, kind, payload = record
+                return self.strings.read(payload) if kind == KIND_STRING else payload
         return SENTINEL_MISSING
 
     def node_properties(self, node_id: int) -> dict[str, Any]:
         """Materialize every property of a node (string reads counted)."""
-        _label, records = self._nodes[node_id]
-        out: dict[str, Any] = {}
-        for record in records:
-            name = self._key_names[record.key_id]
-            if record.kind == KIND_STRING:
-                out[name] = self.strings.read(record.payload)
-            else:
-                out[name] = record.payload
-        return out
+        _label, records, strings = self._nodes[node_id]
+        names, data = self._key_names, self.strings.data
+        self.strings.reads += strings  # one counted read per string record
+        return {
+            names[key_id]: data[payload] if kind == KIND_STRING else payload
+            for key_id, kind, payload in records
+        }
 
     def node_label(self, node_id: int) -> str:
         return self._nodes[node_id][0]

@@ -82,6 +82,18 @@ def index_key(value: Any) -> tuple:
     raise TypeError(f"value of type {type(value).__name__} cannot be an index key")
 
 
+_SELF_ORDERED = frozenset({int, float, str})
+
+
+def sorts_before(left: Any, right: Any) -> bool:
+    """``index_key(left) < index_key(right)`` without building the keys when
+    both values are of one plain type (whose own ``<`` is the key order)."""
+    kind = type(left)
+    if kind is type(right) and kind in _SELF_ORDERED:
+        return left < right
+    return index_key(left) < index_key(right)
+
+
 def is_absent(value: Any) -> bool:
     """Return True when *value* is SQL NULL or ADM MISSING."""
     return value is None or value is SENTINEL_MISSING

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.bench import (
@@ -166,3 +169,28 @@ class TestReports:
         assert 1 in series["PolyFrame-Greenplum"][1]
         table = format_speedup_table(by_nodes)
         assert "Speedup" in table and "E1" in table
+
+
+class TestCommittedTrajectory:
+    """``BENCH_<pr>.json`` at the repo root: ``run.py``'s document, spans stripped."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def test_every_bench_file_names_only_declared_workloads_and_metrics(self):
+        spec = json.loads((self.ROOT / "BENCHMARK.json").read_text())
+        workloads = {workload["name"] for workload in spec["workloads"]}
+        declared = {
+            section: {metric["name"] for metric in spec[section]}
+            for section in ("end_to_end", "per_layer")
+        }
+        committed = sorted(self.ROOT.glob("BENCH_*.json"))
+        assert committed, "no BENCH_<pr>.json committed"
+        for path in committed:
+            document = json.loads(path.read_text())
+            assert '"spans"' not in path.read_text(), path.name
+            assert {metric["name"] for metric in document["end_to_end"]} <= declared["end_to_end"]
+            assert set(document["workloads"]) <= workloads, path.name
+            for name, entry in document["workloads"].items():
+                for section, names in declared.items():
+                    assert set(entry[section]) <= names, (path.name, name, section)
+                    assert entry[f"{section}_run"]["failed"] == 0, (path.name, name, section)

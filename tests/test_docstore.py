@@ -104,6 +104,21 @@ class TestPipelineStages:
         result = db.aggregate("users", [{"$match": {"n": {"$gte": 295}}}, {"$count": "c"}])
         assert result.records == [{"c": 5}]
 
+    def test_query_language_operands_are_literals(self, db):
+        """``{"s": {"$eq": "$a"}}`` means what ``{"s": "$a"}`` means: the string."""
+        db.create_collection("dollars").insert_many(
+            [{"s": "$a", "a": "x"}, {"s": "x", "a": "x"}, {"s": "$b", "a": "$b"}]
+        )
+
+        def ids(spec):
+            return [doc["_id"] for doc in db.aggregate("dollars", [{"$match": spec}]).records]
+
+        assert ids({"s": "$a"}) == ids({"s": {"$eq": "$a"}}) == [0]
+        assert ids({"s": {"$in": ["$a", "$b"]}}) == [0, 2]
+        assert ids({"s": {"$ne": "$a"}}) == [1, 2]
+        # The aggregation form is where "$a" is a field path.
+        assert ids({"$expr": {"$eq": ["$s", "$a"]}}) == [1, 2]
+
     def test_project_inclusion_keeps_id(self, db):
         result = db.aggregate("users", [{"$project": {"n": 1}}, {"$limit": 1}])
         assert set(result.records[0]) == {"_id", "n"}
@@ -247,6 +262,32 @@ class TestPipelineOptimizer:
         ])
         assert [doc["n"] for doc in result.records] == [299, 298, 297, 296, 295]
         assert result.stats.heap_fetches == 5
+
+    @pytest.mark.parametrize("limit, returned", [(0, 0), (3, 3), (60, 60), (1000, 60)])
+    def test_limit_over_an_index_probe_reads_exactly_what_it_returns(self, db, limit, returned):
+        """``mod == 2`` has 60 entries; $limit n must not pull an n+1-th."""
+        result = db.aggregate("users", [{"$match": {"mod": 2}}, {"$limit": limit}])
+        assert len(result) == returned
+        assert result.stats.index_entries == returned
+        assert result.stats.heap_fetches == returned
+        assert result.stats.full_scans == 0
+
+    @pytest.mark.parametrize("limit, returned", [(0, 0), (3, 3), (300, 300), (1000, 300)])
+    def test_limit_over_a_collection_scan_reads_exactly_what_it_returns(self, db, limit, returned):
+        result = db.aggregate("users", [{"$match": {}}, {"$limit": limit}])
+        assert len(result) == returned
+        assert result.stats.heap_fetches == returned
+        assert result.stats.index_entries == 0
+        assert result.stats.full_scans == (1 if limit else 0)  # $limit 0 never opens the scan
+
+    def test_limit_stops_a_residual_filter_after_the_nth_match(self, db):
+        """n = 7 is the third document with n % 3 == 1; nothing past it is read."""
+        result = db.aggregate("users", [
+            {"$match": {"$expr": {"$eq": [{"$mod": ["$n", 3]}, 1]}}},
+            {"$limit": 3},
+        ])
+        assert [doc["n"] for doc in result.records] == [1, 4, 7]
+        assert result.stats.heap_fetches == 8
 
     def test_count_cannot_use_metadata(self, db):
         """The paper's expression-1 caveat: pipelines scan for counts."""
