@@ -24,7 +24,6 @@ import tempfile
 
 from repro.bench.datasets import SINGLE_NODE_RATIOS
 from repro.bench.expressions import EXPRESSIONS, benchmark_params
-from repro.bench.export import write_trace_json
 from repro.bench.report import (
     format_scaleup_table,
     format_scaling_table,
@@ -105,7 +104,7 @@ def _tracing(path: str | None):
     try:
         yield
     finally:
-        write_trace_json(tracer, path)
+        tracer.export_json(path)
         print(f"wrote {len(tracer.spans)} trace span trees to {path}", file=sys.stderr)
         if installed:
             set_global_tracer(None)

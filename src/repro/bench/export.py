@@ -2,9 +2,10 @@
 
 The text reports in :mod:`repro.bench.report` regenerate the paper's
 figures; these helpers dump the raw measurements so users can plot them
-with their own tooling.  When a run is traced (``REPRO_TRACE=1`` or
-``--trace-json``), :func:`write_trace_json` dumps the accumulated span
-trees alongside the CSV/JSON measurements.
+with their own tooling.  One row per :class:`Measurement`, one column per
+field, plus the derived ``total_seconds``.  A traced run's span trees
+(``REPRO_TRACE=1`` or ``--trace-json``) go out through
+:meth:`repro.obs.Tracer.export_json` instead.
 """
 
 from __future__ import annotations
@@ -12,72 +13,19 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Sequence
+from dataclasses import fields
+from typing import Sequence, get_type_hints
 
 from repro.bench.runner import Measurement
-from repro.obs import Tracer
 
-_FIELDS = (
-    "system",
-    "dataset",
-    "expression_id",
-    "status",
-    "creation_seconds",
-    "expression_seconds",
-    "total_seconds",
-    "retries",
-    "degraded",
-    "failovers",
-    "hedges",
-    "compile_ms",
-    "nesting_depth",
-    "rows_per_sec",
-    "exec_engine",
-    "dispatch_mode",
-    "parallelism",
-    "peak_mem_bytes",
-    "spill_bytes",
-    "cache_hits",
-    "cache_misses",
-    "singleflight_waits",
-    "queue_wait_ms",
-    "deadline_budget_ms",
-    "cancelled",
-)
+#: Every field in declaration order, the derived total after the timings.
+_COLUMNS = [f.name for f in fields(Measurement)]
+_COLUMNS.insert(_COLUMNS.index("expression_seconds") + 1, "total_seconds")
 
 
 def measurements_to_dicts(measurements: Sequence[Measurement]) -> list[dict]:
     """Plain-dict rows, one per measurement, with the derived total."""
-    return [
-        {
-            "system": m.system,
-            "dataset": m.dataset,
-            "expression_id": m.expression_id,
-            "status": m.status,
-            "creation_seconds": m.creation_seconds,
-            "expression_seconds": m.expression_seconds,
-            "total_seconds": m.total_seconds,
-            "retries": m.retries,
-            "degraded": m.degraded,
-            "failovers": m.failovers,
-            "hedges": m.hedges,
-            "compile_ms": m.compile_ms,
-            "nesting_depth": m.nesting_depth,
-            "rows_per_sec": m.rows_per_sec,
-            "exec_engine": m.exec_engine,
-            "dispatch_mode": m.dispatch_mode,
-            "parallelism": m.parallelism,
-            "peak_mem_bytes": m.peak_mem_bytes,
-            "spill_bytes": m.spill_bytes,
-            "cache_hits": m.cache_hits,
-            "cache_misses": m.cache_misses,
-            "singleflight_waits": m.singleflight_waits,
-            "queue_wait_ms": m.queue_wait_ms,
-            "deadline_budget_ms": m.deadline_budget_ms,
-            "cancelled": m.cancelled,
-        }
-        for m in measurements
-    ]
+    return [{name: getattr(m, name) for name in _COLUMNS} for m in measurements]
 
 
 def to_json(measurements: Sequence[Measurement], *, indent: int = 2) -> str:
@@ -88,52 +36,19 @@ def to_json(measurements: Sequence[Measurement], *, indent: int = 2) -> str:
 def to_csv(measurements: Sequence[Measurement]) -> str:
     """Serialize measurements as CSV with a header row."""
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=_FIELDS)
+    writer = csv.DictWriter(buffer, fieldnames=_COLUMNS)
     writer.writeheader()
     writer.writerows(measurements_to_dicts(measurements))
     return buffer.getvalue()
 
 
-def write_trace_json(tracer: Tracer, path: str) -> str:
-    """Write *tracer*'s accumulated span trees to *path*; returns the text.
-
-    The schema is documented in ``docs/observability.md`` — one root span
-    per dataframe action, each tagged by the bench runner with its
-    (system, dataset, expression_id) cell.
-    """
-    return tracer.export_json(path)
-
-
 def from_json(text: str) -> list[Measurement]:
-    """Rehydrate measurements exported by :func:`to_json`."""
-    out = []
-    for row in json.loads(text):
-        out.append(
-            Measurement(
-                system=row["system"],
-                dataset=row["dataset"],
-                expression_id=int(row["expression_id"]),
-                status=row["status"],
-                creation_seconds=float(row["creation_seconds"]),
-                expression_seconds=float(row["expression_seconds"]),
-                retries=int(row.get("retries", 0)),
-                degraded=bool(row.get("degraded", False)),
-                failovers=int(row.get("failovers", 0)),
-                hedges=int(row.get("hedges", 0)),
-                compile_ms=float(row.get("compile_ms", 0.0)),
-                nesting_depth=int(row.get("nesting_depth", 0)),
-                rows_per_sec=float(row.get("rows_per_sec", 0.0)),
-                exec_engine=str(row.get("exec_engine", "")),
-                dispatch_mode=str(row.get("dispatch_mode", "")),
-                parallelism=int(row.get("parallelism", 0)),
-                peak_mem_bytes=int(row.get("peak_mem_bytes", 0)),
-                spill_bytes=int(row.get("spill_bytes", 0)),
-                cache_hits=int(row.get("cache_hits", 0)),
-                cache_misses=int(row.get("cache_misses", 0)),
-                singleflight_waits=int(row.get("singleflight_waits", 0)),
-                queue_wait_ms=float(row.get("queue_wait_ms", 0.0)),
-                deadline_budget_ms=float(row.get("deadline_budget_ms", 0.0)),
-                cancelled=int(row.get("cancelled", 0)),
-            )
-        )
-    return out
+    """Rehydrate measurements exported by :func:`to_json`.
+
+    Rows from older exports that lack a column get that column's default.
+    """
+    coerce = get_type_hints(Measurement)
+    return [
+        Measurement(**{name: coerce[name](row[name]) for name in coerce if name in row})
+        for row in json.loads(text)
+    ]

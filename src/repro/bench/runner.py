@@ -19,13 +19,17 @@ from __future__ import annotations
 import contextlib
 import gc
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial, reduce
+from typing import Any
 
 from repro.bench.expressions import BenchParams, DataFrameAPI, Expression
 from repro.bench.systems import SystemUnderTest
+from repro.core.connectors.base import SendRecord
 from repro.eager.memory import memory_budget
 from repro.errors import MemoryBudgetExceeded, UnsupportedOperationError
 from repro.obs import get_tracer
+from repro.sqlengine.result import STAT_RULES, fold_stat
 
 STATUS_OK = "ok"
 STATUS_OOM = "oom"
@@ -36,49 +40,21 @@ STATUS_UNSUPPORTED = "unsupported"
 class Measurement:
     """One timed (system, dataset, expression) cell.
 
-    ``retries`` counts extra query attempts the resilience layer spent
-    (connector-level retries plus per-shard retries) while evaluating the
-    expression; ``degraded`` marks that at least one answer was partial
-    (a shard was dropped under ``allow_partial=True``).  ``failovers``
-    and ``hedges`` count shard reads the replication layer moved to
-    another replica and hedged (raced) replica requests — both 0 for
-    single-copy configurations.
+    The first six fields are the cell and its two timings (see the
+    module docstring).  ``degraded`` marks that at least one answer was
+    partial (a shard was dropped under ``allow_partial=True``);
+    ``compile_ms`` is the total plan-compilation time (optimizer +
+    rewrite walking, or a cache probe on a hit) the expression spent, and
+    ``nesting_depth`` the deepest query it compiled; ``rows_per_sec`` is
+    the engine-side scan throughput (rows touched / engine-reported
+    seconds, 0.0 when either is unknown).
 
-    ``compile_ms`` is the total plan-compilation time (optimizer + rewrite
-    walking, or a cache probe on a hit) the expression spent, and
-    ``nesting_depth`` the deepest query it compiled — both 0 for systems
-    without a connector (the eager baseline).
-
-    ``rows_per_sec`` is the engine-side scan throughput of the expression
-    (rows touched / engine-reported seconds, 0.0 when either is unknown)
-    and ``exec_engine`` which execution path served it (``'row'`` /
-    ``'vector'``, empty for backends without the distinction) — together
-    they make vector-vs-row runs comparable across ``BENCH_*.json`` files.
-
-    ``dispatch_mode`` is how cluster systems ran their shard queries
-    (``'serial'`` / ``'threads'``, ``'mixed'`` if sends disagree, empty
-    for single-node systems) and ``parallelism`` the largest number of
-    shard queries in flight at once.
-
-    ``peak_mem_bytes`` is the largest accounted operator memory any
-    single send of the expression reached, and ``spill_bytes`` the total
-    bytes its queries wrote to disk spill runs — both 0 for the eager
-    baseline and for runs without a memory budget engaged (see
-    ``docs/memory.md``).
-
-    ``cache_hits`` / ``cache_misses`` count result-cache probes the
-    expression's sends made (whole-send and per-shard), and
-    ``singleflight_waits`` sends that shared an identical in-flight
-    query's answer — all 0 with caching off, the default (see
-    ``docs/caching.md``).
-
-    ``queue_wait_ms`` is the total time the expression's sends spent
-    queued behind an admission controller, ``deadline_budget_ms`` the
-    smallest remaining deadline budget any send finished with (0 when
-    deadlines are off), and ``cancelled`` the number of cooperatively
-    cancelled work units (abandoned hedge legs, sibling shards stopped
-    early) behind the expression — all 0 with deadlines and admission
-    off, the default (see ``docs/deadlines.md``).
+    Every remaining column is the :class:`~repro.core.connectors.base.SendRecord`
+    field of the same name, folded over the expression's sends by its
+    rule in :data:`~repro.sqlengine.result.STAT_RULES` (``retries``
+    counts connector and shard retries both).  All are 0/empty for the
+    eager baseline, which has no connector; ``docs/observability.md``
+    tabulates them.
     """
 
     system: str
@@ -156,28 +132,9 @@ def run_expression(
             _tag_spans(tracer, trace_mark, system.name, dataset, expr.id)
         expression = time.perf_counter() - started
         expression = _adjust_for_simulated_parallelism(system, expression, send_mark)
-        retries, degraded, failovers, hedges = _resilience_outcomes(system, send_mark)
-        compile_ms, nesting_depth = _compile_outcomes(system, compile_mark)
-        rows_per_sec, exec_engine = _throughput_outcomes(system, send_mark)
-        dispatch_mode, parallelism = _dispatch_outcomes(system, send_mark)
-        peak_mem_bytes, spill_bytes = _memory_outcomes(system, send_mark)
-        cache_hits, cache_misses, singleflight_waits = _cache_outcomes(
-            system, send_mark
-        )
-        queue_wait_ms, deadline_budget_ms, cancelled = _deadline_outcomes(
-            system, send_mark
-        )
+        rolled = _roll_up(system, send_mark, compile_mark)
     return Measurement(
-        system.name, dataset, expr.id, STATUS_OK, creation, expression,
-        retries=retries, degraded=degraded, failovers=failovers, hedges=hedges,
-        compile_ms=compile_ms, nesting_depth=nesting_depth,
-        rows_per_sec=rows_per_sec, exec_engine=exec_engine,
-        dispatch_mode=dispatch_mode, parallelism=parallelism,
-        peak_mem_bytes=peak_mem_bytes, spill_bytes=spill_bytes,
-        cache_hits=cache_hits, cache_misses=cache_misses,
-        singleflight_waits=singleflight_waits,
-        queue_wait_ms=queue_wait_ms, deadline_budget_ms=deadline_budget_ms,
-        cancelled=cancelled,
+        system.name, dataset, expr.id, STATUS_OK, creation, expression, **rolled
     )
 
 
@@ -222,118 +179,46 @@ def _adjust_for_simulated_parallelism(
     return max(0.0, wall_seconds - real + reported)
 
 
-def _resilience_outcomes(
-    system: SystemUnderTest, send_mark: int
-) -> tuple[int, bool, int, int]:
-    """Retries, degradation, failovers, and hedges spent per expression."""
-    if system.connector is None:
-        return 0, False, 0, 0
-    records = system.connector.send_log[send_mark:]
-    retries = sum(record.retries for record in records)
-    degraded = any(record.outcome == "partial" for record in records)
-    failovers = sum(getattr(record, "failovers", 0) for record in records)
-    hedges = sum(getattr(record, "hedges", 0) for record in records)
-    return retries, degraded, failovers, hedges
+def _roll_up(
+    system: SystemUnderTest, send_mark: int, compile_mark: int
+) -> dict[str, Any]:
+    """The expression's columns, from the sends and compiles it logged.
 
-
-def _throughput_outcomes(system: SystemUnderTest, send_mark: int) -> tuple[float, str]:
-    """Scan throughput and execution engine of the expression's queries.
-
-    Throughput is rows touched (heap fetches + index entries) over the
-    engine-reported elapsed time, summed across the expression's sends;
-    0.0 when the engine touched no rows or reported no time.  The engine
-    label is the single engine every send agrees on, or ``'mixed'``.
+    Every column :class:`Measurement` shares with :class:`SendRecord`
+    folds by its rule; only ``degraded``, ``rows_per_sec`` and the
+    compile-log pair are derived here.  Empty (all defaults) for the
+    eager baseline.
     """
     if system.connector is None:
-        return 0.0, ""
+        return {}
+    rolled: dict[str, Any] = {}
     records = system.connector.send_log[send_mark:]
-    if not records:
-        return 0.0, ""
-    rows = sum(record.rows_scanned for record in records)
-    reported = sum(record.reported_seconds for record in records)
-    rows_per_sec = rows / reported if rows and reported > 0 else 0.0
-    engines = {record.exec_engine for record in records if record.exec_engine}
-    exec_engine = engines.pop() if len(engines) == 1 else ("mixed" if engines else "")
-    return rows_per_sec, exec_engine
+    if records:
+        for name, rule in _ROLLED:
+            rolled[name] = reduce(
+                partial(fold_stat, rule), [getattr(record, name) for record in records]
+            )
+        rolled["degraded"] = any(record.outcome == "partial" for record in records)
+        rows = sum(record.rows_scanned for record in records)
+        reported = sum(record.reported_seconds for record in records)
+        rolled["rows_per_sec"] = rows / reported if rows and reported > 0 else 0.0
+    compiles = system.connector.compile_log[compile_mark:]
+    if compiles:
+        rolled["compile_ms"] = sum(record.compile_ms for record in compiles)
+        rolled["nesting_depth"] = reduce(
+            partial(fold_stat, STAT_RULES["nesting_depth"]),
+            [record.depth for record in compiles],
+        )
+    return rolled
 
 
-def _dispatch_outcomes(system: SystemUnderTest, send_mark: int) -> tuple[str, int]:
-    """Shard dispatch mode and peak parallelism of the expression's queries.
-
-    The mode is the single value every send agrees on, or ``'mixed'``;
-    both are empty/0 for single-node systems whose sends carry no
-    dispatch information.
-    """
-    if system.connector is None:
-        return "", 0
-    records = system.connector.send_log[send_mark:]
-    if not records:
-        return "", 0
-    modes = {r.dispatch_mode for r in records if getattr(r, "dispatch_mode", "")}
-    dispatch_mode = modes.pop() if len(modes) == 1 else ("mixed" if modes else "")
-    parallelism = max((getattr(r, "parallelism", 0) for r in records), default=0)
-    return dispatch_mode, parallelism
-
-
-def _memory_outcomes(system: SystemUnderTest, send_mark: int) -> tuple[int, int]:
-    """Peak accounted memory and total spill volume of the expression.
-
-    Queries run one at a time within an expression, so the expression's
-    peak is the largest single-send peak; spill volume is additive.
-    """
-    if system.connector is None:
-        return 0, 0
-    records = system.connector.send_log[send_mark:]
-    peak = max((getattr(r, "peak_mem_bytes", 0) for r in records), default=0)
-    spill = sum(getattr(r, "spill_bytes", 0) for r in records)
-    return peak, spill
-
-
-def _cache_outcomes(
-    system: SystemUnderTest, send_mark: int
-) -> tuple[int, int, int]:
-    """Result-cache and singleflight activity behind the expression's sends."""
-    if system.connector is None:
-        return 0, 0, 0
-    records = system.connector.send_log[send_mark:]
-    hits = sum(getattr(r, "cache_hits", 0) for r in records)
-    misses = sum(getattr(r, "cache_misses", 0) for r in records)
-    waits = sum(getattr(r, "singleflight_waits", 0) for r in records)
-    return hits, misses, waits
-
-
-def _deadline_outcomes(
-    system: SystemUnderTest, send_mark: int
-) -> tuple[float, int | float, int]:
-    """Admission queueing, deadline headroom, and cancelled work per expression.
-
-    Queue wait and cancellations are additive across sends; the deadline
-    budget reported is the *tightest* any send finished with (the cell's
-    closest call), 0.0 when no send carried a deadline.
-    """
-    if system.connector is None:
-        return 0.0, 0.0, 0
-    records = system.connector.send_log[send_mark:]
-    queue_wait = sum(getattr(r, "queue_wait_ms", 0.0) for r in records)
-    budgets = [
-        budget
-        for r in records
-        if (budget := getattr(r, "deadline_budget_ms", 0.0)) > 0.0
-    ]
-    cancelled = sum(getattr(r, "cancelled", 0) for r in records)
-    return queue_wait, min(budgets) if budgets else 0.0, cancelled
-
-
-def _compile_outcomes(system: SystemUnderTest, compile_mark: int) -> tuple[float, int]:
-    """Plan-compilation time spent and deepest query compiled, per expression."""
-    if system.connector is None:
-        return 0.0, 0
-    records = system.connector.compile_log[compile_mark:]
-    if not records:
-        return 0.0, 0
-    compile_ms = sum(record.compile_ms for record in records)
-    nesting_depth = max(record.depth for record in records)
-    return compile_ms, nesting_depth
+#: The columns folded from the send log: every :class:`Measurement` column
+#: a :class:`SendRecord` also has (a field, or the ``retries`` property).
+_ROLLED = tuple(
+    (f.name, STAT_RULES.get(f.name, "sum"))
+    for f in fields(Measurement)
+    if hasattr(SendRecord, f.name)
+)
 
 
 def run_suite(

@@ -21,7 +21,7 @@ import abc
 import logging
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Iterator
 
 from repro.cache import DatasetVersions, ResultCache, Singleflight, resolve_result_cache
@@ -75,45 +75,21 @@ class SendRecord:
     report cluster timings correctly.
 
     ``attempts`` counts connector-level execution attempts (1 = first try
-    succeeded); ``shard_retries`` counts extra per-shard attempts a
-    cluster's scatter-gather spent below this send; ``failovers`` and
-    ``hedges`` count replica failovers and hedged requests spent below
-    this send (replicated clusters only); ``outcome`` is one of ``'ok'``,
-    ``'partial'``, ``'error'``, ``'rejected'``, ``'shed'``,
-    ``'cancelled'``.
+    succeeded; 0 = the backend was never consulted: a cache hit, a
+    singleflight follower, a send shed by admission control); ``outcome``
+    is one of ``'ok'``, ``'partial'``, ``'error'``, ``'rejected'``,
+    ``'shed'``, ``'cancelled'``; ``deadline_budget_ms`` is how much of
+    the query's deadline budget remained when the send finished (zero
+    with no deadline configured — the default).
 
-    ``rows_scanned`` is the engine's total data touches for the query
-    (heap fetches plus index entries), and ``exec_engine`` which
-    execution path produced the answer (``'row'`` / ``'vector'``, empty
-    for engines without the distinction) — the bench layer derives
-    ``rows_per_sec`` from these.
-
-    ``dispatch_mode`` records how a cluster ran its shard queries
-    (``'serial'`` / ``'threads'``, empty for single-node sends) and
-    ``parallelism`` how many were in flight at once.
-
-    ``peak_mem_bytes`` is the engine's peak accounted operator memory for
-    the query and ``spill_bytes`` how much it wrote to disk spill runs
-    (zero for engines without blocking operators; a streaming send's
-    record has the dispatch-time stats until its stream drains, then the
-    final ones).
-
-    ``cache_hits`` / ``cache_misses`` count result-cache probes behind
-    this send (a whole-send hit has ``attempts == 0`` — the backend was
-    never consulted — plus any per-shard hits a cluster's scatter-gather
-    served below it); ``singleflight_waits`` marks a send that blocked
-    on an identical in-flight query and shared its answer.  All zero
-    with caching off (the default).
-
-    ``queue_wait_ms`` is how long this send waited in admission queues
-    (the connector's own gate plus any per-cluster gate below it);
-    ``deadline_budget_ms`` is how much of the query's deadline budget
-    remained when the send finished (zero with no deadline configured —
-    the default); ``cancelled`` counts sibling work units below this
-    send that were cooperatively cancelled rather than finishing.  A
-    send shed by admission control has ``outcome == 'shed'`` and
-    ``attempts == 0``; one abandoned by cancellation has
-    ``outcome == 'cancelled'``.
+    Every other field mirrors the answer's
+    :class:`~repro.sqlengine.result.QueryStats` (see
+    :meth:`from_stats`): by name, or as ``shard_retries`` (``retries``),
+    ``cache_hits`` / ``cache_misses`` (``result_cache_*``) and
+    ``rows_scanned`` (heap fetches plus index entries); the statistics
+    table in ``docs/observability.md`` lists them.  A streaming send's
+    record has the dispatch-time stats until its stream drains, then
+    the final ones.
     """
 
     real_seconds: float
@@ -149,20 +125,12 @@ class SendRecord:
         ``attempts``, ``outcome`` and ``deadline_budget_ms``.
         """
         return cls(
+            **{name: getattr(stats, name) for name in _MIRRORED},
             shard_retries=stats.retries,
             rows_scanned=stats.heap_fetches + stats.index_entries,
-            exec_engine=stats.exec_engine,
-            failovers=stats.failovers,
-            hedges=stats.hedges,
-            dispatch_mode=stats.dispatch_mode,
-            parallelism=stats.parallelism,
-            peak_mem_bytes=stats.peak_mem_bytes,
-            spill_bytes=stats.spill_bytes,
             cache_hits=stats.result_cache_hits,
             cache_misses=stats.result_cache_misses,
-            singleflight_waits=stats.singleflight_waits,
             queue_wait_ms=queue_wait_ms + stats.queue_wait_ms,
-            cancelled=stats.cancelled,
             **own,
         )
 
@@ -170,6 +138,15 @@ class SendRecord:
     def retries(self) -> int:
         """Total extra attempts spent on this query, at every level."""
         return max(0, self.attempts - 1) + self.shard_retries
+
+
+#: The record fields :meth:`SendRecord.from_stats` copies by name.
+_MIRRORED = tuple(
+    f.name
+    for f in fields(SendRecord)
+    if f.name in QueryStats.__dataclass_fields__
+    and f.name not in ("queue_wait_ms", "deadline_budget_ms")
+)
 
 
 @dataclass(slots=True)

@@ -9,7 +9,12 @@ from repro import obs
 from repro.errors import CatalogError
 from repro.docstore.collection import Collection
 from repro.docstore.pipeline import PipelineExecutor
-from repro.exec.memory import MemoryBudget, resolve_budget
+from repro.exec.memory import (
+    MemoryBudget,
+    drain_with_stats,
+    resolve_budget,
+    stamp_memory,
+)
 from repro.sqlengine.result import QueryStats, ResultSet, StreamingResultSet
 
 #: Simulated fixed per-command overhead (driver round trip + cursor setup).
@@ -117,7 +122,7 @@ class MongoDatabase:
             )
             profile = executor.last_profile
             if isinstance(records, list):
-                _stamp_memory(stats, budget)
+                stamp_memory(stats, budget)
             if span.recording:
                 span.set(
                     rows=len(records),
@@ -130,7 +135,7 @@ class MongoDatabase:
         elapsed = time.perf_counter() - started
         if not isinstance(records, list):
             return StreamingResultSet(
-                _drain_with_stats(records, stats, budget),
+                drain_with_stats(records, stats, budget),
                 stats=stats,
                 plan_text=plan_text,
                 elapsed_seconds=elapsed,
@@ -143,18 +148,3 @@ class MongoDatabase:
             elapsed_seconds=elapsed,
             op_profile=profile,
         )
-
-
-def _stamp_memory(stats: QueryStats, budget: MemoryBudget) -> None:
-    """Copy a drained pipeline's memory accounting onto its stats."""
-    stats.peak_mem_bytes = max(stats.peak_mem_bytes, budget.peak_bytes)
-    stats.spill_bytes += budget.spill_bytes
-    stats.spill_runs += budget.spill_runs
-
-
-def _drain_with_stats(docs, stats: QueryStats, budget: MemoryBudget):
-    """Yield *docs* through; stamp memory stats once the stream ends."""
-    try:
-        yield from docs
-    finally:
-        _stamp_memory(stats, budget)

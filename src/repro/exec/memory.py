@@ -38,10 +38,13 @@ import os
 import pickle
 import sys
 import tempfile
-from typing import Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.errors import ReproError
 from repro.resilience.deadline import current_frame
+
+if TYPE_CHECKING:
+    from repro.sqlengine.result import QueryStats
 
 #: Environment variable holding the default per-query budget (bytes;
 #: ``k``/``m``/``g`` suffixes allowed).
@@ -190,6 +193,21 @@ class MemoryBudget:
         """Record one spilled run of *nbytes*."""
         self.spill_bytes += nbytes
         self.spill_runs += 1
+
+
+def stamp_memory(stats: QueryStats, budget: MemoryBudget) -> None:
+    """Copy a drained query's memory accounting onto its stats."""
+    stats.peak_mem_bytes = max(stats.peak_mem_bytes, budget.peak_bytes)
+    stats.spill_bytes += budget.spill_bytes
+    stats.spill_runs += budget.spill_runs
+
+
+def drain_with_stats(records: Iterable[Any], stats: QueryStats, budget: MemoryBudget):
+    """Yield *records* through; stamp memory stats once the stream ends."""
+    try:
+        yield from records
+    finally:
+        stamp_memory(stats, budget)
 
 
 class _PositionedReader(io.RawIOBase):

@@ -6,7 +6,12 @@ import time
 from typing import Any, Iterable
 
 from repro import obs
-from repro.exec.memory import MemoryBudget, resolve_budget
+from repro.exec.memory import (
+    MemoryBudget,
+    drain_with_stats,
+    resolve_budget,
+    stamp_memory,
+)
 from repro.graphdb.cypher_parser import parse
 from repro.graphdb.executor import CypherExecutor
 from repro.graphdb.store import GraphStore
@@ -90,7 +95,7 @@ class Neo4jDatabase:
             )
             profile = executor.last_profile
             if isinstance(records, list):
-                _stamp_memory(stats, budget)
+                stamp_memory(stats, budget)
             if span.recording:
                 span.set(
                     rows=len(records),
@@ -103,7 +108,7 @@ class Neo4jDatabase:
         elapsed = time.perf_counter() - started
         if not isinstance(records, list):
             return StreamingResultSet(
-                _drain_with_stats(records, stats, budget),
+                drain_with_stats(records, stats, budget),
                 stats=stats,
                 plan_text=plan_text,
                 elapsed_seconds=elapsed,
@@ -116,18 +121,3 @@ class Neo4jDatabase:
             elapsed_seconds=elapsed,
             op_profile=profile,
         )
-
-
-def _stamp_memory(stats: QueryStats, budget: MemoryBudget) -> None:
-    """Copy a drained query's memory accounting onto its stats."""
-    stats.peak_mem_bytes = max(stats.peak_mem_bytes, budget.peak_bytes)
-    stats.spill_bytes += budget.spill_bytes
-    stats.spill_runs += budget.spill_runs
-
-
-def _drain_with_stats(records, stats: QueryStats, budget: MemoryBudget):
-    """Yield *records* through; stamp memory stats once the stream ends."""
-    try:
-        yield from records
-    finally:
-        _stamp_memory(stats, budget)

@@ -24,7 +24,12 @@ import time
 from typing import Any, Iterable
 
 from repro import obs
-from repro.exec.memory import MemoryBudget, resolve_budget
+from repro.exec.memory import (
+    MemoryBudget,
+    drain_with_stats,
+    resolve_budget,
+    stamp_memory,
+)
 from repro.sqlengine.expressions import Evaluator
 from repro.sqlengine.optimizer import Optimizer, OptimizerFeatures
 from repro.sqlengine.parser import parse
@@ -39,21 +44,6 @@ def _default_exec_engine() -> str:
     """Process-wide engine default: ``REPRO_EXEC=vector`` flips it."""
     value = os.environ.get("REPRO_EXEC", "").strip().lower()
     return value if value in ("row", "vector") else "row"
-
-
-def _stamp_memory(stats: QueryStats, budget: MemoryBudget) -> None:
-    """Copy a drained query's memory accounting onto its stats."""
-    stats.peak_mem_bytes = max(stats.peak_mem_bytes, budget.peak_bytes)
-    stats.spill_bytes += budget.spill_bytes
-    stats.spill_runs += budget.spill_runs
-
-
-def _drain_with_stats(rows, stats: QueryStats, budget: MemoryBudget):
-    """Yield *rows* through; stamp memory stats once the stream ends."""
-    try:
-        yield from rows
-    finally:
-        _stamp_memory(stats, budget)
 
 
 class SQLDatabase:
@@ -177,7 +167,7 @@ class SQLDatabase:
             records: list[Any] | None = None
             if not streaming:
                 records = list(rows)
-                _stamp_memory(stats, budget)
+                stamp_memory(stats, budget)
             if span.recording:
                 span.set(
                     rows=len(records or ()),
@@ -190,7 +180,7 @@ class SQLDatabase:
         elapsed = time.perf_counter() - started
         if records is None:
             return StreamingResultSet(
-                _drain_with_stats(rows, stats, budget),
+                drain_with_stats(rows, stats, budget),
                 stats=stats,
                 plan_text=plan_text,
                 elapsed_seconds=elapsed,

@@ -2,8 +2,41 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
+
+#: How a statistic combines: across the shards of one gather
+#: (:meth:`QueryStats.merge`) and across the sends of one benchmark
+#: expression (``repro.bench.runner``).  A statistic not named here is a
+#: count, and sums.  ``docs/observability.md`` tabulates every field.
+STAT_RULES: dict[str, str] = {
+    # Peaks: shards (and an expression's sends) at worst overlap, so the
+    # combined peak is the largest single one.
+    "peak_mem_bytes": "max",
+    "parallelism": "max",
+    "nesting_depth": "max",
+    # A label every contributor agrees on, else 'mixed'; empty never votes.
+    "exec_engine": "label",
+    "dispatch_mode": "label",
+    # Only as close to its deadline as the tightest contributor; zero
+    # means "no deadline", so it never wins.
+    "deadline_budget_ms": "min_nonzero",
+}
+
+
+def fold_stat(rule: str, acc: Any, value: Any) -> Any:
+    """Combine two values of one statistic under *rule* (``STAT_RULES``)."""
+    if rule == "sum":
+        return acc + value
+    if rule == "max":
+        return max(acc, value)
+    if not value:
+        return acc
+    if not acc:
+        return value
+    if rule == "label":
+        return acc if acc == value else "mixed"
+    return min(acc, value)  # "min_nonzero"
 
 
 @dataclass
@@ -15,9 +48,9 @@ class QueryStats:
     scan has ``full_scans == 0``.
     """
 
-    heap_fetches: int = 0
-    index_entries: int = 0
-    full_scans: int = 0
+    heap_fetches: int = 0  # table rows read
+    index_entries: int = 0  # index entries probed or scanned
+    full_scans: int = 0  # full table/collection scans opened
     string_store_reads: int = 0  # used by the graph engine's record layout
     retries: int = 0  # extra execution attempts spent recovering shards/queries
     failed_shards: int = 0  # shards dropped from a degraded scatter-gather
@@ -31,60 +64,26 @@ class QueryStats:
     result_cache_misses: int = 0  # cache probes that had to execute instead
     singleflight_waits: int = 0  # sends that blocked on an identical in-flight query
     batches: int = 0  # column batches scanned by the vector engine
-    peak_mem_bytes: int = 0  # peak accounted operator memory (max when merging)
+    peak_mem_bytes: int = 0  # peak accounted operator memory
     spill_bytes: int = 0  # bytes written to disk spill runs
     spill_runs: int = 0  # spill runs written under memory pressure
-    exec_engine: str = ""  # 'row' | 'vector'; 'mixed' after merging both
-    dispatch_mode: str = ""  # 'serial' | 'threads'; 'mixed' after merging both
+    exec_engine: str = ""  # 'row' | 'vector' (empty: engine has no such choice)
+    dispatch_mode: str = ""  # 'serial' | 'threads' (empty: single node)
     parallelism: int = 0  # max shard queries in flight at once (0 = single node)
     queue_wait_ms: float = 0.0  # time spent waiting in admission queues
     deadline_budget_ms: float = 0.0  # deadline budget left at completion (0 = none)
     cancelled: int = 0  # work units cooperatively cancelled below this result
 
     def merge(self, other: "QueryStats") -> None:
-        self.heap_fetches += other.heap_fetches
-        self.index_entries += other.index_entries
-        self.full_scans += other.full_scans
-        self.string_store_reads += other.string_store_reads
-        self.retries += other.retries
-        self.failed_shards += other.failed_shards
-        self.failovers += other.failovers
-        self.hedges += other.hedges
-        self.hedge_wins += other.hedge_wins
-        self.quorum_reads += other.quorum_reads
-        self.compile_cache_hits += other.compile_cache_hits
-        self.compile_cache_misses += other.compile_cache_misses
-        self.result_cache_hits += other.result_cache_hits
-        self.result_cache_misses += other.result_cache_misses
-        self.singleflight_waits += other.singleflight_waits
-        self.batches += other.batches
-        # Shards execute concurrently at worst, so the cluster-wide peak
-        # is the largest single-shard peak; spill volume is additive.
-        self.peak_mem_bytes = max(self.peak_mem_bytes, other.peak_mem_bytes)
-        self.spill_bytes += other.spill_bytes
-        self.spill_runs += other.spill_runs
-        if other.exec_engine:
-            if not self.exec_engine:
-                self.exec_engine = other.exec_engine
-            elif self.exec_engine != other.exec_engine:
-                self.exec_engine = "mixed"
-        if other.dispatch_mode:
-            if not self.dispatch_mode:
-                self.dispatch_mode = other.dispatch_mode
-            elif self.dispatch_mode != other.dispatch_mode:
-                self.dispatch_mode = "mixed"
-        self.parallelism = max(self.parallelism, other.parallelism)
-        self.queue_wait_ms += other.queue_wait_ms
-        self.cancelled += other.cancelled
-        # The merged result is only as close to its deadline as its
-        # tightest contributor; zero means "no deadline", so it never wins.
-        if other.deadline_budget_ms:
-            if not self.deadline_budget_ms:
-                self.deadline_budget_ms = other.deadline_budget_ms
-            else:
-                self.deadline_budget_ms = min(
-                    self.deadline_budget_ms, other.deadline_budget_ms
-                )
+        """Fold *other* (another shard's stats) in, field by field."""
+        for name, rule in _MERGE_RULES:
+            value = fold_stat(rule, getattr(self, name), getattr(other, name))
+            setattr(self, name, value)
+
+
+_MERGE_RULES = tuple(
+    (f.name, STAT_RULES.get(f.name, "sum")) for f in fields(QueryStats)
+)
 
 
 @dataclass
@@ -103,8 +102,8 @@ class ResultSet:
 
     ``served_by`` maps each shard (by position) to the cluster node that
     actually answered it — under failover or hedging that may not be the
-    primary.  Empty for single-node results and the legacy
-    non-replicated path.
+    primary.  Empty for single-node results and for answers a
+    connector served from its result cache.
     """
 
     records: list[Any] = field(default_factory=list)

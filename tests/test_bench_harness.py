@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,7 +20,7 @@ from repro.bench import (
     run_suite,
     single_node_sizes,
 )
-from repro.bench.expressions import expression
+from repro.bench.expressions import Expression, expression
 from repro.bench.report import (
     format_expression_table,
     format_scaling_table,
@@ -27,6 +28,8 @@ from repro.bench.report import (
     speedup_series,
 )
 from repro.bench.runner import STATUS_OK, STATUS_OOM, STATUS_UNSUPPORTED
+from repro.bench.systems import SystemUnderTest
+from repro.core.connectors.base import SendRecord
 
 
 class TestDatasets:
@@ -141,6 +144,38 @@ class TestRunner:
         params = benchmark_params()
         m = run_expression(systems["PolyFrame-MongoDB"], expression(12), params)
         assert m.status == STATUS_UNSUPPORTED
+
+    def test_send_log_rolls_up_by_each_statistics_rule(self):
+        records = [
+            SendRecord(
+                0.001, 0.001, attempts=2, outcome="ok", exec_engine="row",
+                parallelism=4, peak_mem_bytes=300, spill_bytes=5,
+                queue_wait_ms=0.5, deadline_budget_ms=40.0,
+            ),
+            SendRecord(
+                0.001, 0.001, outcome="partial", shard_retries=1,
+                exec_engine="vector", parallelism=2, peak_mem_bytes=100,
+                spill_bytes=7, queue_wait_ms=1.25, deadline_budget_ms=25.0,
+            ),
+            SendRecord(0.001, 0.0, outcome="error"),
+        ]
+        connector = SimpleNamespace(send_log=[], compile_log=[], tracer=None)
+        system = SystemUnderTest(
+            "Stub", "polyframe", lambda: (None, None), connector=connector
+        )
+        expr = Expression(
+            99, "stub", "", lambda df, df2, p, api: connector.send_log.extend(records)
+        )
+        m = run_expression(system, expr, benchmark_params())
+        assert m.status == STATUS_OK
+        assert m.retries == 2
+        assert m.degraded
+        assert m.exec_engine == "mixed"
+        assert m.parallelism == 4
+        assert m.peak_mem_bytes == 300
+        assert m.spill_bytes == 12
+        assert m.queue_wait_ms == 1.75
+        assert m.deadline_budget_ms == 25.0
 
 
 class TestReports:

@@ -161,6 +161,33 @@ class TestResultSet:
         assert first.heap_fetches == 4
         assert first.string_store_reads == 4
         assert first.full_scans == 1
+        first.merge(QueryStats(queue_wait_ms=0.5, spill_bytes=3))
+        first.merge(QueryStats(queue_wait_ms=1.25, spill_bytes=4))
+        assert first.queue_wait_ms == 1.75
+        assert first.spill_bytes == 7
+
+    def test_stats_merge_takes_the_max(self):
+        first = QueryStats(peak_mem_bytes=300, parallelism=2)
+        first.merge(QueryStats(peak_mem_bytes=100, parallelism=4))
+        assert (first.peak_mem_bytes, first.parallelism) == (300, 4)
+
+    def test_stats_merge_labels_agree_or_turn_mixed(self):
+        first = QueryStats()
+        first.merge(QueryStats(exec_engine="row", dispatch_mode="threads"))
+        assert (first.exec_engine, first.dispatch_mode) == ("row", "threads")
+        first.merge(QueryStats(exec_engine="row"))  # an empty label never votes
+        assert (first.exec_engine, first.dispatch_mode) == ("row", "threads")
+        first.merge(QueryStats(exec_engine="vector", dispatch_mode="serial"))
+        assert (first.exec_engine, first.dispatch_mode) == ("mixed", "mixed")
+
+    def test_stats_merge_keeps_the_tightest_deadline(self):
+        first = QueryStats()
+        first.merge(QueryStats(deadline_budget_ms=40.0))
+        assert first.deadline_budget_ms == 40.0
+        first.merge(QueryStats(deadline_budget_ms=0.0))  # zero means "no deadline"
+        assert first.deadline_budget_ms == 40.0
+        first.merge(QueryStats(deadline_budget_ms=25.0))
+        assert first.deadline_budget_ms == 25.0
 
 
 class TestExplainTree:
