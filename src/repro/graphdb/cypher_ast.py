@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import Any, Optional, Sequence, Union
 
 # ----------------------------------------------------------------------
 # Expressions
@@ -114,22 +114,23 @@ CypherExpr = Union[Lit, Var, Prop, Bin, Un, IsNull, Func, MapLiteral, MapProject
 AGGREGATES = frozenset({"count", "min", "max", "avg", "sum", "stdevp", "stdev"})
 
 
-def contains_aggregate(expr: CypherExpr) -> bool:
-    if isinstance(expr, Func):
-        if expr.name.lower() in AGGREGATES:
-            return True
-        return any(contains_aggregate(arg) for arg in expr.args)
+def children(expr: CypherExpr) -> Sequence[CypherExpr]:
+    """The sub-expressions of *expr*, in evaluation order."""
+    if isinstance(expr, (Prop, Var, Lit)):
+        return ()
     if isinstance(expr, Bin):
-        return contains_aggregate(expr.left) or contains_aggregate(expr.right)
-    if isinstance(expr, Un):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, IsNull):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, MapLiteral):
-        return any(contains_aggregate(value) for _key, value in expr.entries)
-    if isinstance(expr, MapProjection):
-        return any(contains_aggregate(value) for _key, value in expr.entries)
-    return False
+        return (expr.left, expr.right)
+    if isinstance(expr, (Un, IsNull)):
+        return (expr.operand,)
+    if isinstance(expr, Func):
+        return expr.args
+    return [value for _key, value in expr.entries]  # MapLiteral / MapProjection
+
+
+def contains_aggregate(expr: CypherExpr) -> bool:
+    if isinstance(expr, Func) and expr.name.lower() in AGGREGATES:
+        return True
+    return any(map(contains_aggregate, children(expr)))
 
 
 # ----------------------------------------------------------------------

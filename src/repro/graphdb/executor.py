@@ -11,14 +11,17 @@ The executor reproduces the Neo4j behaviours the paper's results depend on:
   index nested-loop join (expression 12);
 - property reads go through the store's record layout, so numeric
   predicates never touch the string store (auditable via
-  ``stats.string_store_reads``).
+  ``stats.string_store_reads``);
+- a labeled MATCH whose WHERE and aggregate read the node only as ``v.p``
+  runs as one loop over property columns (:meth:`CypherExecutor._fuse`).
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from typing import Any, Callable, Iterator
+from dataclasses import replace
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import ExecutionError
 from repro.exec.kernels import finalize_avg, finalize_std
@@ -42,6 +45,7 @@ from repro.graphdb.cypher_ast import (
     Var,
     WithClause,
     WithItem,
+    children,
 )
 from repro.graphdb.store import GraphStore
 from repro.sqlengine.result import QueryStats
@@ -83,11 +87,7 @@ class CypherExecutor:
     ) -> None:
         self._store = store
         self._stats = stats
-        # Graph rows carry NodeHandle objects with live store references,
-        # so blocking stages here account bytes against the budget but
-        # always materialize in memory (the documented fallback) rather
-        # than spilling pickled runs to disk.
-        self._memory = memory if memory is not None else MemoryBudget()
+        self._memory = memory if memory is not None else MemoryBudget()  # never spills
         #: Per-clause profile of the last ``profile=True`` execution.
         self.last_profile: OpProfile | None = None
 
@@ -104,6 +104,7 @@ class CypherExecutor:
                 node.rows_out = len(fast_count)
                 self.last_profile = node
             return fast_count
+        clauses = _prune(clauses)
 
         string_reads_before = self._store.strings.reads
         # Clauses chain as lazy generators (Neo4j's row pipeline), so a
@@ -115,23 +116,27 @@ class CypherExecutor:
         bound_vars: set[str] = set()
         final_items: tuple[WithItem, ...] | None = None
         node: OpProfile | None = None
-        for clause in clauses:
+        fused: list[str] | None = None  # columns read by a fused MATCH + aggregate
+        for clause, following in zip(clauses, clauses[1:] + [None]):
             if isinstance(clause, _MatchStep):
+                desc = "Match({})".format(", ".join(
+                    f"{p.var}:{p.label}" if p.label else p.var for p in clause.patterns
+                ))
+                scan = None if bound_vars else self._fuse(clause, following)
+                if scan is not None:
+                    fused, rows = scan
+                    continue  # the aggregating clause that follows runs in the loop
                 rows = self._execute_match(rows, clause, bound_vars)
                 bound_vars = bound_vars | {pattern.var for pattern in clause.patterns}
-                desc = "Match({})".format(
-                    ", ".join(
-                        f"{p.var}:{p.label}" if p.label else p.var
-                        for p in clause.patterns
-                    )
-                )
             else:
                 assert isinstance(clause, WithClause)
-                rows = self._execute_with(rows, clause)
+                rows = self._execute_with(rows, clause, aggregated=fused is not None)
                 bound_vars = {item.output_name() for item in clause.items}
                 if clause.is_return:
                     final_items = clause.items
-                desc = "Return" if clause.is_return else "With"
+                kind = "Return" if clause.is_return else "With"
+                desc = kind if fused is None else f"{desc}+Aggregate[cols: {', '.join(fused)}]"
+                fused = None
                 if clause.where is not None:
                     desc += "+Filter"
             if profile:
@@ -157,17 +162,11 @@ class CypherExecutor:
             for row in rows:
                 yield output(row)
         finally:
-            self._stats.string_store_reads += (
-                self._store.strings.reads - string_reads_before
-            )
+            self._stats.string_store_reads += self._store.strings.reads - string_reads_before
 
     def _account_rows(self, buffered: list[Row]) -> Iterator[Row]:
-        """Charge a materialized row buffer against the memory budget.
-
-        The bytes stay reserved while downstream clauses drain the
-        buffer and are released when it is exhausted (or the query
-        errors), so ``peak_bytes`` reflects the buffer's lifetime.
-        """
+        """Charge a materialized row buffer against the memory budget until
+        downstream clauses drain it (or the query errors)."""
         nbytes = sum(estimate_record_bytes(row) for row in buffered)
         self._memory.reserve(nbytes)
         try:
@@ -179,25 +178,16 @@ class CypherExecutor:
     # Count-store fast path
     # ------------------------------------------------------------------
     def _try_count_store(self, clauses: list[Any]) -> list[Any] | None:
-        if len(clauses) != 2:
-            return None
-        match, ret = clauses
-        if not isinstance(match, _MatchStep) or not isinstance(ret, WithClause):
-            return None
+        match, ret = clauses if len(clauses) == 2 else (None, None)
+        count = ret.items[0].expr if isinstance(ret, WithClause) and len(ret.items) == 1 else None
         if (
-            len(match.patterns) == 1
-            and match.patterns[0].label is not None
-            and match.where is None
-            and match.order is None
-            and ret.is_return
-            and ret.where is None
-            and not ret.order_by
-            and len(ret.items) == 1
+            isinstance(match, _MatchStep) and len(match.patterns) == 1
+            and match.patterns[0].label is not None and match.where is None
+            and match.order is None and ret.is_return and ret.where is None
+            and not ret.order_by and isinstance(count, Func) and count.star
+            and count.name.lower() == "count"
         ):
-            expr = ret.items[0].expr
-            if isinstance(expr, Func) and expr.name.lower() == "count" and expr.star:
-                count = self._store.counts.node_count(match.patterns[0].label)
-                return [count]
+            return [self._store.counts.node_count(match.patterns[0].label)]
         return None
 
     # ------------------------------------------------------------------
@@ -217,22 +207,16 @@ class CypherExecutor:
             # The ORDER BY folded into this step could not ride an index;
             # sort explicitly (Neo4j's fallback Sort operator).
             var, prop, descending = step.order
-            materialized = list(rows)
-            materialized.sort(key=_sort_key(Prop(var, prop)), reverse=descending)
-            rows = self._account_rows(materialized)
+            key = _sort_key(Prop(var, prop))
+            rows = self._account_rows(sorted(rows, key=key, reverse=descending))
         return rows
 
     def _bind_pattern(
-        self,
-        rows: Iterator[Row],
-        pattern: Pattern,
-        conjuncts: list[CypherExpr],
-        step: "_MatchStep",
-        bound_vars: set[str],
+        self, rows: Iterator[Row], pattern: Pattern, conjuncts: list[CypherExpr],
+        step: "_MatchStep", bound_vars: set[str],
     ) -> tuple[Iterator[Row], list[CypherExpr]]:
         if pattern.var in bound_vars:
-            # Re-matching an already bound variable (``MATCH (t), (r:L)``)
-            # adds no bindings.
+            # Re-matching an already bound variable (``MATCH (t), (r:L)``) adds nothing.
             return rows, conjuncts
 
         # Index nested-loop join: new.p = bound.q on an indexed property.
@@ -246,8 +230,7 @@ class CypherExecutor:
         # Seeding scan: pick an index seek / range when the predicate allows.
         candidates, remaining = self._seed_candidates(pattern, conjuncts, step)
         if not bound_vars:
-            # Consume the seed row stream (a single empty row) eagerly; the
-            # candidate walk itself stays lazy.
+            # The seed row stream is a single empty row; the candidate walk stays lazy.
             def seed() -> Iterator[Row]:
                 for node_id in candidates:
                     yield {pattern.var: NodeHandle(self._store, node_id)}
@@ -258,9 +241,7 @@ class CypherExecutor:
             node_ids = list(candidates)  # re-iterated per outer row
             for row in rows:
                 for node_id in node_ids:
-                    merged = dict(row)
-                    merged[pattern.var] = NodeHandle(self._store, node_id)
-                    yield merged
+                    yield {**row, pattern.var: NodeHandle(self._store, node_id)}
 
         return expand(), remaining
 
@@ -293,9 +274,7 @@ class CypherExecutor:
                 continue
             for node_id in tree.search(index_key(value)):
                 self._stats.index_entries += 1
-                merged = dict(row)
-                merged[pattern.var] = NodeHandle(self._store, node_id)
-                yield merged
+                yield {**row, pattern.var: NodeHandle(self._store, node_id)}
 
     def _seed_candidates(
         self, pattern: Pattern, conjuncts: list[CypherExpr], step: "_MatchStep"
@@ -307,52 +286,33 @@ class CypherExecutor:
         # Equality seek.
         for position, part in enumerate(conjuncts):
             matched = _match_prop_literal(part, pattern.var)
-            if matched is None:
-                continue
-            op, prop, value = matched
-            if op == "=" and self._store.has_index(label, prop):
+            if matched and matched[0] == "=" and self._store.has_index(label, matched[1]):
                 remaining = conjuncts[:position] + conjuncts[position + 1:]
-                return self._index_seek(label, prop, value), remaining
-        # Range scan (collect both bounds on one property).
+                return self._index_seek(label, matched[1], matched[2]), remaining
+        # Range scan: both bounds on the first indexed property that has one.
         bounds: dict[str, dict[str, Any]] = {}
         for part in conjuncts:
             matched = _match_prop_literal(part, pattern.var)
-            if matched is None:
-                continue
-            op, prop, value = matched
-            if op in (">", ">=", "<", "<=") and self._store.has_index(label, prop):
-                entry = bounds.setdefault(prop, {})
-                if op in (">", ">="):
-                    entry["low"] = value
-                    entry["low_inc"] = op == ">="
-                else:
-                    entry["high"] = value
-                    entry["high_inc"] = op == "<="
+            if matched and matched[0] in _ORDERINGS and self._store.has_index(label, matched[1]):
+                op, prop, value = matched
+                side = "low" if op in (">", ">=") else "high"
+                bounds.setdefault(prop, {}).update({side: value, f"{side}_inc": "=" in op})
         for prop, entry in bounds.items():
-            if "low" in entry or "high" in entry:
-                remaining = [
-                    part
-                    for part in conjuncts
-                    if not (
-                        (m := _match_prop_literal(part, pattern.var)) is not None
-                        and m[1] == prop
-                        and m[0] in (">", ">=", "<", "<=")
-                    )
-                ]
-                return (
-                    self._index_range(label, prop, entry),
-                    remaining,
-                )
+            remaining = [
+                part
+                for part in conjuncts
+                if not ((m := _match_prop_literal(part, pattern.var)) and m[1] == prop
+                        and m[0] in _ORDERINGS)
+            ]
+            return self._index_range(label, prop, entry), remaining
 
         # Ordered scan (ORDER BY ... LIMIT pushed into the match).
         if step.order is not None:
             order_var, order_prop, descending = step.order
             if order_var == pattern.var and self._store.has_index(label, order_prop):
                 step.order_served = True
-                return (
-                    self._index_ordered(label, order_prop, descending, step.limit_hint),
-                    conjuncts,
-                )
+                ordered = self._index_ordered(label, order_prop, descending, step.limit_hint)
+                return ordered, conjuncts
 
         return self._label_scan(label), conjuncts
 
@@ -371,9 +331,7 @@ class CypherExecutor:
         low = index_key(entry["low"]) if "low" in entry else (2,)
         high = index_key(entry["high"]) if "high" in entry else None
         for _key, node_id in self._store.index(label, prop).scan(
-            low,
-            high,
-            low_inclusive=entry.get("low_inc", True),
+            low, high, low_inclusive=entry.get("low_inc", True),
             high_inclusive=entry.get("high_inc", True),
         ):
             self._stats.index_entries += 1
@@ -382,27 +340,20 @@ class CypherExecutor:
     def _index_ordered(
         self, label: str, prop: str, descending: bool, limit: int | None
     ) -> Iterator[int]:
-        produced = 0
-        for _key, node_id in self._store.index(label, prop).scan(reverse=descending):
+        entries = self._store.index(label, prop).scan(reverse=descending)
+        for _key, node_id in itertools.islice(entries, limit):
             self._stats.index_entries += 1
             yield node_id
-            produced += 1
-            if limit is not None and produced >= limit:
-                return
 
     # ------------------------------------------------------------------
     # WITH / RETURN
     # ------------------------------------------------------------------
-    def _execute_with(self, rows: Iterator[Row], clause: WithClause) -> Iterator[Row]:
+    def _execute_with(
+        self, rows: Iterator[Row], clause: WithClause, aggregated: bool = False
+    ) -> Iterator[Row]:
         if clause.has_aggregates():
-            buffered = list(rows)
-            nbytes = sum(estimate_record_bytes(row) for row in buffered)
-            self._memory.reserve(nbytes)
-            try:
-                aggregated = self._aggregate(buffered, clause.items)
-            finally:
-                self._memory.release(nbytes)
-            rows = self._account_rows(aggregated)
+            if not aggregated:  # else *rows* are its groups already (see _fuse)
+                rows = self._aggregate(((row, row) for row in rows), clause.items)
         else:
             items = [(item.output_name(), _compile(item.expr)) for item in clause.items]
             if len(items) == 1:
@@ -436,55 +387,91 @@ class CypherExecutor:
     # ------------------------------------------------------------------
     # Implicit grouping (Cypher aggregates)
     # ------------------------------------------------------------------
-    def _aggregate(self, rows: list[Row], items: tuple[WithItem, ...]) -> list[Row]:
-        group_exprs: list[CypherExpr] = []
-        agg_calls: list[Func] = []
-
-        def classify(expr: CypherExpr) -> None:
-            if isinstance(expr, Func) and expr.name.lower() in AGGREGATES:
-                agg_calls.append(expr)
-            elif isinstance(expr, (MapLiteral, MapProjection)):
-                entries = expr.entries
-                for _key, value in entries:
-                    classify(value)
-                if isinstance(expr, MapProjection) and (expr.include_all or expr.extra_vars):
-                    group_exprs.append(Var(expr.var))
-            elif isinstance(expr, Bin):
-                classify(expr.left)
-                classify(expr.right)
-            elif isinstance(expr, (Un, IsNull)):
-                classify(expr.operand)
-            elif not isinstance(expr, Lit):
-                group_exprs.append(expr)
-
-        for item in items:
-            classify(item.expr)
-
-        # Resolved once per clause: group-key closures, (accumulator factory,
-        # argument closure) pairs, output closures reading a group's results.
-        key_parts = [_compile(expr) for expr in group_exprs]
-        aggregates = [_compile_aggregate(call) for call in agg_calls]
-        slots = {id(call): slot for slot, call in enumerate(agg_calls)}
+    def _aggregate(
+        self, feed: Iterable[tuple[Any, Any]], items: tuple[WithItem, ...],
+        columns: dict | None = None, represent: Callable = lambda row: row,
+    ) -> Iterator[Row]:
+        """Group ``(source, values)`` pairs as they stream in, one row out per group.
+        Keys and arguments read *values* (column tuples in slot mode, *columns*);
+        outputs read ``represent(source)`` of a group's first member."""
+        group_exprs, calls = _classify(items)
+        key_parts = [_compile(expr, columns) for expr in group_exprs]
+        if columns is None:  # a row's key may be a node or a map: group its hashable form
+            key_parts = [lambda row, aggs, part=part: _hashable(_plain_value(part(row, aggs)))
+                         for part in key_parts]
+        leading = columns is not None and [
+            columns.get((e.var, e.name)) for e in group_exprs if isinstance(e, Prop)]
+        if leading == list(range(len(group_exprs))):  # plain key columns lead: slice them
+            key_of = operator.itemgetter(slice(len(group_exprs)))
+        else:
+            key_of = lambda values: tuple([part(values, None) for part in key_parts])  # noqa: E731
+        aggregates = [_compile_aggregate(call, columns) for call in calls]
+        slots = {id(call): slot for slot, call in enumerate(calls)}
         outputs = [(item.output_name(), _compile(item.expr, slots)) for item in items]
 
         def new_group(representative: Row) -> tuple[list[tuple[RowFn, Any]], Row]:
             return [(argument, make()) for make, argument in aggregates], representative
 
         groups: dict[tuple, tuple[list[tuple[RowFn, Any]], Row]] = {}
-        for row in rows:
-            key = tuple([_hashable(_plain_value(part(row, None))) for part in key_parts])
-            entry = groups.get(key)
-            if entry is None:
-                entry = groups[key] = new_group(row)
-            for argument, acc in entry[0]:
-                acc.add(argument(row, None))
-        if not group_exprs and not groups:
-            groups[()] = new_group({})
-        out: list[Row] = []
-        for fed, representative in groups.values():
-            results = [acc.result() for _argument, acc in fed]
-            out.append({name: fn(representative, results) for name, fn in outputs})
-        return out
+        charged = 0
+        try:
+            for source, values in feed:
+                key = key_of(values)
+                entry = groups.get(key)
+                if entry is None:
+                    entry = groups[key] = new_group(represent(source))
+                    nbytes = estimate_record_bytes(entry[1])
+                    self._memory.reserve(nbytes)
+                    charged += nbytes
+                for argument, acc in entry[0]:
+                    acc.add(argument(values, None))
+            if not group_exprs and not groups:
+                groups[()] = new_group({})
+            out = []  # every group's outputs before the first row: a LIMIT reads no fewer
+            for fed, representative in groups.values():
+                results = [acc.result() for _argument, acc in fed]
+                out.append({name: fn(representative, results) for name, fn in outputs})
+            yield from out
+        finally:
+            self._memory.release(charged)
+
+    def _fuse(self, step: "_MatchStep", clause: Any) -> tuple[list[str], Iterator[Row]] | None:
+        """``(columns, groups)`` of *step* and the aggregating *clause* as one loop over
+        columns, when one labeled pattern's WHERE and items read it only as ``v.p``."""
+        pattern = step.patterns[0]
+        if len(step.patterns) != 1 or pattern.label is None or step.order is not None:
+            return None
+        if not (isinstance(clause, WithClause) and clause.has_aggregates()):
+            return None
+        var = pattern.var
+        conjuncts = _conjuncts(step.where) if step.where is not None else []
+        reads = [ref for expr in conjuncts + [i.expr for i in clause.items] for ref in _refs(expr)]
+        if any(not isinstance(ref, Prop) or ref.var != var for ref in reads):
+            return None
+        candidates, remaining = self._seed_candidates(pattern, conjuncts, step)
+        group_exprs, calls = _classify(clause.items)
+        # One column per read (keys first), so read_columns books the string
+        # reads the row chain does: the WHERE's for every node, the rest for kept ones.
+        fed = [ref.name for expr in group_exprs + _arguments(calls) for ref in _refs(expr)]
+        columns = fed + [ref.name for part in remaining for ref in _refs(part)]
+        slots = {(var, name): slot for slot, name in reversed(list(enumerate(columns)))}
+        test = _compile(_conjoin(remaining), slots) if remaining else None
+        store, unkept = self._store, len(fed)
+
+        def scan() -> Iterator[tuple[int, tuple]]:
+            node_ids = list(candidates)
+            rows = zip(node_ids, store.read_columns(node_ids, columns))
+            if test is None:
+                yield from rows
+                return
+            for node_id, values in rows:
+                if test(values, None) is True:
+                    yield node_id, values
+                elif unkept:
+                    store.strings.reads -= sum(isinstance(v, str) for v in values[:unkept])
+
+        represent = lambda node_id: {var: NodeHandle(store, node_id)}  # noqa: E731
+        return list(dict.fromkeys(columns)), self._aggregate(scan(), clause.items, slots, represent)
 
 
 # ----------------------------------------------------------------------
@@ -496,19 +483,20 @@ class CypherExecutor:
 RowFn = Callable[[Row, Any], Any]
 
 
-def _compile(expr: CypherExpr, agg_slots: dict[int, int] | None = None) -> RowFn:
+def _compile(expr: CypherExpr, slots: dict[Any, int] | None = None) -> RowFn:
     """Compile a Cypher expression into a closure, once per clause.
 
     Node type, operator and function name are switched on here, not per
     row.  Nothing raises at compile time: an unbound variable, unknown
     function or misplaced aggregate raises when the closure is *called*.
-    With ``agg_slots`` (``id(aggregate call) -> position``) aggregate
-    calls compile to reads of the group's result list.
+    With ``slots``, aggregate calls keyed ``id(call)`` read the group's
+    result list, and properties keyed ``(var, prop)`` read that position of
+    an already-read column tuple (slot mode: the closure's first argument).
     """
     build = _BUILDERS.get(type(expr))
     if build is None:
         return _raises(f"cannot evaluate {type(expr).__name__}")
-    return build(expr, agg_slots)
+    return build(expr, slots)
 
 
 def _output(items: tuple[WithItem, ...]) -> Callable[[Row], Any]:
@@ -552,8 +540,11 @@ def _compile_var(expr: Var, _slots: Any) -> RowFn:
     return read
 
 
-def _compile_prop(expr: Prop, _slots: Any) -> RowFn:
+def _compile_prop(expr: Prop, slots: Any) -> RowFn:
     var, name = expr.var, expr.name
+    slot = None if slots is None else slots.get((var, name))
+    if slot is not None:
+        return lambda values, _aggs: values[slot]
 
     def read(row: Row, _aggs: Any) -> Any:
         base = row.get(var)
@@ -770,21 +761,87 @@ def _normalize(query: CypherQuery) -> list[Any]:
                         break
                 next_index += 1
             # A trailing passthrough RETURN with LIMIT bounds an ordered scan.
-            if (
-                step.order is not None
-                and next_index < len(clauses)
-                and isinstance(clauses[next_index], WithClause)
-                and clauses[next_index].is_return
-                and clauses[next_index].is_passthrough()
-                and clauses[next_index].limit is not None
-            ):
-                step.limit_hint = clauses[next_index].limit
+            tail = clauses[next_index] if next_index < len(clauses) else None
+            if step.order is not None and isinstance(tail, WithClause) and tail.is_return:
+                if tail.is_passthrough() and tail.limit is not None:
+                    step.limit_hint = tail.limit
             steps.append(step)
             index = next_index
             continue
         steps.append(clause)
         index += 1
     return steps
+
+
+def _refs(expr: CypherExpr | None) -> list[CypherExpr]:
+    """Every ``Prop`` / ``Var`` read of *expr* in order (``t{.*, r}`` reads t and r whole)."""
+    if isinstance(expr, (Var, Prop)):
+        return [expr]
+    out = [ref for child in children(expr) for ref in _refs(child)]
+    if isinstance(expr, MapProjection):
+        out += [Var(expr.var)] * expr.include_all + [Var(name) for name in expr.extra_vars]
+    return out
+
+
+def _folds(clause: WithClause, following: WithClause, nodes: set[str]) -> bool:
+    """Whether *following* can read the node of an identity projection ``WITH t{'k': t.k}``
+    in its place: each entry once per row, projected or as an aggregate argument (a group
+    key is re-read per group), so not even the string-store reads change."""
+    projection = clause.items[0].expr if len(clause.items) == 1 else None
+    if (
+        not isinstance(projection, MapProjection)
+        or projection.include_all
+        or projection.extra_vars
+        or projection.var not in nodes
+        or clause.items[0].output_name() != projection.var
+    ):
+        return False
+    entries = [str(value) for _key, value in projection.entries]  # "t.k" for each t.k
+    reads = [ref for item in following.items for ref in _refs(item.expr)]
+    if entries != [f"{projection.var}.{key}" for key, _v in projection.entries] or sorted(
+        map(str, reads)
+    ) != sorted(entries):
+        return False
+    fed = _arguments(_classify(following.items)[1]) if following.has_aggregates() else None
+    return fed is None or reads == [ref for arg in fed for ref in _refs(arg)]
+
+
+def _prune(steps: list[Any]) -> list[Any]:
+    """Drop plain WITHs and items the next clause needs no row of (:func:`_folds`, or unread
+    items that cannot raise); runs after the count-store check, which sees the query as written."""
+    out: list[Any] = []
+    bound: set[str] = set()
+    nodes: set[str] = set()  # the bound variables known to hold nodes
+    for clause, following in zip(steps, steps[1:] + [None]):
+        if isinstance(clause, _MatchStep):
+            fresh = {pattern.var for pattern in clause.patterns} - bound
+            bound, nodes = bound | fresh, nodes | fresh
+            out.append(clause)
+            continue
+        inert = isinstance(following, WithClause) and not (
+            clause.is_return or clause.distinct or clause.order_by or clause.where is not None
+            or clause.limit is not None
+        ) and [  # items that cannot raise: a node, or a map projection of node properties
+            isinstance(item.expr, Var) and item.expr.name in nodes
+            or isinstance(item.expr, MapProjection) and item.expr.var in nodes
+            and all(isinstance(v, Prop) and v.var in nodes for v in children(item.expr))
+            for item in clause.items
+        ]
+        if inert and any(inert) and not clause.has_aggregates():
+            if _folds(clause, following, nodes):
+                continue
+            read = {ref.var if isinstance(ref, Prop) else ref.name
+                    for item in following.items for ref in _refs(item.expr)}
+            keep = tuple(item for item, droppable in zip(clause.items, inert)
+                         if not droppable or item.output_name() in read)
+            if not keep and not read:
+                continue  # the next clause reads no variable: the whole WITH goes
+            clause = clause if len(keep) == len(clause.items) else replace(clause, items=keep)
+        bound = {item.output_name() for item in clause.items}
+        nodes = {item.output_name() for item in clause.items
+                 if isinstance(item.expr, Var) and item.expr.name in nodes}
+        out.append(clause)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -879,7 +936,7 @@ _ACCUMULATORS: dict[str, Callable[[], Any]] = {
 }
 
 
-def _compile_aggregate(call: Func) -> tuple[Callable[[], Any], RowFn]:
+def _compile_aggregate(call: Func, slots: Any = None) -> tuple[Callable[[], Any], RowFn]:
     """``(accumulator factory, argument closure)`` of one aggregate call."""
     make = _ACCUMULATORS[call.name.lower()]
     if call.star:
@@ -887,7 +944,33 @@ def _compile_aggregate(call: Func) -> tuple[Callable[[], Any], RowFn]:
         return make, lambda _row, _aggs: counted
     if not call.args:  # ``count()``: fails at the first row, never on no rows
         return make, lambda _row, _aggs: call.args[0]
-    return make, _compile(call.args[0])
+    return make, _compile(call.args[0], slots)
+
+
+def _arguments(calls: list[Func]) -> list[CypherExpr]:
+    """The argument each aggregate call evaluates per row (only the first)."""
+    return [call.args[0] for call in calls if call.args and not call.star]
+
+
+def _classify(items: tuple[WithItem, ...]) -> tuple[list[CypherExpr], list[Func]]:
+    """Split aggregating items into implicit group keys and aggregate calls."""
+    group_exprs: list[CypherExpr] = []
+    agg_calls: list[Func] = []
+
+    def classify(expr: CypherExpr) -> None:
+        if isinstance(expr, Func) and expr.name.lower() in AGGREGATES:
+            agg_calls.append(expr)
+        elif isinstance(expr, (MapLiteral, MapProjection, Bin, Un, IsNull)):
+            for child in children(expr):
+                classify(child)
+            if isinstance(expr, MapProjection) and (expr.include_all or expr.extra_vars):
+                group_exprs.append(Var(expr.var))
+        elif not isinstance(expr, Lit):
+            group_exprs.append(expr)
+
+    for item in items:
+        classify(item.expr)
+    return group_exprs, agg_calls
 
 
 def _hashable(value: Any) -> Any:

@@ -13,11 +13,16 @@ consequence — numeric scans never touch string data) with:
 - :class:`CountStore` — per-label node counts, updated transactionally on
   insert, giving O(1) ``COUNT(*)`` per label.
 
-Property keys are interned to integer ids (as in Neo4j's key token store).
+Property keys are interned to integer ids (as in Neo4j's key token store),
+and each node's record layout (key ids, and which records are strings) as a
+*shape* written on insert: a ``{key_id: position}`` map plus the string count,
+so a property read is one dict probe plus one index, not a walk of the chain.
 """
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import getitem, itemgetter
 from typing import Any, Iterator, NamedTuple
 
 from repro.errors import CatalogError, StorageError
@@ -79,8 +84,10 @@ class GraphStore:
     def __init__(self) -> None:
         self._key_tokens: dict[str, int] = {}
         self._key_names: list[str] = []
-        #: ``(label, property records, how many of them are strings)``
-        self._nodes: list[tuple[str, tuple[PropertyRecord, ...], int]] = []
+        #: ``(label, property records, shape)``
+        self._nodes: list[tuple[str, tuple[PropertyRecord, ...], tuple[dict, int]]] = []
+        #: ``(key_id, is a string)`` per record -> shape: ``({key_id: position}, strings)``
+        self._shapes: dict[tuple, tuple[dict[int, int], int]] = {}
         self._label_index: dict[str, list[int]] = {}
         self._property_indexes: dict[tuple[str, str], BPlusTree] = {}
         self.strings = StringStore()
@@ -123,8 +130,11 @@ class GraphStore:
                     f"unsupported property type {type(value).__name__} for {name!r}"
                 )
         node_id = len(self._nodes)
-        strings = sum(record.kind == KIND_STRING for record in records)
-        self._nodes.append((label, tuple(records), strings))
+        layout = tuple((record.key_id, record.kind == KIND_STRING) for record in records)
+        if layout not in self._shapes:
+            positions = {key_id: i for i, (key_id, _string) in enumerate(layout)}
+            self._shapes[layout] = positions, sum(string for _key_id, string in layout)
+        self._nodes.append((label, tuple(records), self._shapes[layout]))
         self._label_index.setdefault(label, []).append(node_id)
         self.counts.increment(label)
         for (index_label, prop), tree in self._property_indexes.items():
@@ -182,18 +192,44 @@ class GraphStore:
         Returns :data:`SENTINEL_MISSING` when the node has no such property
         record — reading a numeric property never touches string data.
         """
-        key_id = self._key_tokens.get(name)
-        if key_id is None:
+        _label, records, (positions, _strings) = self._nodes[node_id]
+        position = positions.get(self._key_tokens.get(name))
+        if position is None:
             return SENTINEL_MISSING
-        for record in self._nodes[node_id][1]:
-            if record[0] == key_id:  # positional: most records are only passed over
-                _key, kind, payload = record
-                return self.strings.read(payload) if kind == KIND_STRING else payload
-        return SENTINEL_MISSING
+        _key, kind, payload = records[position]
+        return self.strings.read(payload) if kind == KIND_STRING else payload
+
+    def read_columns(self, node_ids: list[int], names: list[str]) -> list[tuple]:
+        """The named properties of each node as one tuple, read a column at a time with
+        positions resolved per shape; absent reads as ``None``, a string books one read."""
+        nodes = list(map(self._nodes.__getitem__, node_ids))
+        records = list(map(itemgetter(1), nodes))
+        shapes = list(map(id, map(itemgetter(2), nodes)))
+        columns, read = [], {}  # a name listed twice is read once and booked twice
+        for name in names:
+            if name not in read:
+                key_id = self._key_tokens.get(name)
+                where = {id(shape): shape[0].get(key_id) for shape in self._shapes.values()}
+                positions = list(map(where.__getitem__, shapes))
+                if None in positions:  # an absent property reads as a NULL record
+                    null = PropertyRecord(-1, KIND_NULL, None)
+                    picked = [null if p is None else r[p] for r, p in zip(records, positions)]
+                else:
+                    picked = list(map(getitem, records, positions))
+                values = list(map(itemgetter(2), picked))
+                is_string = map(KIND_STRING.__eq__, map(itemgetter(1), picked))
+                strings = list(compress(range(len(values)), is_string))
+                for i in strings:
+                    values[i] = self.strings.data[values[i]]
+                read[name] = values, len(strings)
+            values, strings = read[name]
+            self.strings.reads += strings
+            columns.append(values)
+        return list(zip(*columns)) if columns else [()] * len(nodes)
 
     def node_properties(self, node_id: int) -> dict[str, Any]:
         """Materialize every property of a node (string reads counted)."""
-        _label, records, strings = self._nodes[node_id]
+        _label, records, (_positions, strings) = self._nodes[node_id]
         names, data = self._key_names, self.strings.data
         self.strings.reads += strings  # one counted read per string record
         return {

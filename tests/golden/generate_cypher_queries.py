@@ -122,7 +122,7 @@ MIXED_INDEXES = (("w", "unique1"), ("w", "ten"), ("v", "unique1"))
 _MIXED_VALUES = [0, 1, 2, 3, 2.5, -1, 7.0, "x", "abc", "", True, False, None]
 
 
-def mixed_nodes(label: str, count: int, rng: random.Random) -> list[dict[str, Any]]:
+def mixed_nodes(count: int, rng: random.Random) -> list[dict[str, Any]]:
     """Wisconsin-like records where some properties are NULL, absent or oddly typed."""
     nodes = []
     for i in range(count):
@@ -238,7 +238,7 @@ def _aggregate_query(rng: random.Random) -> str:
         tail.append(f"LIMIT {rng.randint(1, 4)}")
     if rng.random() < 0.3:
         lines.append(f"WITH {', '.join(items)}")
-        having = f" WHERE a0 IS NOT NULL" if rng.random() < 0.5 else ""
+        having = " WHERE a0 IS NOT NULL" if rng.random() < 0.5 else ""
         lines[-1] += having
         lines.append(f"RETURN {', '.join(names)}" + ("\n" + "\n".join(tail) if tail else ""))
     else:
@@ -250,7 +250,8 @@ _OTHER_SHAPES = [
     # Dead projections before a count: nothing downstream reads them.
     "MATCH (t:w)\nWITH t{.*}\nRETURN count(*) AS c",
     "MATCH (t:w) WHERE t.two = 1\nWITH t{.*, b: t.b}\nRETURN count(*) AS c",
-    "MATCH (t:w)\nMATCH (t), (r:v)\nWHERE t.unique1 = r.unique1\nWITH t{.*, r}\nRETURN COUNT(*) AS c",
+    "MATCH (t:w)\nMATCH (t), (r:v)\nWHERE t.unique1 = r.unique1\nWITH t{.*, r}\n"
+    "RETURN COUNT(*) AS c",
     "MATCH (t:w)\nMATCH (t), (r:v)\nWHERE t.unique1 = r.unique1 AND r.two = 0\n"
     "WITH t{.*, r}\nRETURN COUNT(*) AS c",
     "MATCH (t:w)\nMATCH (t), (r:v)\nWHERE t.unique1 = r.unique1\nWITH t{.*, r}\n"
@@ -308,8 +309,8 @@ def build_store(kind: str):
             load_neo4j(db, label, records)
         return db
     rng = random.Random(SEED)
-    db.load("w", mixed_nodes("w", MIXED_NODES, rng))
-    db.load("v", mixed_nodes("v", MIXED_NODES // 2, rng))
+    db.load("w", mixed_nodes(MIXED_NODES, rng))
+    db.load("v", mixed_nodes(MIXED_NODES // 2, rng))
     for label, prop in MIXED_INDEXES:
         db.create_index(label, prop)
     return db

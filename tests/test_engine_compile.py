@@ -1,6 +1,6 @@
 """The document and graph engines compile a stage / clause once.
 
-Three things are pinned here:
+Four things are pinned here:
 
 * **semantics** — ``tests/golden/engine_exprs.json`` was captured from the
   tree-walking interpreters at the parent of PR 17 (≥ 500 cases per
@@ -13,7 +13,11 @@ Three things are pinned here:
   ``_compile`` the same number of times over 10 rows and over 1,000, and
   no row consults ``typing.Mapping``;
 * **one arithmetic** — ``mean()`` / ``std()`` are bit-equal on all four
-  backends (Neo4j kept a float sum and Welford's recurrence before).
+  backends (Neo4j kept a float sum and Welford's recurrence before);
+* **column at a time** — a labeled MATCH feeding an aggregate (Table III
+  E4, E8) compiles the same number of times over 10 and 1,000 nodes,
+  builds at most one ``NodeHandle`` per group, still raises only where an
+  expression is evaluated, and charges memory per group, not per row.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ import sys
 import pytest
 
 from repro.docstore import MongoDatabase, exprs, pipeline
+from repro.errors import ExecutionError
 from repro.graphdb import Neo4jDatabase, executor
+from repro.wisconsin import load_neo4j, wisconsin_records
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -196,6 +202,80 @@ class TestCompiledOnce:
         graph = _neo4j(10)
         assert graph.execute("MATCH(t: rows) WHERE t.n < 0 RETURN foo(t.n) AS v").records == []
         assert graph.execute("MATCH(t: rows) WHERE t.n < 0 RETURN q AS v").records == []
+
+
+# ----------------------------------------------------------------------
+# The graph engine's label scan → aggregate runs column at a time
+# ----------------------------------------------------------------------
+E4 = ("MATCH(t: data)\nWITH {'oddOnePercent': t.oddOnePercent, "
+      "'count_oddOnePercent': count(t.oddOnePercent)} AS t\nRETURN t")
+E8 = "MATCH(t: data)\nWITH {'twenty': t.twenty, 'max_four': max(t.four)} AS t\nRETURN t"
+#: The accounted peak of ``GROUPED_COUNT`` before aggregates charged per
+#: group: 346 B for every one of the 10,000 buffered input rows.
+ROW_BUFFER_PEAK_BYTES = 3_460_000
+GROUPED_COUNT = "MATCH (t:rows) RETURN t.mod AS mod, {}"
+
+
+def _wisconsin_graph(count: int) -> Neo4jDatabase:
+    db = Neo4jDatabase(query_prep_overhead=0.0)
+    load_neo4j(db, "data", wisconsin_records(count))
+    return db
+
+
+def _fused(db: Neo4jDatabase, query: str) -> bool:
+    profile = db.execute(query, analyze=True).op_profile
+    return any("+Aggregate[cols:" in node.name for node in profile.walk())
+
+
+class TestGraphColumnLoop:
+    def test_e8_compiles_the_same_number_of_times_for_any_node_count(self, monkeypatch):
+        calls = _counting(monkeypatch, (executor,), "_compile")
+        counts, answers = [], []
+        for size in (10, 1000):
+            db = _wisconsin_graph(size)
+            calls[0] = 0
+            answers.append(db.execute(E8).records)
+            counts.append(calls[0])
+        assert _fused(db, E8)
+        assert counts[0] == counts[1] > 0
+        assert len(answers[1]) == 20
+
+    @pytest.mark.parametrize("query, groups", [(E8, 20), (E4, 100)], ids=["E8", "E4"])
+    def test_at_most_one_node_handle_per_group(self, monkeypatch, query, groups):
+        db = _wisconsin_graph(1000)
+        made = [0]
+        original = executor.NodeHandle.__init__
+
+        def counted(handle, *args):
+            made[0] += 1
+            original(handle, *args)
+
+        monkeypatch.setattr(executor.NodeHandle, "__init__", counted)
+        assert len(db.execute(query).records) == groups
+        assert 0 < made[0] <= groups
+
+    def test_errors_only_raise_where_they_are_evaluated(self):
+        graph = _neo4j(10)
+        empty = [
+            "MATCH(t: rows) WHERE t.n < 0 RETURN foo(t.n) AS v",
+            "MATCH(t: rows) WHERE t.n < 0 RETURN t.mod AS m, max(foo(t.n)) AS v",
+            "MATCH(t: rows) WHERE t.n < 0 RETURN foo(t.mod) AS m, count(*) AS c",
+        ]
+        for query in empty:
+            assert graph.execute(query).records == []
+        assert _fused(graph, empty[1]) and _fused(graph, empty[2])
+        with pytest.raises(ExecutionError, match="unknown function 'foo'"):
+            graph.execute("MATCH(t: rows) RETURN t.mod AS m, max(foo(t.n)) AS v")
+
+    @pytest.mark.parametrize("count", ["count(*) AS c", "count(t) AS c"], ids=["fused", "rows"])
+    def test_aggregate_charges_memory_per_group_not_per_row(self, count):
+        db = Neo4jDatabase(query_prep_overhead=0.0)
+        db.load("rows", [{"n": i, "mod": i % 4} for i in range(10_000)])
+        query = GROUPED_COUNT.format(count)
+        result = db.execute(query)
+        assert [record["c"] for record in result.records] == [2500] * 4
+        assert 0 < result.stats.peak_mem_bytes < ROW_BUFFER_PEAK_BYTES / 50
+        assert _fused(db, query) == (count == "count(*) AS c")
 
 
 # ----------------------------------------------------------------------

@@ -135,3 +135,23 @@ def test_docstore_and_graph_operator_names(request):
     graph = frame_for("neo4j", request)
     report = graph[graph["ten"] < 5].explain(analyze=True)
     assert "Match" in report
+
+
+@pytest.mark.parametrize(
+    "build, columns",
+    [
+        (lambda df: df.groupby("oddOnePercent").agg("count"), "oddOnePercent"),
+        (lambda df: df.groupby("twenty")["four"].agg("max"), "twenty, four"),
+    ],
+    ids=["E4", "E8"],
+)
+def test_graph_scan_aggregate_is_one_profile_node(build, columns, request):
+    """The fused label-scan → aggregate loop names its pattern and columns."""
+    fresh = lambda: build(frame_for("neo4j", request))  # noqa: E731 - a cache per connector
+    profiled = fresh().profile()
+    assert_profile_invariants(profiled.profile)
+    names = [node.name for node in profiled.profile.walk()]
+    assert names == ["Return", f"Match(t:data)+Aggregate[cols: {columns}]"]
+    assert profiled.profile.children[0].rows_out == len(profiled.frame)
+    assert profiled.frame.to_records() == fresh().collect().to_records()
+    assert f"Aggregate[cols: {columns}]" in fresh().explain(analyze=True)
