@@ -1,9 +1,11 @@
-"""Semantic query-result caching with write invalidation.
+"""Caching: compiled queries, and query results with write invalidation.
 
 PolyFrame's lazy evaluation re-ships a query to the backend on every
 action, even when the same logical plan over unchanged data was just
-answered.  The compiled-query cache (PR 2) removes the *compilation*
-cost of that repetition; this package removes the *execution* cost:
+answered.  :class:`CompiledQueryCache` removes the *compilation* cost of
+that repetition — PolyFrame keeps one per connector, keyed on the plan's
+shape, and the SQL, SQL++ and Cypher engines one each for their prepared
+plans; the rest of this package removes the *execution* cost:
 
 - :class:`ResultCache` — a byte-budgeted LRU of materialized results
   with cost-aware admission (minimum query time, maximum entry size),
@@ -17,11 +19,12 @@ cost of that repetition; this package removes the *execution* cost:
 - :func:`resolve_result_cache` — the ``cache=`` kwarg / ``REPRO_CACHE``
   environment variable resolution shared by connectors and clusters.
 
-Caching is off by default (seed-identical behavior); see
+Result caching is off by default (seed-identical behavior); see
 ``docs/caching.md`` for the key structure, invalidation rules, admission
 policy, and fallback matrix.
 """
 
+from repro.cache.compiled import CompiledQueryCache
 from repro.cache.result_cache import (
     DEFAULT_MAX_BYTES,
     ENV_CACHE,
@@ -36,6 +39,7 @@ __all__ = [
     "DEFAULT_MAX_BYTES",
     "ENV_CACHE",
     "CacheEntry",
+    "CompiledQueryCache",
     "DatasetVersions",
     "ResultCache",
     "Singleflight",

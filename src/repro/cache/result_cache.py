@@ -115,7 +115,7 @@ class ResultCache:
     and store from worker threads, and LRU reordering mutates the
     OrderedDict even on reads.  Counters are surfaced via :meth:`stats`
     (the same ``{hits, misses, entries, evictions, bytes}`` shape as
-    :class:`~repro.core.plan.cache.CompiledQueryCache`) and mirrored to
+    :class:`~repro.cache.compiled.CompiledQueryCache`) and mirrored to
     process metrics (``result_cache_*_total``), labeled by *backend*
     when one is named.
     """

@@ -940,17 +940,20 @@ class ShardedCluster:
         text: str,
         *collection: str,
         stream: bool,
+        params: tuple = (),
     ) -> ResultSet:
         """Run ``run(engine)`` on a copy of every shard and merge by *spec*.
 
         *text* spells the query (and *collection* names its target, when
-        the text does not) for the semantic result-cache key.
+        the text does not) for the semantic result-cache key; *params*
+        are the values bound into a prepared *text*, spelled by ``repr``
+        in the key so ``1``, ``1.0`` and ``True`` stay apart.
         """
         injector, policy = cluster_resilience(self.fault_injector, self.retry_policy)
         cache_key = None
         if self.result_cache is not None:
             versions = self.dataset_versions.vector(text, *collection)
-            cache_key = (self.name, *collection, text, versions)
+            cache_key = (self.name, *collection, text, repr(params), versions)
         # Tests stub shard engines with plain callables, so only pass the
         # streaming knob through when it is actually on.
         knobs = {"stream": True} if stream else {}
@@ -995,13 +998,18 @@ class SQLShardedCluster(ShardedCluster):
     def row_count(self, table: str) -> int:
         return sum(node.row_count(table) for node in self.nodes)
 
-    def execute(self, query_text: str, *, stream: bool = False) -> ResultSet:
+    def execute(
+        self, query_text: str, *, params: tuple = (), stream: bool = False
+    ) -> ResultSet:
         # AVG/STDDEV outputs make the shards ship partial states instead
         # of local finals; every other query passes through byte-identical.
+        # A prepared text goes to the shards as it is, with its *params*.
         shard_query, spec = plan_select(query_text, self.dialect)
+        bound = {"params": params} if params else {}
         return self._gather(
-            lambda engine, **knobs: engine.execute(shard_query, **knobs),
+            lambda engine, **knobs: engine.execute(shard_query, **bound, **knobs),
             spec,
             query_text,
             stream=stream,
+            params=params,
         )

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, Iterator
 
 from repro.cache import DatasetVersions, ResultCache, Singleflight, resolve_result_cache
-from repro.core.plan.cache import CompiledQueryCache
+from repro.cache.compiled import CompiledQueryCache
 from repro.core.rewrite import RewriteEngine
 from repro.errors import (
     CircuitOpenError,
@@ -154,13 +154,16 @@ class _Send:
     """What every step of one :meth:`DatabaseConnector.send` shares.
 
     The connector-side twin of ``cluster/base.py::_Gather``: built once
-    at the top of ``send()``.  The first ten fields are read-only after
+    at the top of ``send()``.  The first eleven fields are read-only after
     that; the rest accumulate as the send proceeds, and are what
     :meth:`DatabaseConnector._log` turns into the :class:`SendRecord`.
     """
 
     query: str
     collection: str
+    #: What the engine is called with: ``(query, collection)``, or
+    #: ``(template, collection, bindings)`` for a prepared send.
+    request: tuple
     streaming: bool
     injector: FaultInjector | None
     policy: RetryPolicy | None
@@ -353,8 +356,20 @@ class DatabaseConnector(abc.ABC):
         """
         return query
 
-    def send(self, query: str, collection: str, *, stream: bool = False) -> ResultSet:
+    def send(
+        self,
+        query: str,
+        collection: str,
+        *,
+        stream: bool = False,
+        prepared: tuple[str, tuple] | None = None,
+    ) -> ResultSet:
         """Execute *query* (already rewritten) and return the raw result.
+
+        *prepared* is ``(template, bindings)``: the same query with the
+        engine's native placeholders, for an engine that binds them (SQL,
+        SQL++, Cypher) and has usually planned the template before.
+        *query* stays the text the result cache, the log and errors use.
 
         Wraps the backend call (:meth:`_execute`) in, outermost first: the
         result-cache probe and singleflight (with caching on), the
@@ -398,9 +413,12 @@ class DatabaseConnector(abc.ABC):
 
         metrics.count("queries_total", self.name)
         with span_for(self, "dispatch", backend=self.name, collection=collection) as dspan:
+            request = (query, collection)
+            if prepared is not None:
+                request = (prepared[0], collection, prepared[1])
             s = _Send(
-                query, collection, stream, injector, policy, self.circuit_breaker,
-                deadline, frame.token, dspan, time.perf_counter(),
+                query, collection, request, stream, injector, policy,
+                self.circuit_breaker, deadline, frame.token, dspan, time.perf_counter(),
             )
             if cache is not None:
                 hit = self._probe_cache(s, cache)
@@ -616,9 +634,9 @@ class DatabaseConnector(abc.ABC):
                             # Only the open happens here; the budget is
                             # checked per record on the drain, where the
                             # work actually happens.
-                            result = self._execute_stream(s.query, s.collection)
+                            result = self._execute_stream(*s.request)
                         else:
-                            result = self._execute(s.query, s.collection)
+                            result = self._execute(*s.request)
                             if self.timeout is not None:
                                 self.timeout.check(
                                     time.perf_counter() - attempt_started,
@@ -713,19 +731,25 @@ class DatabaseConnector(abc.ABC):
 
     @abc.abstractmethod
     def _execute(self, query: str, collection: str) -> ResultSet:
-        """Backend-specific execution of an already-rewritten query."""
+        """Backend-specific execution of an already-rewritten query
+        (or, with a ``parameter`` rule, of a template and its bindings)."""
 
-    def _execute_stream(self, query: str, collection: str) -> ResultSet:
+    def _execute_stream(self, query: str, collection: str, *bindings: tuple) -> ResultSet:
         """Execute with a lazily-draining result when the engine can.
 
         The default materializes via :meth:`_execute` — the documented
         fallback for backends without pull-based execution.  Backends
         whose engine takes ``stream=True`` override this.
         """
-        return self._execute(query, collection)
+        return self._execute(query, collection, *bindings)
 
     def send_stream(
-        self, query: str, collection: str, batch_size: int = DEFAULT_BATCH_SIZE
+        self,
+        query: str,
+        collection: str,
+        batch_size: int = DEFAULT_BATCH_SIZE,
+        *,
+        prepared: tuple[str, tuple] | None = None,
     ) -> Iterator[list[Any]]:
         """Execute *query* and yield its records in lists of *batch_size*.
 
@@ -739,12 +763,12 @@ class DatabaseConnector(abc.ABC):
             raise ReproError(
                 f"batch_size must be a positive integer, got {batch_size!r}"
             )
-        return self._batches(query, collection, batch_size)
+        return self._batches(query, collection, batch_size, prepared)
 
     def _batches(
-        self, query: str, collection: str, batch_size: int
+        self, query: str, collection: str, batch_size: int, prepared: tuple[str, tuple] | None
     ) -> Iterator[list[Any]]:
-        result = self.send(query, collection, stream=True)
+        result = self.send(query, collection, stream=True, prepared=prepared)
         batch: list[Any] = []
         for record in result.iter_records():
             batch.append(record)

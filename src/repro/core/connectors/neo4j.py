@@ -33,11 +33,11 @@ class Neo4jConnector(DatabaseConnector):
         if memory_budget is not None:
             set_memory_budget(database, memory_budget)
 
-    def _execute(self, query: str, collection: str) -> ResultSet:
-        return self._db.execute(query)
+    def _execute(self, query: str, collection: str, params: tuple = ()) -> ResultSet:
+        return self._db.execute(query, params=params)
 
-    def _execute_stream(self, query: str, collection: str) -> ResultSet:
-        return self._db.execute(query, stream=True)
+    def _execute_stream(self, query: str, collection: str, params: tuple = ()) -> ResultSet:
+        return self._db.execute(query, params=params, stream=True)
 
     def nesting_depth(self, query: str) -> int:
         """Cypher chains clauses flat; depth = number of clause lines."""

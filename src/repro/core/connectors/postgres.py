@@ -40,11 +40,11 @@ class PostgresConnector(DatabaseConnector):
         if memory_budget is not None:
             set_memory_budget(database, memory_budget)
 
-    def _execute(self, query: str, collection: str) -> ResultSet:
-        return self._db.execute(query)
+    def _execute(self, query: str, collection: str, params: tuple = ()) -> ResultSet:
+        return self._db.execute(query, params=params)
 
-    def _execute_stream(self, query: str, collection: str) -> ResultSet:
-        return self._db.execute(query, stream=True)
+    def _execute_stream(self, query: str, collection: str, params: tuple = ()) -> ResultSet:
+        return self._db.execute(query, params=params, stream=True)
 
     def collection_exists(self, namespace: str, collection: str) -> bool:
         return self._db.catalog.has_table(self.qualified_name(namespace, collection))

@@ -31,7 +31,7 @@ from repro.errors import ConnectorError, ReproError, RewriteError
 from repro.obs import analyze_mode, format_profile, span_for
 from repro.resilience.deadline import action_scope
 from repro.obs.profile import OpProfile
-from repro.core.plan.compiler import CompiledQuery, compile_plan_for, stamp_stats
+from repro.core.plan.compiler import CompiledQuery, compile_plan_for, send_compiled
 from repro.core.plan.nodes import (
     Count,
     Filter,
@@ -130,10 +130,14 @@ class PolyFrame:
         return self.connector.rewriter
 
     def _compile(
-        self, plan: PlanNode | None = None, level: int | None = None
+        self,
+        plan: PlanNode | None = None,
+        level: int | None = None,
+        terminal: str | None = None,
     ) -> CompiledQuery:
         return compile_plan_for(
-            self.connector, plan if plan is not None else self._plan, level
+            self.connector, plan if plan is not None else self._plan, level,
+            terminal=terminal,
         )
 
     def explain(self, verbose: bool = False, analyze: bool = False) -> str:
@@ -141,8 +145,9 @@ class PolyFrame:
 
         With ``verbose=True``, a three-stage report: the logical plan (as
         recorded and, if optimization changed it, as optimized), the query
-        text generated for this backend, and — where the backend exposes
-        one — the engine's own query plan.
+        text generated for this backend — with the plan's shape, the
+        template compiled for it and this frame's bindings — and, where
+        the backend exposes one, the engine's own query plan.
 
         With ``analyze=True``, the query actually *runs* (like SQL's
         ``EXPLAIN ANALYZE``) and the report is the physical operator tree
@@ -159,10 +164,16 @@ class PolyFrame:
         lines = [f"-- logical plan (optimization level {level}) --", self._plan.pretty()]
         if optimized.fingerprint() != self._plan.fingerprint():
             lines += ["-- optimized plan --", optimized.pretty()]
+        template = compiled.template
         lines += [
             f"-- generated query ({self.connector.name}, "
             f"nesting depth {compiled.depth}) --",
             compiled.text,
+            "-- shape --",
+            compiled.shape,
+            "-- template --",
+            template.native or template.fill(lambda slot: f"?{slot}"),
+            f"-- bindings -- {compiled.bindings!r}",
             "-- backend plan --",
         ]
         try:
@@ -183,8 +194,7 @@ class PolyFrame:
             raise ConnectorError(
                 f"{self.connector.name} does not expose a query plan"
             )
-        final = self._rw.apply("return_all", subquery=self.query)
-        return explain(final)
+        return explain(self._compile(terminal="return_all").text)
 
     def __repr__(self) -> str:
         return (
@@ -261,7 +271,6 @@ class PolyFrame:
         return PolySeries(
             self.connector,
             self.collection,
-            None,
             statement,
             attribute=name,
             base_plan=self._plan,
@@ -333,8 +342,10 @@ class PolyFrame:
     def head(self, n: int = 5) -> EagerFrame:
         """Fetch the first *n* rows as an eager frame."""
         with self._action_span("head"):
-            compiled = self._compile(Limit(self._plan, n))
-            return self._send_frame(compiled.text, compiled)
+            result = send_compiled(
+                self.connector, self._compile(Limit(self._plan, n)), self.collection
+            )
+            return frame_from_records(self.connector.postprocess(result))
 
     def collect(self) -> EagerFrame:
         """Fetch every row (``toPandas()`` in the paper's timing points).
@@ -346,10 +357,8 @@ class PolyFrame:
         the fully materialized path.
         """
         with self._action_span("collect"):
-            compiled = self._compile()
-            query = self._rw.apply("return_all", subquery=compiled.text)
-            result = self.connector.send(query, self.collection, stream=True)
-            stamp_stats(result, compiled)
+            compiled = self._compile(terminal="return_all")
+            result = send_compiled(self.connector, compiled, self.collection, stream=True)
             records: list[dict[str, Any]] = []
             for record in result.iter_records():
                 records.append(_as_record_dict(record))
@@ -380,10 +389,11 @@ class PolyFrame:
 
     def _iter_batches(self, batch_size: int | None) -> Iterator[EagerFrame]:
         with self._action_span("iter_batches"):
-            compiled = self._compile()
-            query = self._rw.apply("return_all", subquery=compiled.text)
+            compiled = self._compile(terminal="return_all")
             kwargs = {} if batch_size is None else {"batch_size": batch_size}
-            batches = self.connector.send_stream(query, self.collection, **kwargs)
+            batches = self.connector.send_stream(
+                compiled.text, self.collection, prepared=compiled.prepared, **kwargs
+            )
             for batch in batches:
                 yield frame_from_records(
                     [_as_record_dict(record) for record in batch]
@@ -398,25 +408,23 @@ class PolyFrame:
         :meth:`collect`'s.
         """
         with self._action_span("profile"):
-            compiled = self._compile()
-            query = self._rw.apply("return_all", subquery=compiled.text)
+            compiled = self._compile(terminal="return_all")
             with analyze_mode():
-                result = self.connector.send(query, self.collection)
-            stamp_stats(result, compiled)
+                result = send_compiled(self.connector, compiled, self.collection)
             frame = frame_from_records(self.connector.postprocess(result))
         return ProfiledResult(
             frame=frame,
             profile=result.op_profile,
-            query=query,
+            query=compiled.text,
             backend=self.connector.name,
             engine=result.stats.exec_engine,
         )
 
     def __len__(self) -> int:
         with self._action_span("len"):
-            compiled = self._compile(Count(self._plan))
-            result = self.connector.send(compiled.text, self.collection)
-            stamp_stats(result, compiled)
+            result = send_compiled(
+                self.connector, self._compile(Count(self._plan)), self.collection
+            )
             return int(result.scalar())
 
     def describe(self) -> EagerFrame:
@@ -441,11 +449,6 @@ class PolyFrame:
         target_namespace = namespace if namespace is not None else self.namespace
         self.connector.persist(self.query, self.collection, target_namespace, target)
         return PolyFrame(target_namespace, target, self.connector)
-
-    def _send_frame(self, query: str, compiled: CompiledQuery) -> EagerFrame:
-        result = self.connector.send(query, self.collection)
-        stamp_stats(result, compiled)
-        return frame_from_records(self.connector.postprocess(result))
 
 
 def _as_record_dict(record: Any) -> dict[str, Any]:

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from repro.eager import EagerFrame
 from repro.errors import RewriteError
-from repro.core.plan.compiler import stamp_stats
+from repro.core.plan.compiler import send_compiled
 from repro.core.plan.expr import BinaryExpr, ColumnExpr, LiteralExpr, OpaqueExpr
 from repro.core.plan.nodes import ComputeList, GroupAgg, MultiAgg, Sort
 from repro.core.series import PolySeries
@@ -65,7 +65,6 @@ def _numeric_attributes(frame: "PolyFrame") -> list[str]:
 
 def describe(frame: "PolyFrame", attributes: list[str] | None = None) -> EagerFrame:
     """Aggregate statistics for each (numeric) attribute in one query."""
-    rw = frame.connector.rewriter
     if attributes is None:
         attributes = _numeric_attributes(frame)
     if not attributes:
@@ -76,10 +75,8 @@ def describe(frame: "PolyFrame", attributes: list[str] | None = None) -> EagerFr
         for attribute in attributes
         for stat in _DESCRIBE_STATS
     )
-    compiled = frame._compile(MultiAgg(frame.plan, items))
-    query = rw.apply("return_all", subquery=compiled.text)
-    result = frame.connector.send(query, frame.collection)
-    stamp_stats(result, compiled)
+    compiled = frame._compile(MultiAgg(frame.plan, items), terminal="return_all")
+    result = send_compiled(frame.connector, compiled, frame.collection)
     records = frame.connector.postprocess(result)
     if len(records) != 1:
         raise RewriteError(f"describe() expected one result row, got {len(records)}")

@@ -15,7 +15,7 @@ rules, and the plan in between is what makes fusion, caching, and true
 retargeting (:meth:`PolyFrame.retarget`) possible.
 """
 
-from repro.core.plan.cache import CompiledQueryCache
+from repro.cache.compiled import CompiledQueryCache
 from repro.core.plan.compiler import (
     CompiledQuery,
     CompileRecord,

@@ -12,18 +12,23 @@ compiles as a single query level over the stored dataset instead of
 nesting the ``q1`` text as a subquery.  Languages without fused templates
 fall back to the nested form, unchanged.
 
-:func:`compile_plan_for` is the connector-aware entry point: it runs the
-optimizer, consults the connector's compiled-query cache, measures the
-generated text's nesting depth, and appends a :class:`CompileRecord` to
-``connector.compile_log`` (the bench layer's ``compile_ms`` /
-``nesting_depth`` columns read these).
+:func:`compile_plan_for` is the connector-aware entry point: it splits
+the optimized plan into *shape* and *bindings*, compiles a
+:class:`QueryTemplate` (the text with a gap per binding) once per shape
+through the connector's compiled-query cache, and renders each call's
+bindings into it — literal rules are context-free, so the text is
+byte-identical to compiling the literals in.  It appends a
+:class:`CompileRecord` to ``connector.compile_log`` (the bench layer's
+``compile_ms`` / ``nesting_depth`` columns read these).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
+from repro.core.plan.expr import LiteralExpr, Slots
 from repro.core.plan.nodes import (
     Agg,
     Compute,
@@ -42,8 +47,41 @@ from repro.core.plan.nodes import (
     Sort,
 )
 from repro.core.plan.optimizer import optimize
+from repro.core.rewrite import RewriteEngine
 from repro.errors import RewriteError
 from repro.obs import metrics, span_for
+
+#: Marks a gap while a template's text is built (a noncharacter: no query spells it).
+_GAP = "\uffff"
+
+
+@dataclass(frozen=True)
+class QueryTemplate:
+    """One plan shape compiled for one backend: query text with gaps.
+
+    ``pieces`` are the text around the gaps, ``slots`` the binding each
+    gap takes.  ``native`` spells the gaps with the language's
+    ``parameter`` rule (``$1``, ``$p0``); None without one (MongoDB).
+    """
+
+    pieces: tuple[str, ...]
+    slots: tuple[int, ...]
+    native: str | None
+    depth: int  # nesting depth of the generated text (connector-measured)
+
+    def fill(self, spell: Callable[[int], str]) -> str:
+        """The text with each gap spelled ``spell(binding index)``."""
+        if not self.slots:
+            return self.pieces[0]
+        out = [self.pieces[0]]
+        for slot, piece in zip(self.slots, self.pieces[1:]):
+            out.append(spell(slot))
+            out.append(piece)
+        return "".join(out)
+
+    def render(self, rw: RewriteEngine, bindings: tuple) -> str:
+        """The query text with *bindings* spelled as *rw*'s literals."""
+        return self.fill(lambda slot: rw.literal(bindings[slot]))
 
 
 @dataclass(frozen=True)
@@ -51,10 +89,23 @@ class CompiledQuery:
     """One plan compiled for one backend at one optimization level."""
 
     text: str
-    depth: int  # nesting depth of the generated text (connector-measured)
     level: int
     cache_hit: bool
     compile_ms: float
+    shape: str  # the compiled-query cache key's plan part
+    template: QueryTemplate
+    bindings: tuple  # the literals the shape leaves out, in slot order
+
+    @property
+    def depth(self) -> int:
+        return self.template.depth
+
+    @property
+    def prepared(self) -> tuple[str, tuple] | None:
+        """``(template, bindings)`` for an engine that binds them; else None."""
+        if self.template.native is None or not self.bindings:
+            return None
+        return self.template.native, self.bindings
 
 
 @dataclass(frozen=True)
@@ -65,6 +116,20 @@ class CompileRecord:
     level: int
     compile_ms: float
     depth: int
+
+
+class _TemplateWriter(RewriteEngine):
+    """A connector's rewrite rules, leaving a gap where a slotted literal goes."""
+
+    def __init__(self, rw: RewriteEngine, slots: Slots) -> None:
+        super().__init__(rw.rules)
+        self._index = slots.index
+
+    def render_literal(self, literal: LiteralExpr) -> str:
+        slot = self._index.get(id(literal))
+        if slot is None:
+            return super().render_literal(literal)
+        return f"{_GAP}{slot}{_GAP}"
 
 
 # ----------------------------------------------------------------------
@@ -196,46 +261,73 @@ def _compile(node: PlanNode, rw, fuse: bool) -> str:
     raise RewriteError(f"cannot compile plan node {type(node).__name__}")
 
 
-def stamp_stats(result, *compiled: CompiledQuery) -> None:
-    """Record cache hit/miss counts on a result's :class:`QueryStats`."""
-    for query in compiled:
-        if query.cache_hit:
-            result.stats.compile_cache_hits += 1
-        else:
-            result.stats.compile_cache_misses += 1
+def send_compiled(connector, compiled: CompiledQuery, collection: str, **kwargs):
+    """Send *compiled* through *connector*: its text, and its template and
+    bindings where the engine binds them; record the compile-cache outcome
+    on the result's :class:`QueryStats`."""
+    result = connector.send(compiled.text, collection, prepared=compiled.prepared, **kwargs)
+    if compiled.cache_hit:
+        result.stats.compile_cache_hits += 1
+    else:
+        result.stats.compile_cache_misses += 1
+    return result
+
+
+def _compile_template(
+    connector, plan: PlanNode, slots: Slots, level: int, terminal: str | None
+) -> tuple[QueryTemplate, str]:
+    """Compile *plan* with a gap per slot; also its text with *slots* filled in."""
+    rw = connector.rewriter
+    gapped = _compile(plan, _TemplateWriter(rw, slots), level >= 2)
+    if terminal is not None:
+        gapped = rw.apply(terminal, subquery=gapped)
+    parts = gapped.split(_GAP)
+    template = QueryTemplate(tuple(parts[0::2]), tuple(map(int, parts[1::2])), None, 0)
+    text = template.render(rw, tuple(slots.values))
+    native = None
+    if rw.has_rule("parameter"):
+        native = template.fill(lambda slot: rw.apply("parameter", index=slot, number=slot + 1))
+    return replace(template, native=native, depth=connector.nesting_depth(text)), text
 
 
 # ----------------------------------------------------------------------
-# Connector-aware entry point: optimize, cache, record
+# Connector-aware entry point: optimize, split, cache, record
 # ----------------------------------------------------------------------
-def compile_plan_for(connector, plan: PlanNode, level: int | None = None) -> CompiledQuery:
+def compile_plan_for(
+    connector, plan: PlanNode, level: int | None = None, *, terminal: str | None = None
+) -> CompiledQuery:
     """Compile *plan* for *connector*, through its compiled-query cache.
 
-    Traced as a ``compile`` span (child of the surrounding action span,
-    when one is open) and counted in the metrics registry as
-    ``compile_cache_hits`` / ``compile_cache_misses``.
+    The cache key is ``(backend, level, terminal, shape)``; *terminal*
+    names a rule that wraps the compiled text the way an action sends it
+    (``return_all``).  Traced as a ``compile`` span (child of the
+    surrounding action span, when one is open) and counted in the
+    metrics registry as ``compile_cache_hits`` / ``compile_cache_misses``.
     """
     if level is None:
         level = connector.optimization_level
+    rw = connector.rewriter
     with span_for(connector, "compile", backend=connector.name, level=level) as span:
         started = time.perf_counter()
         optimized = optimize(plan, level)
-        key = (connector.name, level, optimized.fingerprint())
+        slots = Slots()
+        shape = optimized.fingerprint(slots)
+        bindings = tuple(slots.values)
+        key = (connector.name, level, terminal, shape)
         cached = connector.compile_cache.lookup(key)
-        if cached is not None:
-            text, depth = cached
-            cache_hit = True
+        cache_hit = cached is not None
+        if cache_hit:
+            template = cached[1]
+            text = template.render(rw, bindings)
         else:
-            text = compile_plan(optimized, connector.rewriter, fuse_scans=level >= 2)
-            depth = connector.nesting_depth(text)
-            connector.compile_cache.store(key, text, depth)
-            cache_hit = False
+            template, text = _compile_template(connector, optimized, slots, level, terminal)
+            connector.compile_cache.store(key, text, template)
         compile_ms = (time.perf_counter() - started) * 1000.0
         metrics.counter("compile_cache_hits" if cache_hit else "compile_cache_misses").inc()
-        span.set(cache_hit=cache_hit, depth=depth, compile_ms=compile_ms)
+        span.set(cache_hit=cache_hit, depth=template.depth, compile_ms=compile_ms)
     connector.compile_log.append(
-        CompileRecord(cache_hit=cache_hit, level=level, compile_ms=compile_ms, depth=depth)
+        CompileRecord(
+            cache_hit=cache_hit, level=level, compile_ms=compile_ms, depth=template.depth
+        )
     )
-    return CompiledQuery(
-        text=text, depth=depth, level=level, cache_hit=cache_hit, compile_ms=compile_ms
-    )
+    return CompiledQuery(text, level, cache_hit, compile_ms, shape, template, bindings)

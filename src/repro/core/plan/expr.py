@@ -13,11 +13,16 @@ any backend — the substrate of :meth:`PolyFrame.retarget`.  The one
 exception is :class:`OpaqueExpr`, which wraps an already-rendered fragment
 (the raw-query escape hatch): it renders the frozen text for every backend
 and marks the plan as non-retargetable.
+
+A plan's *shape* leaves its literals out: :class:`Slots` collects them
+(the *bindings*) while the plan is fingerprinted, so every lookup
+``df[df.unique1 == k]`` shares one shape and one compiled template.
 """
 
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -48,8 +53,12 @@ class Expr(abc.ABC):
         """Backend-neutral text for plan pretty-printing."""
 
     @abc.abstractmethod
-    def fingerprint(self) -> str:
-        """Stable identity for plan normalization / cache keys."""
+    def fingerprint(self, slots: Slots | None = None) -> str:
+        """Stable identity for plan normalization / cache keys.
+
+        With *slots*, the plan's *shape*: slot-able literals are left out
+        as typed ``?`` slots and their values collected into *slots*.
+        """
 
     def columns(self) -> frozenset[str]:
         """Column names this expression reads (empty if unknown)."""
@@ -107,8 +116,41 @@ class ColumnExpr(Expr):
     def describe(self) -> str:
         return self.name
 
-    def fingerprint(self) -> str:
+    def fingerprint(self, slots: Slots | None = None) -> str:
         return f"col({self.name})"
+
+
+class Slots:
+    """The literals a plan's shape leaves out, collected while it is fingerprinted.
+
+    ``values`` are the bindings; ``index`` maps each slotted
+    :class:`LiteralExpr` (by identity) to its binding.  A literal object
+    met twice is one binding, spelled ``?<n>`` in the shape the second time.
+    """
+
+    __slots__ = ("values", "index")
+
+    def __init__(self) -> None:
+        self.values: list[Any] = []
+        self.index: dict[int, int] = {}
+
+    def fingerprint(self, literal: LiteralExpr) -> str:
+        slot = self.index.get(id(literal))
+        if slot is not None:
+            return f"?{slot}"
+        self.index[id(literal)] = len(self.values)
+        self.values.append(literal.value)
+        return f"?{type(literal.value).__name__}"
+
+
+def slotted(value: Any) -> bool:
+    """Whether *value* is a binding: ``int``, finite ``float``, ``str``, ``bool``.
+
+    ``None`` stays in the shape (``= NULL`` keeps its plan), and so does
+    what no language can spell (``inf``, other types): rendering raises.
+    """
+    kind = type(value)
+    return kind in (int, str, bool) or (kind is float and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -118,15 +160,17 @@ class LiteralExpr(Expr):
     value: Any
 
     def render(self, rw) -> str:
-        return rw.literal(self.value)
+        return rw.render_literal(self)
 
     def render_right(self, rw) -> str:
-        return rw.literal(self.value)
+        return rw.render_literal(self)
 
     def describe(self) -> str:
         return repr(self.value)
 
-    def fingerprint(self) -> str:
+    def fingerprint(self, slots: Slots | None = None) -> str:
+        if slots is not None and slotted(self.value):
+            return slots.fingerprint(self)
         return f"lit({type(self.value).__name__}:{self.value!r})"
 
 
@@ -154,8 +198,8 @@ class BinaryExpr(Expr):
         symbol = _OP_SYMBOLS.get(self.rule, self.rule)
         return f"({self.left.describe()} {symbol} {self.right.describe()})"
 
-    def fingerprint(self) -> str:
-        return f"{self.rule}({self.left.fingerprint()},{self.right.fingerprint()})"
+    def fingerprint(self, slots: Slots | None = None) -> str:
+        return f"{self.rule}({self.left.fingerprint(slots)},{self.right.fingerprint(slots)})"
 
 
 @dataclass(frozen=True)
@@ -191,9 +235,10 @@ class LogicalExpr(Expr):
         symbol = _OP_SYMBOLS.get(self.rule, self.rule)
         return f"({self.left.describe()} {symbol} {self.right.describe()})"
 
-    def fingerprint(self) -> str:
-        right = self.right.fingerprint() if self.right is not None else ""
-        return f"{self.rule}({self.left.fingerprint()},{right})"
+    def fingerprint(self, slots: Slots | None = None) -> str:
+        left = self.left.fingerprint(slots)
+        right = self.right.fingerprint(slots) if self.right is not None else ""
+        return f"{self.rule}({left},{right})"
 
 
 @dataclass(frozen=True)
@@ -222,8 +267,8 @@ class MapExpr(Expr):
     def describe(self) -> str:
         return f"{self.rule}({self.operand.describe()})"
 
-    def fingerprint(self) -> str:
-        return f"map:{self.rule}({self.operand.fingerprint()})"
+    def fingerprint(self, slots: Slots | None = None) -> str:
+        return f"map:{self.rule}({self.operand.fingerprint(slots)})"
 
 
 @dataclass(frozen=True)
@@ -247,9 +292,9 @@ class IsInExpr(Expr):
     def describe(self) -> str:
         return f"{self.left.describe()} in {list(self.values)!r}"
 
-    def fingerprint(self) -> str:
+    def fingerprint(self, slots: Slots | None = None) -> str:
         values = ",".join(f"{type(v).__name__}:{v!r}" for v in self.values)
-        return f"isin({self.left.fingerprint()},[{values}])"
+        return f"isin({self.left.fingerprint(slots)},[{values}])"
 
 
 @dataclass(frozen=True)
@@ -272,8 +317,8 @@ class NullCheckExpr(Expr):
     def describe(self) -> str:
         return f"{self.rule}({self.left.describe()})"
 
-    def fingerprint(self) -> str:
-        return f"{self.rule}({self.left.fingerprint()})"
+    def fingerprint(self, slots: Slots | None = None) -> str:
+        return f"{self.rule}({self.left.fingerprint(slots)})"
 
 
 @dataclass(frozen=True)
@@ -296,7 +341,7 @@ class OpaqueExpr(Expr):
     def describe(self) -> str:
         return f"raw:{self.text!r}"
 
-    def fingerprint(self) -> str:
+    def fingerprint(self, slots: Slots | None = None) -> str:
         return f"opaque({self.text!r})"
 
     @property

@@ -5,10 +5,12 @@ Filter ↔ ``q6``, Project ↔ ``q2``, …).  A plan is an immutable tree;
 transformations on PolyFrame build new trees by wrapping, and the
 compiler walks them bottom-up through a language's rewrite rules.
 
-``fingerprint()`` is the normalized identity used by the compiled-query
-cache: two frames that performed the same logical operations (same
-columns, same literals, same order) share one fingerprint regardless of
-how the API calls were phrased.
+``fingerprint()`` is the normalized identity of a plan: two frames that
+performed the same logical operations (same columns, same literals, same
+order) share one fingerprint regardless of how the API calls were
+phrased.  ``fingerprint(slots)`` is the plan's *shape*, the compiled-query
+cache's key: the same, with each slot-able literal left out as a typed
+``?`` slot and its value collected into *slots* (the bindings).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.core.plan.expr import Expr
+from repro.core.plan.expr import Expr, Slots
 
 
 class PlanNode:
@@ -29,7 +31,7 @@ class PlanNode:
         """One pretty-print line for ``explain(verbose=True)``."""
         return type(self).__name__
 
-    def fingerprint(self) -> str:
+    def fingerprint(self, slots: Slots | None = None) -> str:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -58,7 +60,7 @@ class Scan(PlanNode):
         qualified = f"{self.namespace}.{self.collection}" if self.namespace else self.collection
         return f"Scan[{qualified}]"
 
-    def fingerprint(self) -> str:
+    def fingerprint(self, slots: Slots | None = None) -> str:
         return f"scan({self.namespace!r},{self.collection!r})"
 
 
@@ -76,7 +78,7 @@ class RawQuery(PlanNode):
         first = self.text.splitlines()[0] if self.text else ""
         return f"RawQuery[{first!r}…]" if "\n" in self.text else f"RawQuery[{self.text!r}]"
 
-    def fingerprint(self) -> str:
+    def fingerprint(self, slots: Slots | None = None) -> str:
         return f"raw({self.text!r})"
 
 
@@ -93,8 +95,8 @@ class Filter(PlanNode):
     def label(self) -> str:
         return f"Filter[{self.predicate.describe()}]"
 
-    def fingerprint(self) -> str:
-        return f"filter({self.input.fingerprint()},{self.predicate.fingerprint()})"
+    def fingerprint(self, slots: Slots | None = None) -> str:
+        return f"filter({self.input.fingerprint(slots)},{self.predicate.fingerprint(slots)})"
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,8 @@ class Project(PlanNode):
     def label(self) -> str:
         return f"Project[{', '.join(self.columns)}]"
 
-    def fingerprint(self) -> str:
-        return f"project({self.input.fingerprint()},{self.columns!r})"
+    def fingerprint(self, slots: Slots | None = None) -> str:
+        return f"project({self.input.fingerprint(slots)},{self.columns!r})"
 
 
 @dataclass(frozen=True)
@@ -128,9 +130,9 @@ class Compute(PlanNode):
     def label(self) -> str:
         return f"Compute[{self.alias} = {self.expr.describe()}]"
 
-    def fingerprint(self) -> str:
+    def fingerprint(self, slots: Slots | None = None) -> str:
         return (
-            f"compute({self.input.fingerprint()},{self.expr.fingerprint()},"
+            f"compute({self.input.fingerprint(slots)},{self.expr.fingerprint(slots)},"
             f"{self.alias!r})"
         )
 
@@ -149,11 +151,11 @@ class ComputeList(PlanNode):
         parts = ", ".join(f"{alias} = {expr.describe()}" for expr, alias in self.items)
         return f"ComputeList[{parts}]"
 
-    def fingerprint(self) -> str:
+    def fingerprint(self, slots: Slots | None = None) -> str:
         items = ";".join(
-            f"{expr.fingerprint()}:{alias!r}" for expr, alias in self.items
+            f"{expr.fingerprint(slots)}:{alias!r}" for expr, alias in self.items
         )
-        return f"computelist({self.input.fingerprint()},{items})"
+        return f"computelist({self.input.fingerprint(slots)},{items})"
 
 
 @dataclass(frozen=True)
@@ -173,9 +175,9 @@ class Sort(PlanNode):
         top = f", top {self.limit}" if self.limit is not None else ""
         return f"Sort[{self.by} {direction}{top}]"
 
-    def fingerprint(self) -> str:
+    def fingerprint(self, slots: Slots | None = None) -> str:
         return (
-            f"sort({self.input.fingerprint()},{self.by!r},{self.ascending},"
+            f"sort({self.input.fingerprint(slots)},{self.by!r},{self.ascending},"
             f"{self.limit})"
         )
 
@@ -193,8 +195,8 @@ class Limit(PlanNode):
     def label(self) -> str:
         return f"Limit[{self.n}]"
 
-    def fingerprint(self) -> str:
-        return f"limit({self.input.fingerprint()},{self.n})"
+    def fingerprint(self, slots: Slots | None = None) -> str:
+        return f"limit({self.input.fingerprint(slots)},{self.n})"
 
 
 @dataclass(frozen=True)
@@ -209,8 +211,8 @@ class Count(PlanNode):
     def label(self) -> str:
         return "Count"
 
-    def fingerprint(self) -> str:
-        return f"count({self.input.fingerprint()})"
+    def fingerprint(self, slots: Slots | None = None) -> str:
+        return f"count({self.input.fingerprint(slots)})"
 
 
 @dataclass(frozen=True)
@@ -228,9 +230,9 @@ class Agg(PlanNode):
     def label(self) -> str:
         return f"Agg[{self.func_rule}({self.attribute}) as {self.alias}]"
 
-    def fingerprint(self) -> str:
+    def fingerprint(self, slots: Slots | None = None) -> str:
         return (
-            f"agg({self.input.fingerprint()},{self.func_rule},"
+            f"agg({self.input.fingerprint(slots)},{self.func_rule},"
             f"{self.attribute!r},{self.alias!r})"
         )
 
@@ -252,9 +254,9 @@ class GroupAgg(PlanNode):
         keys = ", ".join(self.keys)
         return f"GroupAgg[by {keys}: {self.func_rule}({self.attribute}) as {self.alias}]"
 
-    def fingerprint(self) -> str:
+    def fingerprint(self, slots: Slots | None = None) -> str:
         return (
-            f"groupagg({self.input.fingerprint()},{self.keys!r},"
+            f"groupagg({self.input.fingerprint(slots)},{self.keys!r},"
             f"{self.func_rule},{self.attribute!r},{self.alias!r})"
         )
 
@@ -273,9 +275,9 @@ class MultiAgg(PlanNode):
         parts = ", ".join(f"{rule}({attr})" for rule, attr, _ in self.items)
         return f"MultiAgg[{parts}]"
 
-    def fingerprint(self) -> str:
+    def fingerprint(self, slots: Slots | None = None) -> str:
         items = ";".join(f"{r}:{a!r}:{al!r}" for r, a, al in self.items)
-        return f"multiagg({self.input.fingerprint()},{items})"
+        return f"multiagg({self.input.fingerprint(slots)},{items})"
 
 
 @dataclass(frozen=True)
@@ -291,8 +293,8 @@ class Distinct(PlanNode):
     def label(self) -> str:
         return f"Distinct[{self.attribute}]"
 
-    def fingerprint(self) -> str:
-        return f"distinct({self.input.fingerprint()},{self.attribute!r})"
+    def fingerprint(self, slots: Slots | None = None) -> str:
+        return f"distinct({self.input.fingerprint(slots)},{self.attribute!r})"
 
 
 @dataclass(frozen=True)
@@ -311,9 +313,9 @@ class Join(PlanNode):
     def label(self) -> str:
         return f"Join[{self.left_on} = {self.right_on}]"
 
-    def fingerprint(self) -> str:
+    def fingerprint(self, slots: Slots | None = None) -> str:
         return (
-            f"join({self.left.fingerprint()},{self.right.fingerprint()},"
+            f"join({self.left.fingerprint(slots)},{self.right.fingerprint(slots)},"
             f"{self.left_on!r},{self.right_on!r},{self.right_collection!r})"
         )
 

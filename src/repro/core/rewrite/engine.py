@@ -13,43 +13,37 @@ Substitution follows the paper's configuration conventions:
 
 from __future__ import annotations
 
+import functools
+import math
 import re
 from typing import Any, Iterable
 
 from repro.errors import RewriteError
 from repro.core.rewrite.rules import RewriteRules, load_builtin
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-
-def substitute(template: str, variables: dict[str, str]) -> str:
+def substitute(template: str, variables: dict[str, Any]) -> str:
     """Replace ``$name`` occurrences for the supplied *variables* only."""
-    names = sorted(variables, key=len, reverse=True)
-    out: list[str] = []
-    index = 0
-    length = len(template)
-    while index < length:
-        char = template[index]
-        if char != "$":
-            out.append(char)
-            index += 1
-            continue
-        rest = template[index + 1:]
-        replaced = False
-        for name in names:
-            if rest.startswith(name):
-                # Ensure the match ends at a name boundary so ``$agg`` never
-                # swallows the front of ``$agg_alias_x`` style tokens.
-                follow = rest[len(name):len(name) + 1]
-                if follow and (follow.isalnum() or follow == "_"):
-                    continue
-                out.append(str(variables[name]))
-                index += 1 + len(name)
-                replaced = True
-                break
-        if not replaced:
-            out.append(char)
-            index += 1
+    return _render(_split(template, tuple(variables)), variables)
+
+
+def _split(template: str, names: tuple[str, ...]) -> list[str]:
+    """*template* as ``[text, name, text, ..., text]`` around its ``$name``s."""
+    return _variables_pattern(names).split(template) if names else [template]
+
+
+@functools.lru_cache(maxsize=256)
+def _variables_pattern(names: tuple[str, ...]) -> re.Pattern[str]:
+    # Longest name first, and a match must end at a name boundary, so
+    # ``$agg`` never swallows the front of ``$agg_alias_x`` style tokens.
+    alternatives = "|".join(map(re.escape, sorted(names, key=len, reverse=True)))
+    return re.compile(rf"\$({alternatives})(?!\w)")
+
+
+def _render(parts: list[str], variables: dict[str, Any]) -> str:
+    out = list(parts)
+    for i in range(1, len(out), 2):
+        out[i] = str(variables[out[i]])
     return "".join(out)
 
 
@@ -62,6 +56,8 @@ class RewriteEngine:
         if overrides:
             rules = rules.with_overrides(overrides)
         self.rules = rules
+        #: ``(rule, variable names)`` -> the rule's template split around them.
+        self._parts: dict[tuple, list[str]] = {}
 
     @property
     def language(self) -> str:
@@ -70,9 +66,11 @@ class RewriteEngine:
     # ------------------------------------------------------------------
     def apply(self, rule_name: str, **variables: Any) -> str:
         """Render one rule with the given variable bindings."""
-        rule = self.rules[rule_name]
-        rendered = substitute(rule.template, {k: str(v) for k, v in variables.items()})
-        return rendered
+        key = (rule_name, *variables)
+        parts = self._parts.get(key)
+        if parts is None:
+            parts = self._parts[key] = _split(self.rules[rule_name].template, tuple(variables))
+        return _render(parts, variables)
 
     def has_rule(self, rule_name: str) -> bool:
         return rule_name in self.rules
@@ -90,6 +88,10 @@ class RewriteEngine:
             out = self.apply("attribute_separator", left=out, right=right)
         return out
 
+    def render_literal(self, literal: Any) -> str:
+        """Render a plan's ``LiteralExpr``; a template writer leaves a gap instead."""
+        return self.literal(literal.value)
+
     def literal(self, value: Any) -> str:
         """Render a Python literal through the language's LITERALS rules."""
         if value is None:
@@ -101,6 +103,13 @@ class RewriteEngine:
                 rendered = rendered.upper()
             return rendered
         if isinstance(value, (int, float)):
+            if isinstance(value, float) and not math.isfinite(value):
+                # str() spells these 'inf' / 'nan': an identifier in SQL
+                # and Cypher, invalid JSON in a pipeline.
+                raise RewriteError(
+                    f"cannot render the non-finite number {value!r} as a "
+                    f"{self.language} literal"
+                )
             return self.apply("number", value=value)
         if isinstance(value, str):
             return self.apply("string", value=_escape_string(value, self.language))

@@ -27,7 +27,7 @@ from repro.eager import EagerFrame, frame_from_records
 from repro.errors import RewriteError
 from repro.obs import span_for
 from repro.resilience.deadline import action_scope
-from repro.core.plan.compiler import compile_plan_for, stamp_stats
+from repro.core.plan.compiler import compile_plan_for, send_compiled
 from repro.core.plan.expr import (
     BinaryExpr,
     ColumnExpr,
@@ -83,23 +83,19 @@ class PolySeries:
         self,
         connector: "DatabaseConnector",
         collection: str,
-        base_query: str | None,
         statement: str,
         *,
         attribute: str | None = None,
         alias: str | None = None,
-        query: str | None = None,
         expr: Expr | None = None,
         base_plan: PlanNode | None = None,
         plan: PlanNode | None = None,
     ) -> None:
         self._connector = connector
         self._collection = collection
-        self._base_query = base_query
         self.statement = statement
         self.attribute = attribute
         self.alias = alias or attribute or "value"
-        self._query = query
         self._expr = expr
         self._base_plan = base_plan
         self._plan = plan
@@ -117,11 +113,12 @@ class PolySeries:
     @property
     def query(self) -> str:
         """The series' own underlying query (compiled lazily)."""
-        if self._plan is not None and self._connector is not None:
-            return compile_plan_for(self._connector, self._plan).text
-        if self._query is None:
+        return compile_plan_for(self._connector, self._require(self._plan)).text
+
+    def _require(self, plan: PlanNode | None) -> PlanNode:
+        if plan is None or self._connector is None:
             raise RewriteError("series has no standalone query")
-        return self._query
+        return plan
 
     @property
     def _rw(self):
@@ -178,27 +175,15 @@ class PolySeries:
             return other.statement
         return self._rw.literal(other)
 
-    def _derived(
-        self, statement: str, alias: str, expr: Expr | None = None
-    ) -> "PolySeries":
-        plan = None
-        query = None
-        if self._base_plan is not None and expr is not None:
-            plan = Compute(self._base_plan, expr, alias)
-        elif self._base_query is not None:
-            query = self._rw.apply(
-                "q9", subquery=self._base_query, statement=statement, alias=alias
-            )
+    def _derived(self, statement: str, alias: str, expr: Expr) -> "PolySeries":
         return PolySeries(
             self._connector,
             self._collection,
-            self._base_query,
             statement,
             alias=alias,
-            query=query,
             expr=expr,
             base_plan=self._base_plan,
-            plan=plan,
+            plan=Compute(self._base_plan, expr, alias) if self._base_plan is not None else None,
         )
 
     def _compare(self, op: str, other: Any) -> "PolySeries":
@@ -295,13 +280,7 @@ class PolySeries:
         derived = self._derived(statement, alias=self.alias, expr=expr)
         # Mapping applies to the already projected column, mirroring the
         # paper's two-stage translations (project, then compute).
-        if self._plan is not None:
-            derived._plan = Compute(self._plan, expr, self.alias)
-        else:
-            derived._plan = None
-            derived._query = self._rw.apply(
-                "q9", subquery=self.query, statement=statement, alias=self.alias
-            )
+        derived._plan = Compute(self._plan, expr, self.alias) if self._plan is not None else None
         return derived
 
     def isin(self, values: list[Any]) -> "PolySeries":
@@ -347,18 +326,14 @@ class PolySeries:
         ) as span:
             yield span
 
+    def _send(self, plan: PlanNode, terminal: str | None = None):
+        compiled = compile_plan_for(self._connector, plan, terminal=terminal)
+        return send_compiled(self._connector, compiled, self._collection)
+
     def head(self, n: int = 5) -> EagerFrame:
         """Evaluate the series' query with a LIMIT and return results."""
         with self._action_span("head"):
-            if self._plan is not None and self._connector is not None:
-                compiled = compile_plan_for(self._connector, Limit(self._plan, n))
-                query = compiled.text
-            else:
-                compiled = None
-                query = self._rw.apply("limit", subquery=self.query, num=n)
-            result = self._connector.send(query, self._collection)
-            if compiled is not None:
-                stamp_stats(result, compiled)
+            result = self._send(Limit(self._require(self._plan), n))
             records = self._connector.postprocess(result)
         frame = frame_from_records(records)
         if frame.columns == ["value"]:
@@ -370,25 +345,8 @@ class PolySeries:
             raise RewriteError("aggregates require a plain column")
         agg_alias = f"{func}_{self.attribute}"
         with self._action_span(func):
-            if self._plan is not None and self._connector is not None:
-                compiled = compile_plan_for(
-                    self._connector, Agg(self._plan, func, self.attribute, agg_alias)
-                )
-                query = compiled.text
-            else:
-                compiled = None
-                agg_func = self._rw.apply(func, attribute=self.attribute)
-                query = self._rw.apply(
-                    "q7",
-                    subquery=self.query,
-                    agg_func=agg_func,
-                    agg_alias=agg_alias,
-                )
-            query = self._rw.apply("return_all", subquery=query)
-            result = self._connector.send(query, self._collection)
-            if compiled is not None:
-                stamp_stats(result, compiled)
-            return result.scalar()
+            plan = Agg(self._require(self._plan), func, self.attribute, agg_alias)
+            return self._send(plan, "return_all").scalar()
 
     def max(self) -> Any:
         return self._aggregate("max")
@@ -413,20 +371,8 @@ class PolySeries:
         if self.attribute is None:
             raise RewriteError("unique() requires a plain column")
         with self._action_span("unique"):
-            if self._base_plan is not None and self._connector is not None:
-                compiled = compile_plan_for(
-                    self._connector, Distinct(self._base_plan, self.attribute)
-                )
-                query = compiled.text
-            else:
-                compiled = None
-                query = self._rw.apply(
-                    "q14", subquery=self._base_query, attribute=self.attribute
-                )
-            query = self._rw.apply("return_all", subquery=query)
-            result = self._connector.send(query, self._collection)
-            if compiled is not None:
-                stamp_stats(result, compiled)
+            plan = Distinct(self._require(self._base_plan), self.attribute)
+            result = self._send(plan, "return_all")
         values = []
         for record in result.records:
             if isinstance(record, dict):
@@ -445,18 +391,5 @@ class PolySeries:
         if self.attribute is None:
             raise RewriteError("nunique() requires a plain column")
         with self._action_span("nunique"):
-            if self._base_plan is not None and self._connector is not None:
-                compiled = compile_plan_for(
-                    self._connector, Count(Distinct(self._base_plan, self.attribute))
-                )
-                query = compiled.text
-            else:
-                compiled = None
-                distinct = self._rw.apply(
-                    "q14", subquery=self._base_query, attribute=self.attribute
-                )
-                query = self._rw.apply("q3", subquery=distinct)
-            result = self._connector.send(query, self._collection)
-            if compiled is not None:
-                stamp_stats(result, compiled)
-            return int(result.scalar())
+            plan = Count(Distinct(self._require(self._base_plan), self.attribute))
+            return int(self._send(plan).scalar())

@@ -21,6 +21,16 @@ class Lit:
 
 
 @dataclass(frozen=True)
+class Param:
+    """``$p0`` (index 0): bound to a literal before the query runs."""
+
+    index: int
+
+    def __str__(self) -> str:
+        return f"$p{self.index}"
+
+
+@dataclass(frozen=True)
 class Var:
     """A bound variable (``t``)."""
 
@@ -109,14 +119,14 @@ class MapProjection:
         return f"{self.var}{{{', '.join(pieces)}}}"
 
 
-CypherExpr = Union[Lit, Var, Prop, Bin, Un, IsNull, Func, MapLiteral, MapProjection]
+CypherExpr = Union[Lit, Param, Var, Prop, Bin, Un, IsNull, Func, MapLiteral, MapProjection]
 
 AGGREGATES = frozenset({"count", "min", "max", "avg", "sum", "stdevp", "stdev"})
 
 
 def children(expr: CypherExpr) -> Sequence[CypherExpr]:
     """The sub-expressions of *expr*, in evaluation order."""
-    if isinstance(expr, (Prop, Var, Lit)):
+    if isinstance(expr, (Prop, Var, Lit, Param)):
         return ()
     if isinstance(expr, Bin):
         return (expr.left, expr.right)

@@ -4,10 +4,13 @@ Covers the constructs PolyFrame's Cypher rewrite rules emit (the paper's
 Appendix B and G): ``MATCH`` node patterns, chained ``WITH`` projections
 (including map projections like ``t{'two': t.two}`` and ``t{.*, r}``),
 ``WHERE``, ``ORDER BY``, ``RETURN``, ``LIMIT``, aggregates, and ``IS NULL``.
+Numbers may carry an exponent (``1e-05``); ``$p<i>`` is the parameter a
+prepared query binds to ``params[i]``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from repro.errors import LexerError, ParseError
@@ -22,6 +25,7 @@ from repro.graphdb.cypher_ast import (
     MapProjection,
     MatchClause,
     OrderKey,
+    Param,
     Pattern,
     Un,
     Var,
@@ -39,6 +43,9 @@ _KEYWORDS = frozenset(
 )
 
 IDENT, NUMBER, STRING, KEYWORD, OP, EOF = "IDENT", "NUMBER", "STRING", "KEYWORD", "OP", "EOF"
+PARAM = "PARAM"  # ``$p0``: a parameter of a prepared query
+_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
+_PARAM_RE = re.compile(r"\$p(\d+)")
 _TWO_CHAR = ("<=", ">=", "<>", "!=")
 _ONE_CHAR = "=<>+-*/%(){}:,.[]"
 
@@ -85,17 +92,13 @@ def tokenize(text: str) -> list[_Token]:
             index = end + 1
             continue
         if ch.isdigit():
-            start = index
-            index += 1
-            seen_dot = False
-            while index < length and (
-                text[index].isdigit()
-                or (text[index] == "." and not seen_dot and index + 1 < length and text[index + 1].isdigit())
-            ):
-                if text[index] == ".":
-                    seen_dot = True
-                index += 1
-            tokens.append(_Token(NUMBER, text[start:index], start))
+            number = _NUMBER_RE.match(text, index)
+            tokens.append(_Token(NUMBER, number.group(), index))
+            index = number.end()
+            continue
+        if ch == "$" and (param := _PARAM_RE.match(text, index)):
+            tokens.append(_Token(PARAM, param.group(1), index))
+            index = param.end()
             continue
         if ch.isalpha() or ch == "_":
             start = index
@@ -229,7 +232,7 @@ class _Parser:
         limit = None
         if self._kw("LIMIT"):
             token = self._cur
-            if token.kind != NUMBER:
+            if token.kind != NUMBER or not token.text.isdigit():
                 raise ParseError(f"LIMIT requires a number, found {token.text!r}")
             self._advance()
             limit = int(token.text)
@@ -325,7 +328,10 @@ class _Parser:
         token = self._cur
         if token.kind == NUMBER:
             self._advance()
-            return Lit(float(token.text) if "." in token.text else int(token.text))
+            return Lit(int(token.text) if token.text.isdigit() else float(token.text))
+        if token.kind == PARAM:
+            self._advance()
+            return Param(int(token.text))
         if token.kind == STRING:
             self._advance()
             return Lit(token.text)

@@ -1,17 +1,26 @@
-"""The graph database facade (Neo4j stand-in)."""
+"""The graph database facade (Neo4j stand-in).
+
+Every query text is a prepared query: the engine parses a text once and
+keeps the parsed query in its ``plan_cache`` (a bounded LRU keyed on the
+text — parsing reads no schema, so no DDL can make an entry stale); each
+call binds its ``params`` (``$p0`` is ``params[0]``) into that query, and
+the executor plans and runs the bound query from scratch.
+"""
 
 from __future__ import annotations
 
 import time
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from repro import obs
+from repro.cache.compiled import CompiledQueryCache, binder
 from repro.exec.memory import (
     MemoryBudget,
     drain_with_stats,
     resolve_budget,
     stamp_memory,
 )
+from repro.graphdb.cypher_ast import CypherQuery, Lit, Param, Un
 from repro.graphdb.cypher_parser import parse
 from repro.graphdb.executor import CypherExecutor
 from repro.graphdb.store import GraphStore
@@ -47,6 +56,8 @@ class Neo4jDatabase:
         # here tracks peak usage rather than triggering disk spill.
         self.memory_budget = resolve_budget(memory_budget)
         self.store = GraphStore()
+        #: Prepared queries: text → parsed query.
+        self.plan_cache = CompiledQueryCache()
 
     # ------------------------------------------------------------------
     def load(self, label: str, records: Iterable[dict[str, Any]]) -> int:
@@ -69,9 +80,14 @@ class Neo4jDatabase:
 
     # ------------------------------------------------------------------
     def execute(
-        self, cypher: str, *, analyze: bool = False, stream: bool = False
+        self,
+        cypher: str,
+        *,
+        params: Sequence[Any] = (),
+        analyze: bool = False,
+        stream: bool = False,
     ) -> ResultSet:
-        """Parse and run a Cypher query.
+        """Parse and run a Cypher query, its ``$p<i>`` bound to ``params[i]``.
 
         With ``analyze=True`` (or inside :func:`repro.obs.analyze_mode`,
         or under tracing) each clause step is profiled and the per-clause
@@ -85,8 +101,8 @@ class Neo4jDatabase:
         with obs.ambient_span("execute", backend=self.name) as span:
             if self.query_prep_overhead > 0:
                 time.sleep(self.query_prep_overhead)
-            query = parse(cypher)
-            stats = QueryStats()
+            query, hit = self._prepare(cypher, params)
+            stats = QueryStats(plan_cache_hits=int(hit), plan_cache_misses=int(not hit))
             budget = MemoryBudget(self.memory_budget)
             executor = CypherExecutor(self.store, stats, memory=budget)
             want_profile = analyze or span.recording or obs.analyze_active()
@@ -121,3 +137,14 @@ class Neo4jDatabase:
             elapsed_seconds=elapsed,
             op_profile=profile,
         )
+
+    def _prepare(self, cypher: str, params: Sequence[Any]) -> tuple[CypherQuery, bool]:
+        """The parsed query with *params* bound, and whether it was cached."""
+        cached = self.plan_cache.lookup(cypher)
+        if cached is None:
+            query = parse(cypher)
+            bind = binder(query, Param, Lit, lambda operand: Un("-", operand))
+            self.plan_cache.store(cypher, cypher, (query, bind))
+        else:
+            query, bind = cached[1]
+        return (query if bind is None else bind(params)), cached is not None

@@ -30,6 +30,16 @@ class Literal:
 
 
 @dataclass(frozen=True)
+class Param:
+    """``$1`` (index 0): bound to a literal before the plan is lowered."""
+
+    index: int
+
+    def __str__(self) -> str:
+        return f"${self.index + 1}"
+
+
+@dataclass(frozen=True)
 class ColumnRef:
     """A possibly qualified column reference (``t.lang`` or ``lang``)."""
 
@@ -118,7 +128,9 @@ class FuncCall:
         return f"{self.name.upper()}({inner})"
 
 
-Expression = Union[Literal, ColumnRef, Star, AliasRef, BinaryOp, UnaryOp, IsAbsent, FuncCall]
+Expression = Union[
+    Literal, Param, ColumnRef, Star, AliasRef, BinaryOp, UnaryOp, IsAbsent, FuncCall
+]
 
 AGGREGATE_FUNCTIONS = frozenset({"MIN", "MAX", "AVG", "SUM", "COUNT", "STDDEV", "STDDEV_POP"})
 

@@ -8,7 +8,15 @@ behind a small API::
     db.insert("Test.Users", [{"id": 1, "lang": "en"}])
     db.create_index("Test.Users", "lang")
     result = db.execute("SELECT t.lang FROM Test.Users t WHERE t.lang = 'en'")
+    result = db.execute("SELECT t.lang FROM Test.Users t WHERE t.id = $1", params=(1,))
     print(db.explain("SELECT MAX(id) FROM Test.Users t"))
+
+Every query text is a prepared statement: the engine parses, plans and
+rewrites a text once per schema epoch and keeps the rewritten logical
+plan in its ``plan_cache`` (a bounded LRU); each call binds its
+``params`` into that plan and lowers it to a fresh physical plan, so
+access-path choice still sees the real literal.  DDL — a table or an
+index created or dropped — starts a new epoch; data writes do not.
 
 ``query_prep_overhead`` simulates fixed per-query preparation cost (query
 compilation plus client round trip).  The paper's 'Empty'-dataset baseline
@@ -21,19 +29,22 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from repro import obs
+from repro.cache.compiled import CompiledQueryCache, binder
 from repro.exec.memory import (
     MemoryBudget,
     drain_with_stats,
     resolve_budget,
     stamp_memory,
 )
+from repro.sqlengine.ast_nodes import Literal, Param, UnaryOp
 from repro.sqlengine.expressions import Evaluator
+from repro.sqlengine.logical import LogicalPlan
 from repro.sqlengine.optimizer import Optimizer, OptimizerFeatures
 from repro.sqlengine.parser import parse
-from repro.sqlengine.physical import ExecutionContext
+from repro.sqlengine.physical import ExecutionContext, PhysicalPlan
 from repro.sqlengine.planner import plan_query
 from repro.sqlengine.result import QueryStats, ResultSet, StreamingResultSet
 from repro.sqlengine.vectorize import vectorize
@@ -74,6 +85,8 @@ class SQLDatabase:
         if exec_engine not in ("row", "vector"):
             raise ValueError(f"unknown exec_engine {exec_engine!r}")
         self.exec_engine = exec_engine
+        #: Prepared plans: ``(schema epoch, text)`` → rewritten logical plan.
+        self.plan_cache = CompiledQueryCache()
 
     # ------------------------------------------------------------------
     # DDL / DML
@@ -119,9 +132,18 @@ class SQLDatabase:
     # Query execution
     # ------------------------------------------------------------------
     def execute(
-        self, query_text: str, *, analyze: bool = False, stream: bool = False
+        self,
+        query_text: str,
+        *,
+        params: Sequence[Any] = (),
+        analyze: bool = False,
+        stream: bool = False,
     ) -> ResultSet:
         """Parse, optimize, and run *query_text*, returning a ResultSet.
+
+        ``$1``, ``$2``, … in the text are bound to ``params[0]``,
+        ``params[1]``, …; the text's plan comes from the plan cache when
+        it has been prepared before (``QueryStats.plan_cache_hits``).
 
         With ``analyze=True`` (or inside :func:`repro.obs.analyze_mode`,
         or under tracing) every physical/vector operator is profiled and
@@ -140,8 +162,8 @@ class SQLDatabase:
         with obs.ambient_span("execute", backend=self.name, dialect=self.dialect) as span:
             if self.query_prep_overhead > 0:
                 time.sleep(self.query_prep_overhead)
-            physical = self._compile(query_text)
-            stats = QueryStats()
+            _logical, physical, hit = self._prepare(query_text, params)
+            stats = QueryStats(plan_cache_hits=int(hit), plan_cache_misses=int(not hit))
             budget = MemoryBudget(self.memory_budget)
             ctx = ExecutionContext(self.catalog, self._evaluator, stats, budget)
             plan_text = physical.tree_string()
@@ -196,11 +218,7 @@ class SQLDatabase:
 
     def explain(self, query_text: str) -> str:
         """Logical and physical plan for *query_text*, without executing."""
-        ast = parse(query_text, self.dialect)
-        logical = plan_query(ast)
-        optimizer = Optimizer(self.catalog, self.features)
-        rewritten = optimizer.rewrite(logical)
-        physical = optimizer.to_physical(rewritten)
+        rewritten, physical, _hit = self._prepare(query_text, ())
         if self.exec_engine == "vector":
             vector_plan = vectorize(physical, self.dialect)
             if vector_plan is not None:
@@ -218,12 +236,23 @@ class SQLDatabase:
             + engine_text
         )
 
-    def _compile(self, query_text: str):
-        ast = parse(query_text, self.dialect)
-        logical = plan_query(ast)
+    def _prepare(
+        self, query_text: str, params: Sequence[Any]
+    ) -> tuple[LogicalPlan, PhysicalPlan, bool]:
+        """The rewritten logical plan with *params* bound, its physical plan,
+        and whether the plan cache had the text prepared."""
         optimizer = Optimizer(self.catalog, self.features)
-        rewritten = optimizer.rewrite(logical)
-        return optimizer.to_physical(rewritten)
+        key = (self.catalog.epoch, query_text)
+        cached = self.plan_cache.lookup(key)
+        if cached is None:
+            logical = optimizer.rewrite(plan_query(parse(query_text, self.dialect)))
+            bind = binder(logical, Param, Literal, lambda operand: UnaryOp("-", operand))
+            self.plan_cache.store(key, query_text, (logical, bind))
+        else:
+            logical, bind = cached[1]
+        if bind is not None:
+            logical = bind(params)
+        return logical, optimizer.to_physical(logical), cached is not None
 
 
 __all__ = ["OptimizerFeatures", "SQLDatabase"]

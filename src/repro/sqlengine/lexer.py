@@ -4,10 +4,13 @@ Produces a flat list of :class:`Token` objects.  Keywords are matched
 case-insensitively; identifiers keep their original spelling.  Both single
 quotes (string literals) and double quotes (delimited identifiers, as in the
 paper's generated PostgreSQL queries: ``"twentyPercent"``) are supported.
+Numbers may carry an exponent (``1e-05``, Python's spelling of small
+floats); ``$<n>`` is a positional parameter of a prepared statement.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from repro.errors import LexerError
@@ -28,8 +31,12 @@ NUMBER = "NUMBER"
 STRING = "STRING"
 KEYWORD = "KEYWORD"
 OP = "OP"
+PARAM = "PARAM"  # a positional parameter: ``$1``, ``$2``, …
 EOF = "EOF"
 
+#: A dot followed by a non-digit is a qualifier, not a decimal point.
+_NUMBER_RE = re.compile(r"(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?")
+_PARAM_RE = re.compile(r"\$\d+")
 _TWO_CHAR_OPS = ("<=", ">=", "!=", "<>", "||")
 _ONE_CHAR_OPS = "=<>+-*/%(),.;"
 
@@ -80,19 +87,14 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token(IDENT, value, index))
             continue
         if ch.isdigit() or (ch == "." and index + 1 < length and text[index + 1].isdigit()):
-            start = index
-            index += 1
-            seen_dot = ch == "."
-            while index < length and (text[index].isdigit() or (text[index] == "." and not seen_dot)):
-                if text[index] == ".":
-                    # A dot followed by a non-digit is a qualifier, not a decimal
-                    # point (e.g. ``1.x`` never appears, but ``Test.Users`` does
-                    # after an identifier, so this branch only guards numbers).
-                    if index + 1 >= length or not text[index + 1].isdigit():
-                        break
-                    seen_dot = True
-                index += 1
-            tokens.append(Token(NUMBER, text[start:index], start))
+            number = _NUMBER_RE.match(text, index)
+            tokens.append(Token(NUMBER, number.group(), index))
+            index = number.end()
+            continue
+        if ch == "$" and index + 1 < length and text[index + 1].isdigit():
+            param = _PARAM_RE.match(text, index)
+            tokens.append(Token(PARAM, param.group(), index))
+            index = param.end()
             continue
         if ch.isalpha() or ch == "_" or ch == "$":
             start = index

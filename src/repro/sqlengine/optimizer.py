@@ -305,8 +305,8 @@ class Optimizer:
                 chosen = (access, residual)
                 break
             if op in (">", ">=", "<", "<="):
-                low = value if op in (">", ">=") else None
-                high = value if op in ("<", "<=") else None
+                # side ('>' low, '<' high) -> (bound, inclusive)
+                bounds = {op[0]: (value, op[1:] == "=")}
                 # Absorb a matching opposite bound on the same column.
                 for other_pos, other in enumerate(residual):
                     other_match = match_column_literal(other)
@@ -315,22 +315,20 @@ class Optimizer:
                     o_op, o_q, o_col, o_val = other_match
                     if o_col != column or o_q not in (None, scan.alias):
                         continue
-                    if low is None and o_op in (">", ">="):
-                        low = o_val
+                    if o_op[0] in "<>" and o_op[0] not in bounds:
+                        bounds[o_op[0]] = (o_val, o_op[1:] == "=")
                         residual = residual[:other_pos] + residual[other_pos + 1:]
                         break
-                    if high is None and o_op in ("<", "<="):
-                        high = o_val
-                        residual = residual[:other_pos] + residual[other_pos + 1:]
-                        break
+                low, low_inclusive = bounds.get(">", (None, True))
+                high, high_inclusive = bounds.get("<", (None, True))
                 access = phys.IndexScan(
                     scan.table,
                     scan.alias,
                     index.name,
                     low=low,
                     high=high,
-                    low_inclusive=op != ">" if low == value else True,
-                    high_inclusive=op != "<" if high == value else True,
+                    low_inclusive=low_inclusive,
+                    high_inclusive=high_inclusive,
                     skip_absent=low is None,
                 )
                 if chosen is None:

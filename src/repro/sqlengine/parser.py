@@ -4,6 +4,7 @@ Covers the composable query surface PolyFrame generates (nested derived
 tables, joins with ON, grouping, ordering, LIMIT) plus enough general SQL to
 be usable on its own.  ``dialect='sqlpp'`` additionally accepts
 ``SELECT VALUE expr`` and ``IS [NOT] UNKNOWN`` / ``IS [NOT] MISSING``.
+A ``$<n>`` parameter may stand wherever a literal may.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.sqlengine.ast_nodes import (
     JoinRef,
     Literal,
     OrderItem,
+    Param,
     SelectItem,
     SelectQuery,
     Star,
@@ -27,7 +29,7 @@ from repro.sqlengine.ast_nodes import (
     TableRef,
     UnaryOp,
 )
-from repro.sqlengine.lexer import EOF, IDENT, KEYWORD, NUMBER, OP, STRING, Token
+from repro.sqlengine.lexer import EOF, IDENT, KEYWORD, NUMBER, OP, PARAM, STRING, Token
 
 _COMPARISON_OPS = {"=", "!=", "<>", ">", "<", ">=", "<="}
 _RESERVED_AS_ALIAS_BLOCKERS = {
@@ -363,7 +365,10 @@ class _Parser:
         if token.kind == NUMBER:
             self._advance()
             text = token.text
-            return Literal(float(text) if "." in text else int(text))
+            return Literal(int(text) if text.isdigit() else float(text))
+        if token.kind == PARAM:
+            self._advance()
+            return Param(int(token.text[1:]) - 1)
         if token.kind == STRING:
             self._advance()
             return Literal(token.text)

@@ -60,6 +60,8 @@ class QueryStats:
     quorum_reads: int = 0  # shards answered under quorum checksum checking
     compile_cache_hits: int = 0  # compiled-query cache hits behind this result
     compile_cache_misses: int = 0  # plans that had to be compiled from scratch
+    plan_cache_hits: int = 0  # engine runs whose query text was already prepared
+    plan_cache_misses: int = 0  # engine runs that parsed and planned their text
     result_cache_hits: int = 0  # answers (whole or per-shard) served from cache
     result_cache_misses: int = 0  # cache probes that had to execute instead
     singleflight_waits: int = 0  # sends that blocked on an identical in-flight query

@@ -68,6 +68,8 @@ class Catalog:
     def __init__(self, *, default_include_absent: bool = True) -> None:
         self._tables: dict[str, TableInfo] = {}
         self._default_include_absent = default_include_absent
+        #: Bumped by DDL (tables, indexes), not by data writes: plans are cached per epoch.
+        self.epoch = 0
 
     # ------------------------------------------------------------------
     # DDL
@@ -89,6 +91,7 @@ class Catalog:
             primary_key=primary_key,
         )
         self._tables[key] = info
+        self.epoch += 1
         if primary_key is not None:
             self.create_index(f"{name}_pkey", name, primary_key, unique=True)
         return info
@@ -97,6 +100,7 @@ class Catalog:
         if name.lower() not in self._tables:
             raise CatalogError(f"table {name!r} does not exist")
         del self._tables[name.lower()]
+        self.epoch += 1
 
     def has_table(self, name: str) -> bool:
         return name.lower() in self._tables
@@ -140,6 +144,7 @@ class Catalog:
         for rid, record in table.heap.scan():
             self._index_record(info, rid, record)
         table.indexes[index_name] = info
+        self.epoch += 1
         return info
 
     def drop_index(self, table_name: str, index_name: str) -> None:
@@ -147,6 +152,7 @@ class Catalog:
         if index_name not in table.indexes:
             raise CatalogError(f"index {index_name!r} does not exist on {table_name!r}")
         del table.indexes[index_name]
+        self.epoch += 1
 
     # ------------------------------------------------------------------
     # DML

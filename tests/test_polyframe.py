@@ -274,7 +274,7 @@ class TestValidation:
             users_asterix[42]
 
     def test_series_without_query(self):
-        series = PolySeries(None, "c", "base", "stmt")
+        series = PolySeries(None, "c", "stmt")
         with pytest.raises(RewriteError):
             series.query
 

@@ -27,7 +27,7 @@ from repro.cache import (
 )
 from repro.cluster import GreenplumCluster
 from repro.cluster.dispatch import ThreadPoolDispatcher
-from repro.core.plan.cache import CompiledQueryCache
+from repro.cache.compiled import CompiledQueryCache
 from repro.errors import ReproError
 from repro.obs import Tracer
 from repro.obs.trace import get_tracer
