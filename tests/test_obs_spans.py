@@ -179,15 +179,19 @@ def test_cluster_shard_spans_nest_under_attempt(mode):
 
     The span stack is thread-local, so without context propagation the
     thread dispatcher's shard spans would surface as stray roots instead
-    of children of the connector's attempt span.
+    of children of the connector's attempt span.  The cluster and the
+    connector get their own rule-less injectors: a fault drawn from the
+    process-wide one under the chaos env would add a second attempt.
     """
     from repro.cluster import GreenplumCluster
     from repro.wisconsin import wisconsin_records
 
-    cluster = GreenplumCluster(4, query_prep_overhead=0.0, dispatch=mode)
+    cluster = GreenplumCluster(
+        4, query_prep_overhead=0.0, dispatch=mode, fault_injector=FaultInjector()
+    )
     cluster.create_table("B.data", primary_key="unique2")
     cluster.insert("B.data", wisconsin_records(80), shard_key="unique1")
-    connector = PostgresConnector(cluster)
+    connector = PostgresConnector(cluster, fault_injector=FaultInjector())
     tracer = Tracer()
     connector.set_tracer(tracer)
     df = PolyFrame("B", "data", connector)
