@@ -3,14 +3,17 @@
 Given the query that ran on every shard, derive how to combine the shard
 outputs into the global answer:
 
-- scalar ``COUNT`` → sum of partial counts; ``MIN``/``MAX``/``SUM`` →
-  min/max/sum of partials (``SUM`` over all-NULL partials stays NULL, as
-  SQL requires);
+- scalar ``COUNT``/``SUM``/``MIN``/``MAX`` → the per-shard answers fed
+  to the query dialect's own accumulator (:mod:`repro.exec.scalar`): a
+  count of counts adds rows, SQL's ``SUM`` over all-NULL partials stays
+  NULL, MongoDB's ``$min``/``$max`` order mixed types as one node does;
+  a scalar aggregate no shard answered (``$group`` over no documents)
+  has no row, as on one node;
 - ``AVG``/``STDDEV`` → *partial aggregation states*: each shard computes
   sum, count (and sum-of-squares for STDDEV) instead of its local final,
   the coordinator combines the partials and applies the shared finalizer
-  (:func:`~repro.exec.kernels.finalize_avg` /
-  :func:`~repro.exec.kernels.finalize_std`) — the per-shard query rewrite
+  (:func:`~repro.exec.scalar.finalize_avg` /
+  :func:`~repro.exec.scalar.finalize_std`) — the per-shard query rewrite
   lives in :mod:`repro.cluster.partial`;
 - ``GROUP BY`` aggregates → re-group merged records by the key columns,
   combining each aggregate output column by its function (a count of
@@ -31,7 +34,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import UnsupportedOperationError
-from repro.exec.kernels import Descending, finalize_avg, finalize_std, regroup_records
+from repro.exec.kernels import Descending
+from repro.exec.scalar import DIALECTS, accumulator, finalize_avg, finalize_std
 from repro.sqlengine.ast_nodes import (
     AGGREGATE_FUNCTIONS,
     ColumnRef,
@@ -41,24 +45,22 @@ from repro.sqlengine.ast_nodes import (
 from repro.storage.keys import index_key
 
 
-def _combine_count(values: list[Any]) -> Any:
-    return sum(v for v in values if v is not None)
+def _combiner(kind: str, dialect: str) -> Callable[[list[Any]], Any]:
+    """Fold the per-shard answers of aggregate *kind* (``COUNT``, ``SUM``,
+    ``MIN``, ``MAX``) through the dialect's accumulator: a count adds its
+    rows, anything else is one more value (NULLs are skipped)."""
+    make = accumulator(kind, DIALECTS[dialect])
 
+    def combine(values: list[Any]) -> Any:
+        acc = make()
+        add = acc.add_rows if kind == "COUNT" else acc.add
+        for value in values:
+            if value is not None:
+                add(value)
+        return acc.result()
 
-def _combine_sum(values: list[Any]) -> Any:
-    # SQL semantics: SUM over no (non-NULL) input is NULL, not 0 — a
-    # count of zero rows is 0, but a sum of zero rows is unknown.
-    present = [v for v in values if v is not None]
-    return sum(present) if present else None
+    return combine
 
-
-#: How each aggregate's per-shard finals combine into the global value.
-_COMBINERS: dict[str, Callable[[list[Any]], Any]] = {
-    "COUNT": _combine_count,
-    "SUM": _combine_sum,
-    "MIN": lambda values: min((v for v in values if v is not None), default=None),
-    "MAX": lambda values: max((v for v in values if v is not None), default=None),
-}
 
 #: Aggregates that distribute via partial states rather than local finals.
 _DECOMPOSED = {"AVG": "avg", "STDDEV": "std", "STDDEV_POP": "std"}
@@ -95,11 +97,10 @@ class MergeSpec:
 
     kind: str  # 'scalar_agg' | 'group_agg' | 'ordered_limit' | 'concat'
     select_value: bool = False
-    # scalar_agg: output column name -> combiner
-    scalar_columns: dict[str, Callable[[list[Any]], Any]] = field(default_factory=dict)
-    # group_agg: key column names and agg column -> combiner
+    # scalar_agg / group_agg: the key columns (none for scalar_agg) and
+    # each aggregate column's combiner
     group_keys: tuple[str, ...] = ()
-    group_columns: dict[str, Callable[[list[Any]], Any]] = field(default_factory=dict)
+    columns: dict[str, Callable[[list[Any]], Any]] = field(default_factory=dict)
     # ordered_limit / concat
     order_columns: tuple[tuple[str, bool], ...] = ()  # (column, descending)
     limit: int | None = None
@@ -122,10 +123,8 @@ def merge_records(spec: MergeSpec, shard_records: list[list[Any]]) -> list[Any]:
     :func:`merge_record_stream`, so even the materialized entry point
     uses the bounded k-way merge rather than a full re-sort.
     """
-    if spec.kind == "scalar_agg":
-        return _merge_scalar(spec, shard_records)
-    if spec.kind == "group_agg":
-        return _merge_groups(spec, shard_records)
+    if spec.kind in ("scalar_agg", "group_agg"):
+        return _merge_aggregates(spec, shard_records)
     return list(merge_record_stream(spec, shard_records))
 
 
@@ -184,7 +183,7 @@ def _field(record: Any, column: str) -> Any:
 
 def _finalize_value(partial: PartialColumn, combined: dict[str, Any]) -> Any:
     if partial.finalize == "avg":
-        return finalize_avg(combined.get(partial.sum_col), combined.get(partial.count_col))
+        return finalize_avg(combined.get(partial.count_col), combined.get(partial.sum_col))
     return finalize_std(
         combined.get(partial.count_col) or 0,
         combined.get(partial.sum_col) or 0,
@@ -202,31 +201,31 @@ def _finalize_record(spec: MergeSpec, combined: dict[str, Any]) -> dict[str, Any
     return out
 
 
-def _merge_scalar(spec: MergeSpec, shard_records: list[list[Any]]) -> list[Any]:
-    partials: dict[str, list[Any]] = {name: [] for name in spec.scalar_columns}
+def _merge_aggregates(spec: MergeSpec, shard_records: list[list[Any]]) -> list[Any]:
+    """Re-group the per-shard rows on the key columns (a scalar aggregate is
+    one group, or none when no shard answered), combine each aggregate
+    column, then finalize any partial states."""
+    groups: dict[tuple, tuple[dict[str, Any], dict[str, list[Any]]]] = {}
     for records in shard_records:
-        if not records:
-            continue
-        (record,) = records  # scalar aggregates yield exactly one row
-        for name in spec.scalar_columns:
-            partials[name].append(_field(record, name) if isinstance(record, dict) else record)
-    combined = {
-        name: combiner(partials[name]) for name, combiner in spec.scalar_columns.items()
-    }
-    if spec.partial_outputs:
-        combined = _finalize_record(spec, combined)
+        for record in records:
+            key = tuple(index_key(_field(record, name)) for name in spec.group_keys)
+            entry = groups.get(key)
+            if entry is None:
+                entry = groups[key] = (
+                    {name: _field(record, name) for name in spec.group_keys},
+                    {name: [] for name in spec.columns},
+                )
+            for name, partials in entry[1].items():
+                partials.append(_field(record, name))
+    out = []
+    for key_values, partials in groups.values():
+        merged = dict(key_values)
+        for name, combine in spec.columns.items():
+            merged[name] = combine(partials[name])
+        out.append(_finalize_record(spec, merged) if spec.partial_outputs else merged)
     if spec.select_value:
-        return [next(iter(combined.values()))]
-    return [combined]
-
-
-def _merge_groups(spec: MergeSpec, shard_records: list[list[Any]]) -> list[Any]:
-    # The hash-grouping kernel is shared with the vector engine's
-    # aggregate operator; combining per-shard finals is just a re-group.
-    merged = regroup_records(shard_records, spec.group_keys, spec.group_columns)
-    if not spec.partial_outputs:
-        return merged
-    return [_finalize_record(spec, record) for record in merged]
+        return [next(iter(record.values())) for record in out]
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -234,12 +233,10 @@ def _merge_groups(spec: MergeSpec, shard_records: list[list[Any]]) -> list[Any]:
 # ----------------------------------------------------------------------
 
 
-def spec_for_select(ast: SelectQuery) -> MergeSpec:
+def spec_for_select(ast: SelectQuery, dialect: str = "sql") -> MergeSpec:
     """Derive the merge spec from a parsed SQL/SQL++ query."""
     if ast.is_aggregate():
-        if ast.group_by:
-            return _group_spec(ast)
-        return _scalar_spec(ast)
+        return _aggregate_spec(ast, dialect)
     order_columns = []
     for item in ast.order_by:
         if isinstance(item.expr, ColumnRef):
@@ -256,72 +253,54 @@ def _decompose(
     name: str,
     out_name: str,
     columns: dict[str, Callable[[list[Any]], Any]],
+    dialect: str,
 ) -> PartialColumn:
     """Register the partial columns for one AVG/STDDEV output."""
     sum_col, count_col, sumsq_col = partial_column_names(index)
-    columns[sum_col] = _COMBINERS["SUM"]
-    columns[count_col] = _COMBINERS["COUNT"]
+    columns[sum_col] = _combiner("SUM", dialect)
+    columns[count_col] = _combiner("COUNT", dialect)
     finalize = _DECOMPOSED[name]
     if finalize == "std":
-        columns[sumsq_col] = _COMBINERS["SUM"]
+        columns[sumsq_col] = _combiner("SUM", dialect)
     else:
         sumsq_col = ""
     return PartialColumn(out_name, finalize, index, sum_col, count_col, sumsq_col)
 
 
-def _scalar_spec(ast: SelectQuery) -> MergeSpec:
-    columns: dict[str, Callable[[list[Any]], Any]] = {}
-    partial_outputs: list[PartialColumn] = []
-    output_columns: list[str] = []
-    for index, item in enumerate(ast.items):
-        expr = item.expr
-        if isinstance(expr, FuncCall) and expr.name.upper() in AGGREGATE_FUNCTIONS:
-            name = expr.name.upper()
-            out_name = item.output_name()
-            output_columns.append(out_name)
-            if name in _DECOMPOSED:
-                partial_outputs.append(_decompose(index, name, out_name, columns))
-            else:
-                columns[out_name] = _COMBINERS[name]
-        else:
-            raise UnsupportedOperationError(
-                f"cannot merge non-aggregate output {expr} across shards"
-            )
-    return MergeSpec(
-        kind="scalar_agg",
-        select_value=ast.select_value,
-        scalar_columns=columns,
-        partial_outputs=tuple(partial_outputs),
-        output_columns=tuple(output_columns) if partial_outputs else (),
-    )
-
-
-def _group_spec(ast: SelectQuery) -> MergeSpec:
+def _aggregate_spec(ast: SelectQuery, dialect: str) -> MergeSpec:
     keys: list[str] = []
     columns: dict[str, Callable[[list[Any]], Any]] = {}
     partial_outputs: list[PartialColumn] = []
     output_columns: list[str] = []
     for index, item in enumerate(ast.items):
-        expr = item.expr
+        expr, out_name = item.expr, item.output_name()
+        output_columns.append(out_name)
         if isinstance(expr, FuncCall) and expr.name.upper() in AGGREGATE_FUNCTIONS:
             name = expr.name.upper()
-            out_name = item.output_name()
-            output_columns.append(out_name)
             if name in _DECOMPOSED:
-                partial_outputs.append(_decompose(index, name, out_name, columns))
+                partial_outputs.append(_decompose(index, name, out_name, columns, dialect))
             else:
-                columns[out_name] = _COMBINERS[name]
-        elif isinstance(expr, ColumnRef):
-            keys.append(item.output_name())
-            output_columns.append(item.output_name())
+                columns[out_name] = _combiner(name, dialect)
+        elif ast.group_by and isinstance(expr, ColumnRef):
+            keys.append(out_name)
         else:
-            raise UnsupportedOperationError(
-                f"cannot merge group output expression {expr} across shards"
-            )
+            kind = "group output expression" if ast.group_by else "non-aggregate output"
+            raise UnsupportedOperationError(f"cannot merge {kind} {expr} across shards")
+    return _spec(keys, columns, partial_outputs, output_columns, ast.select_value)
+
+
+def _spec(
+    keys: list[str],
+    columns: dict[str, Callable[[list[Any]], Any]],
+    partial_outputs: list[PartialColumn],
+    output_columns: list[str],
+    select_value: bool = False,
+) -> MergeSpec:
     return MergeSpec(
-        kind="group_agg",
+        kind="group_agg" if keys else "scalar_agg",
+        select_value=select_value,
         group_keys=tuple(keys),
-        group_columns=columns,
+        columns=columns,
         partial_outputs=tuple(partial_outputs),
         output_columns=tuple(output_columns) if partial_outputs else (),
     )
@@ -331,11 +310,7 @@ def _group_spec(ast: SelectQuery) -> MergeSpec:
 # Spec derivation: MongoDB aggregation pipelines
 # ----------------------------------------------------------------------
 
-_MONGO_COMBINERS = {
-    "$sum": _COMBINERS["SUM"],
-    "$max": _COMBINERS["MAX"],
-    "$min": _COMBINERS["MIN"],
-}
+_MONGO_COMBINED = {"$sum": "SUM", "$max": "MAX", "$min": "MIN"}
 
 _MONGO_DECOMPOSED = {"$avg": "AVG", "$stdDevPop": "STDDEV_POP"}
 
@@ -364,9 +339,7 @@ def spec_for_pipeline(pipeline: list[dict[str, Any]]) -> MergeSpec:
             limit = int(stage["$limit"])
 
     if count_field is not None:
-        return MergeSpec(
-            kind="scalar_agg", scalar_columns={count_field: _COMBINERS["COUNT"]}
-        )
+        return MergeSpec(kind="scalar_agg", columns={count_field: _combiner("COUNT", "mongo")})
     if group_stage is not None:
         return _mongo_group_spec(group_stage)
     order_columns = tuple(
@@ -390,23 +363,11 @@ def _mongo_group_spec(group: dict[str, Any]) -> MergeSpec:
         op = next(iter(acc))
         output_columns.append(name)
         if op in _MONGO_DECOMPOSED:
-            partial_outputs.append(_decompose(index, _MONGO_DECOMPOSED[op], name, columns))
+            partial_outputs.append(
+                _decompose(index, _MONGO_DECOMPOSED[op], name, columns, "mongo")
+            )
             continue
-        combiner = _MONGO_COMBINERS.get(op)
-        if combiner is None:
+        if op not in _MONGO_COMBINED:
             raise UnsupportedOperationError(f"cannot merge accumulator {op} across shards")
-        columns[name] = combiner
-    if keys:
-        return MergeSpec(
-            kind="group_agg",
-            group_keys=keys,
-            group_columns=columns,
-            partial_outputs=tuple(partial_outputs),
-            output_columns=tuple(output_columns) if partial_outputs else (),
-        )
-    return MergeSpec(
-        kind="scalar_agg",
-        scalar_columns=columns,
-        partial_outputs=tuple(partial_outputs),
-        output_columns=tuple(output_columns) if partial_outputs else (),
-    )
+        columns[name] = _combiner(_MONGO_COMBINED[op], "mongo")
+    return _spec(list(keys), columns, partial_outputs, output_columns)

@@ -5,8 +5,8 @@ merged from per-shard *finals* the way ``SUM``/``COUNT``/``MIN``/``MAX``
 can.  They are still distributable: each shard ships the *partial state*
 (sum, count, and sum-of-squares for STDDEV) and the coordinator combines
 the partials and finalizes with the shared kernels
-(:func:`~repro.exec.kernels.finalize_avg` /
-:func:`~repro.exec.kernels.finalize_std`).
+(:func:`~repro.exec.scalar.finalize_avg` /
+:func:`~repro.exec.scalar.finalize_std`).
 
 This module is the rewrite step.  :func:`plan_select` (SQL / SQL++) and
 :func:`plan_pipeline` (Mongo aggregation pipelines) take the query a
@@ -146,7 +146,7 @@ def plan_select(query_text: str, language: str) -> tuple[str, MergeSpec]:
     ``[PARTIAL AGGREGATION]`` rewrite rules, keeping the original
     aggregate argument text verbatim.
     """
-    spec = spec_for_select(parse(query_text, language))
+    spec = spec_for_select(parse(query_text, language), language)
     if not spec.needs_rewrite:
         return query_text, spec
     if spec.select_value:

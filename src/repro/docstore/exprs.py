@@ -1,31 +1,35 @@
 """Aggregation-expression compilation for the document store.
 
 Implements the operator subset PolyFrame's MongoDB rewrite rules emit
-(see the paper's Appendix C): field paths (``"$attr"``), pipeline variables
-(``"$$var"``), comparison / logical / arithmetic operators, string and type
-conversion operators.
+(see the paper's Appendix C).  An expression is compiled once per pipeline
+stage: :func:`compile_expr` switches on the operator and returns a closure
+``fn(doc, variables)`` that does only the per-document work.  An unknown
+operator, a malformed operand or an unbound variable compiles to a closure
+that raises when *called*, so an untaken branch or an empty input stays
+silent.
 
-An expression is compiled once per pipeline stage: :func:`compile_expr`
-switches on the operator and returns a closure ``fn(doc, variables)`` that
-does only the per-document work.  An unknown operator, a malformed
-``$cond`` or an unbound variable compiles to a closure that raises when
-*called*, so an untaken branch or an empty input stays silent.
-
-Absent fields evaluate to the MISSING sentinel.  Comparisons use a total
-BSON-like order in which ``missing < null < booleans < numbers < strings``
-(via :func:`repro.storage.keys.index_key`), which makes
-``{"$lt": ["$field", None]}`` true exactly for missing fields — the trick
-PolyFrame's expression-13 rewrite relies on.
+Absent fields evaluate to the MISSING sentinel.  Comparisons, arithmetic
+and the conversions are :mod:`repro.exec.scalar`'s under its ``mongo``
+dialect (``docs/execution.md#scalar-semantics``) — comparisons use the
+total order ``missing < null < booleans < numbers < strings``, which makes
+``{"$lt": ["$field", None]}`` true exactly for missing fields, the trick
+PolyFrame's expression-13 rewrite relies on.  What stays here is MongoDB's
+own: field paths, ``$$`` variables, the truthy ``$and`` / ``$or`` /
+``$not``, ``$cond``, ``$in``, ``$ifNull`` and each operator's answer for an
+absent operand.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from typing import Any, Callable, Mapping
 
 from repro.errors import ExecutionError
-from repro.storage.keys import SENTINEL_MISSING, index_key, is_absent
+from repro.exec import scalar
+from repro.exec.scalar import raises as _raises
+from repro.storage.keys import SENTINEL_MISSING, index_key
+
+MONGO = scalar.DIALECTS["mongo"]
 
 #: A compiled expression: ``fn(document, pipeline_variables) -> value``.
 Compiled = Callable[[Any, Any], Any]
@@ -99,26 +103,9 @@ def compile_match(*specs: Mapping[str, Any]) -> Compiled:
     return _all_of(tests)
 
 
-class ExprEvaluator:
-    """One-shot evaluation: ``compile_expr(expr)(doc, variables)``."""
-
-    def __init__(self, variables: Mapping[str, Any] | None = None) -> None:
-        self._variables = dict(variables or {})
-
-    def evaluate(self, expr: Any, doc: Mapping[str, Any]) -> Any:
-        return compile_expr(expr)(doc, self._variables)
-
-
 # ----------------------------------------------------------------------
 # Closure builders, one per operator family
 # ----------------------------------------------------------------------
-
-
-def _raises(message: str) -> Compiled:
-    def fail(_doc: Any, _variables: Any) -> Any:
-        raise ExecutionError(message)
-
-    return fail
 
 
 def _variable(expr: str) -> Compiled:
@@ -147,124 +134,86 @@ def _all_of(items: list[Compiled]) -> Compiled:
     return conjunction
 
 
-def _comparison(compare: Callable[[Any, Any], bool]) -> Callable[[Any], Compiled]:
+def _comparison(op: str) -> Callable[[Any], Compiled]:
     def build(operand: Any) -> Compiled:
         if not isinstance(operand, list) or len(operand) != 2:
             return _raises("comparison operators take a two-element array")
         left, right = compile_expr(operand[0]), compile_expr(operand[1])
         constant = _scalar_literal(operand[1])
-        if constant is _NOT_LITERAL:
-
-            def both_computed(doc: Any, variables: Any) -> bool:
-                value, other = left(doc, variables), right(doc, variables)
-                return compare(index_key(value), index_key(other))
-
-            return both_computed
-        constant_key = index_key(constant)
-        # An int or str of the constant's own type orders as its key does.
-        kind = type(constant) if type(constant) in (int, str) else None
-
-        def against_constant(doc: Any, variables: Any) -> bool:
-            value = left(doc, variables)
-            if type(value) is kind:
-                return compare(value, constant)
-            return compare(index_key(value), constant_key)
-
-        return against_constant
+        return scalar.compile_compare(op, MONGO, left, right, constant)
 
     return build
 
 
-_NOT_LITERAL = object()
 _SCALARS = (int, float, bool, str, type(None))
 
 
 def _scalar_literal(expr: Any) -> Any:
-    """The constant a scalar-literal operand evaluates to, else _NOT_LITERAL."""
+    """The constant a scalar-literal operand evaluates to, else ``NOT_CONSTANT``."""
     if isinstance(expr, dict) and list(expr) == ["$literal"]:
         expr = expr["$literal"]
     elif isinstance(expr, str) and expr.startswith("$"):
-        return _NOT_LITERAL
-    return expr if type(expr) in _SCALARS else _NOT_LITERAL
+        return scalar.NOT_CONSTANT
+    return expr if type(expr) in _SCALARS else scalar.NOT_CONSTANT
+
+
+def _items(operand: Any) -> list[Compiled]:
+    """The compiled operands of an n-ary operator; a lone operand is a list of one."""
+    return [compile_expr(item) for item in (operand if isinstance(operand, list) else [operand])]
 
 
 def _or(operand: Any) -> Compiled:
-    items = [compile_expr(item) for item in operand]
+    items = _items(operand)
     return lambda doc, variables: any(item(doc, variables) for item in items)
 
 
 def _not(operand: Any) -> Compiled:
-    inner = compile_expr(operand[0] if isinstance(operand, list) else operand)
+    if isinstance(operand, list):  # ``[x, ...]`` negates its first member
+        if not operand:
+            return _raises("$not takes one operand")
+        operand = operand[0]
+    inner = compile_expr(operand)
     return lambda doc, variables: not inner(doc, variables)
 
 
-def _arithmetic(func: Callable[[Any, Any], Any]) -> Callable[[Any], Compiled]:
-    def build(operand: Any) -> Compiled:
-        items = [compile_expr(item) for item in operand]
-
-        def apply(doc: Any, variables: Any) -> Any:
-            values = [item(doc, variables) for item in items]
-            if any(is_absent(value) for value in values):
-                return None
-            result = values[0]
-            for value in values[1:]:
-                result = func(result, value)
-            return result
-
-        return apply
-
-    return build
+def _fold(op: str, label: str) -> Callable[[Any], Compiled]:
+    return lambda operand: scalar.compile_fold(op, MONGO, _items(operand), label)
 
 
-def _unary(func: Callable[[Any], Any], if_absent: Any = None) -> Callable[[Any], Compiled]:
-    def build(operand: Any) -> Compiled:
-        inner = compile_expr(operand)
-
-        def apply(doc: Any, variables: Any) -> Any:
-            value = inner(doc, variables)
-            return if_absent if is_absent(value) else func(value)
-
-        return apply
-
-    return build
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)  # not booleans
+def _call(name: str, label: str, if_absent: Any = None) -> Callable[[Any], Compiled]:
+    """A one-operand conversion; MongoDB answers *if_absent* for an absent operand."""
+    return lambda operand: scalar.compile_call(name, label, [compile_expr(operand)], if_absent)
 
 
 def _if_null(operand: Any) -> Compiled:
-    first, fallback = compile_expr(operand[0]), compile_expr(operand[1])
+    if not isinstance(operand, list) or len(operand) != 2:
+        return _raises("$ifNull takes a two-element array")
+    first, fallback = _items(operand)
 
     def apply(doc: Any, variables: Any) -> Any:
         value = first(doc, variables)
-        return fallback(doc, variables) if is_absent(value) else value
-
-    return apply
-
-
-def _concat(operand: Any) -> Compiled:
-    items = [compile_expr(item) for item in operand]
-
-    def apply(doc: Any, variables: Any) -> Any:
-        values = [item(doc, variables) for item in items]
-        if any(is_absent(value) for value in values):
-            return None
-        return "".join(str(value) for value in values)
+        if value is None or value is SENTINEL_MISSING:
+            return fallback(doc, variables)
+        return value
 
     return apply
 
 
 def _in(operand: Any) -> Compiled:
-    needle, haystack = compile_expr(operand[0]), compile_expr(operand[1])
+    if not isinstance(operand, list) or len(operand) != 2:
+        return _raises("$in takes a two-element array")
+    needle, haystack = _items(operand)
 
     def test(doc: Any, variables: Any) -> bool:
         value = needle(doc, variables)
         members = haystack(doc, variables)
         if not isinstance(members, list):
             raise ExecutionError("$in requires an array as its second operand")
-        target = index_key(value)
-        return any(index_key(member) == target for member in members)
+        try:
+            target = index_key(value)
+            return any(index_key(member) == target for member in members)
+        except TypeError:
+            raise scalar.compare_error(value, members) from None
 
     return test
 
@@ -281,28 +230,28 @@ def _cond(operand: Any) -> Compiled:
 
 
 _OPERATORS: dict[str, Callable[[Any], Compiled]] = {
-    "$eq": _comparison(operator.eq),
-    "$ne": _comparison(operator.ne),
-    "$gt": _comparison(operator.gt),
-    "$gte": _comparison(operator.ge),
-    "$lt": _comparison(operator.lt),
-    "$lte": _comparison(operator.le),
-    "$and": lambda operand: _all_of([compile_expr(item) for item in operand]),
+    "$eq": _comparison("="),
+    "$ne": _comparison("!="),
+    "$gt": _comparison(">"),
+    "$gte": _comparison(">="),
+    "$lt": _comparison("<"),
+    "$lte": _comparison("<="),
+    "$and": lambda operand: _all_of(_items(operand)),
     "$or": _or,
     "$not": _not,
-    "$add": _arithmetic(operator.add),
-    "$subtract": _arithmetic(operator.sub),
-    "$multiply": _arithmetic(operator.mul),
-    "$divide": _arithmetic(operator.truediv),
-    "$mod": _arithmetic(operator.mod),
-    "$toUpper": _unary(lambda value: str(value).upper(), if_absent=""),
-    "$toLower": _unary(lambda value: str(value).lower(), if_absent=""),
-    "$toInt": _unary(lambda value: int(float(value))),
-    "$toString": _unary(str),
-    "$abs": _unary(abs),
-    "$isNumber": _unary(_is_number, if_absent=False),
+    "$add": _fold("+", "$add"),
+    "$subtract": _fold("-", "$subtract"),
+    "$multiply": _fold("*", "$multiply"),
+    "$divide": _fold("/", "$divide"),
+    "$mod": _fold("%", "$mod"),
+    "$toUpper": _call("UPPER", "$toUpper", if_absent=""),
+    "$toLower": _call("LOWER", "$toLower", if_absent=""),
+    "$toInt": _call("TO_INT", "$toInt"),
+    "$toString": _call("TO_STRING", "$toString"),
+    "$abs": _call("ABS", "$abs"),
+    "$isNumber": _call("IS_NUMBER", "$isNumber", if_absent=False),
     "$ifNull": _if_null,
-    "$concat": _concat,
+    "$concat": lambda operand: scalar.compile_call("CONCAT", "$concat", _items(operand), None),
     "$in": _in,
     "$cond": _cond,
     "$literal": lambda operand: lambda _doc, _variables: operand,

@@ -19,13 +19,15 @@ indexed field, matching the paper's expression-12 observation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Any, Callable, Iterable, Iterator, TYPE_CHECKING
 
 from repro.errors import ExecutionError, UnsupportedOperationError
 from repro.docstore.collection import Collection
 from repro.docstore.exprs import Compiled, compile_expr, compile_match, compile_path
-from repro.exec.kernels import Descending, finalize_avg, finalize_std
+from repro.exec import scalar
+from repro.exec.kernels import Descending
 from repro.exec.memory import (
     MemoryBudget,
     SpillableGroups,
@@ -34,7 +36,7 @@ from repro.exec.memory import (
 )
 from repro.obs.profile import OpProfile, profiled_rows
 from repro.sqlengine.result import QueryStats
-from repro.storage.keys import SENTINEL_MISSING, index_key, sorts_before
+from repro.storage.keys import SENTINEL_MISSING, index_key
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.docstore.database import MongoDatabase
@@ -309,13 +311,15 @@ class PipelineExecutor:
 
     def _stage_group(self, docs: Iterable[dict], spec: dict) -> Iterator[dict]:
         group_id_of, key_of = _compile_group_id(spec.get("_id"))
-        # (output name, accumulator spec, compiled argument); a malformed spec
-        # fails where it always did, when the first group needs its state.
+        # (output name, accumulator factory, compiled argument); a malformed
+        # spec fails where it always did, when the first group needs its state.
         accumulators = [
-            (name, agg, compile_expr(next(iter(agg.values()), None)))
+            (name, _accumulator(agg), compile_expr(next(iter(agg.values()), None)
+                                                   if isinstance(agg, dict) else None))
             for name, agg in spec.items()
             if name != "_id"
         ]
+        arguments = [(slot, fn) for slot, (_name, _make, fn) in enumerate(accumulators)]
         groups = SpillableGroups(self.memory)
         try:
             for doc in docs:
@@ -323,17 +327,14 @@ class PipelineExecutor:
                 entry = groups.get(key)
                 if entry is None:
                     group_id = group_id_of(doc, None)
-                    entry = (
-                        {name: _make_accumulator(agg) for name, agg, _fn in accumulators},
-                        group_id,
-                    )
+                    entry = ([make() for _name, make, _fn in accumulators], group_id)
                     groups.insert(key, entry, estimate_record_bytes(group_id))
                 accs = entry[0]
-                for name, _agg, fn in accumulators:
-                    accs[name].add(fn(doc, None))
-            for accs, group_id in groups.finalized(_merge_doc_groups):
+                for slot, fn in arguments:
+                    accs[slot].add(fn(doc, None))
+            for accs, group_id in groups.finalized(scalar.merge_group_state):
                 out = {"_id": group_id}
-                for name, acc in accs.items():
+                for acc, (name, _make, _fn) in zip(accs, accumulators):
                     out[name] = acc.result()
                 yield out
         finally:
@@ -507,132 +508,25 @@ def _index_probe_field(
     return None
 
 
-# Accumulators ``add`` per document, ``merge`` a later spill run's state, ``result``.
+#: MongoDB's accumulators onto the shared accumulator set.
+_ACCUMULATORS = {"$sum": "SUM", "$max": "MAX", "$min": "MIN", "$avg": "AVG", "$stdDevPop": "STD"}
+MONGO = scalar.DIALECTS["mongo"]
 
 
-class _SumAcc:
-    def __init__(self) -> None:
-        self.total = 0
-
-    def add(self, value: Any) -> None:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            self.total += value
-
-    def merge(self, other: "_SumAcc") -> None:
-        self.total += other.total
-
-    def result(self) -> Any:
-        return self.total
-
-
-class _MinMaxAcc:
-    def __init__(self, is_min: bool) -> None:
-        self.is_min = is_min
-        self.best: Any = None
-
-    def add(self, value: Any) -> None:
-        if value is SENTINEL_MISSING or value is None:
-            return
-        best = self.best
-        if best is None or (
-            sorts_before(value, best) if self.is_min else sorts_before(best, value)
-        ):
-            self.best = value
-
-    def merge(self, other: "_MinMaxAcc") -> None:
-        if other.best is not None:
-            self.add(other.best)
-
-    def result(self) -> Any:
-        return self.best
-
-
-class _AvgAcc:
-    """Mean from exact (sum, count) partial state.
-
-    Integer sums stay integers until the shared finalizer's single
-    division — the same state and finalizer the cluster coordinator
-    combines per-shard partials through, making the distributed $avg
-    bit-identical on integer fields.
-    """
-
-    def __init__(self) -> None:
-        self.total: Any = 0
-        self.count = 0
-
-    def add(self, value: Any) -> None:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            self.total += value
-            self.count += 1
-
-    def merge(self, other: "_AvgAcc") -> None:
-        self.total += other.total
-        self.count += other.count
-
-    def result(self) -> Any:
-        return finalize_avg(self.total, self.count)
-
-
-class _StdAcc:
-    """$stdDevPop from (count, sum, sum-of-squares) partial state.
-
-    Decomposable form instead of Welford's recurrence: exact in integer
-    arithmetic until the finalizer, and identical to what the cluster
-    coordinator combines across shards.
-    """
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total: Any = 0
-        self.total_sq: Any = 0
-
-    def add(self, value: Any) -> None:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            return
-        self.count += 1
-        self.total += value
-        self.total_sq += value * value
-
-    def merge(self, other: "_StdAcc") -> None:
-        self.count += other.count
-        self.total += other.total
-        self.total_sq += other.total_sq
-
-    def result(self) -> Any:
-        return finalize_std(self.count, self.total, self.total_sq)
-
-
-def _merge_doc_groups(
-    prior: tuple[dict[str, Any], Any], later: tuple[dict[str, Any], Any]
-) -> tuple[dict[str, Any], Any]:
-    """Fold a later spill run's group state into the earlier one."""
-    prior_accs, group_id = prior
-    later_accs, _later_id = later
-    for name, acc in prior_accs.items():
-        acc.merge(later_accs[name])
-    return (prior_accs, group_id)
-
-
-_ACCUMULATORS: dict[str, Callable[[], Any]] = {
-    "$sum": _SumAcc,
-    "$max": lambda: _MinMaxAcc(is_min=False),
-    "$min": lambda: _MinMaxAcc(is_min=True),
-    "$avg": _AvgAcc,
-    "$stdDevPop": _StdAcc,
-}
-
-
-def _make_accumulator(spec: dict) -> Any:
-    if len(spec) != 1:
-        raise ExecutionError(f"accumulator must have one operator: {spec}")
-    op = next(iter(spec))
-    if op not in _ACCUMULATORS:
-        raise ExecutionError(f"unsupported accumulator {op!r}")
-    return _ACCUMULATORS[op]()
+def _accumulator(spec: Any) -> Callable[[], Any]:
+    """The accumulator factory of one ``$group`` member; a malformed one raises when called."""
+    op = next(iter(spec), None) if isinstance(spec, dict) else None
+    if op in _ACCUMULATORS and len(spec) == 1:
+        return scalar.accumulator(_ACCUMULATORS[op], MONGO, op)
+    if isinstance(spec, dict) and len(spec) == 1:
+        message = f"unsupported accumulator {op!r}"
+    else:
+        message = f"accumulator must have one operator: {spec}"
+    return functools.partial(scalar.raises(message), None, None)
 
 
 def _compile_group_id(id_spec: Any) -> tuple[Compiled, Callable[[dict], Any]]:
-    """``(group id builder, key builder)``; the key is ``_hashable(group id)``.
+    """``(group id builder, key builder)``; the key is ``hashable(group id)``.
 
     For a document-literal id (``{}``, ``{"f": "$f", ...}``) the key comes
     from the member values in pre-sorted name order, so no row builds and
@@ -642,21 +536,11 @@ def _compile_group_id(id_spec: Any) -> tuple[Compiled, Callable[[dict], Any]]:
     if not isinstance(id_spec, dict) or (
         len(id_spec) == 1 and next(iter(id_spec)).startswith("$")
     ):
-        return group_id_of, lambda doc: _hashable(group_id_of(doc, None))
+        return group_id_of, lambda doc: scalar.hashable(group_id_of(doc, None))
     members = sorted(
         ((name, compile_expr(value)) for name, value in id_spec.items()),
         key=lambda member: member[0],
     )
     return group_id_of, lambda doc: tuple(
-        [(name, _hashable(fn(doc, None))) for name, fn in members]
+        [(name, scalar.hashable(fn(doc, None))) for name, fn in members]
     )
-
-
-def _hashable(value: Any) -> Any:
-    if isinstance(value, dict):
-        return tuple(sorted((k, _hashable(v)) for k, v in value.items()))
-    if isinstance(value, list):
-        return tuple(_hashable(v) for v in value)
-    if value is SENTINEL_MISSING:
-        return ("__missing__",)
-    return value

@@ -13,9 +13,10 @@ alternative those engines share:
 - :mod:`repro.exec.vectorops` — a vectorized expression evaluator whose
   null semantics match the row evaluator's exactly (three-valued logic,
   MISSING propagation, WHERE truthiness).
-- :mod:`repro.exec.kernels` — relational kernels (hash grouping,
-  decorate-sort-undecorate ordering) shared by the vector operators and
-  the cluster scatter-gather merge layer.
+- :mod:`repro.exec.scalar` — the one definition of what operators,
+  scalar functions and aggregates do, under every engine's dialect.
+- :mod:`repro.exec.kernels` — the decorate-sort-undecorate ordering
+  kernel shared by the engines and the cluster merge layer.
 - :mod:`repro.exec.operators` — batch-at-a-time physical operators
   (scan, filter, project, hash aggregate, sort, top-k, limit, distinct)
   the SQL/SQL++ engines select per query (``REPRO_EXEC=vector``).
@@ -39,7 +40,7 @@ from repro.exec.batch import (
     Vector,
     concat_batches,
 )
-from repro.exec.kernels import GroupTable, regroup_records, sort_records
+from repro.exec.kernels import sort_records
 from repro.exec.memory import (
     ENV_MEM_BUDGET,
     MemoryBudget,
@@ -56,7 +57,6 @@ __all__ = [
     "ColumnBatch",
     "DEFAULT_BATCH_SIZE",
     "ENV_MEM_BUDGET",
-    "GroupTable",
     "MASK_MISSING",
     "MASK_NULL",
     "MASK_VALID",
@@ -69,7 +69,6 @@ __all__ = [
     "concat_batches",
     "estimate_record_bytes",
     "parse_budget",
-    "regroup_records",
     "resolve_budget",
     "sort_records",
 ]

@@ -1,13 +1,8 @@
-"""Relational kernels shared by vector operators and the cluster merge.
+"""The sort kernel shared by the engines and the cluster merge.
 
-Two patterns recur across the row engine, the vector engine, and the
-scatter-gather merge layer:
-
-- **hash grouping** keyed by :func:`~repro.storage.keys.index_key`
-  tuples (grouped aggregation, per-shard partial combining), and
-- **ordering** by a list of per-row keys with per-key direction.
-
-Both live here so every layer shares one implementation.  The sort
+**Ordering** by a list of per-row keys with per-key direction recurs
+across the row engine, the vector engine, and the scatter-gather merge
+layer; it lives here so every layer shares one implementation.  The sort
 kernel is decorate-sort-undecorate: each row's key tuple is computed
 exactly once, instead of once per comparison pass per key as the old
 ``SortOp`` did — on a 10k-row two-key sort that removes tens of
@@ -16,41 +11,7 @@ thousands of redundant expression evaluations.
 
 from __future__ import annotations
 
-import math
-from typing import Any, Callable, Iterable, Sequence
-
-from repro.storage.keys import index_key
-
-
-def finalize_avg(total: Any, count: Any) -> Any:
-    """The mean from (sum, count) partial state; ``None`` for no values.
-
-    The single shared finalizer: engines fold their AVG accumulator state
-    through it and the cluster coordinator folds the *combined* per-shard
-    partials through it.  On integer columns both paths hand it the same
-    exact integers, so the distributed mean is bit-identical to the
-    single-node one by construction.
-    """
-    if not count:
-        return None
-    return total / count
-
-
-def finalize_std(count: Any, total: Any, total_sq: Any) -> Any:
-    """Population standard deviation from (count, sum, sum-of-squares).
-
-    Uses the decomposable form ``(n·Σx² − (Σx)²) / n²`` — exact in integer
-    arithmetic right up to the final division, which is what lets the
-    distributed STDDEV match the single-node value bit-for-bit on integer
-    columns.  Floating-point cancellation on near-constant float data can
-    push the numerator a hair below zero; clamp it.
-    """
-    if not count:
-        return None
-    variance = (count * total_sq - total * total) / (count * count)
-    if variance < 0:
-        variance = 0.0
-    return math.sqrt(variance)
+from typing import Any, Callable, Sequence
 
 
 class Descending:
@@ -90,71 +51,3 @@ def sort_records(
     # Sorting positions keeps the sort stable without comparing rows.
     order = sorted(range(len(rows)), key=decorated.__getitem__)
     return [rows[i] for i in order]
-
-
-class GroupTable:
-    """Insertion-ordered hash table keyed by ``index_key`` tuples.
-
-    ``make_entry(*args)`` builds a group's state on first sight of its
-    key; ``probe`` returns the existing or fresh entry.  Used by the
-    vector hash aggregate (entries are accumulator lists) and the
-    cluster merge (entries are partial-value lists).
-    """
-
-    __slots__ = ("_make_entry", "_groups")
-
-    def __init__(self, make_entry: Callable[..., Any]) -> None:
-        self._make_entry = make_entry
-        self._groups: dict[tuple, Any] = {}
-
-    def __len__(self) -> int:
-        return len(self._groups)
-
-    def __bool__(self) -> bool:
-        return bool(self._groups)
-
-    def probe(self, key: tuple, *args: Any) -> Any:
-        entry = self._groups.get(key)
-        if entry is None:
-            entry = self._make_entry(*args)
-            self._groups[key] = entry
-        return entry
-
-    def values(self) -> Iterable[Any]:
-        return self._groups.values()
-
-    def items(self) -> Iterable[tuple[tuple, Any]]:
-        return self._groups.items()
-
-
-def regroup_records(
-    shard_records: Iterable[Iterable[Any]],
-    group_keys: Sequence[str],
-    group_columns: dict[str, Callable[[list[Any]], Any]],
-) -> list[Any]:
-    """Re-group per-shard partial aggregate rows into global groups.
-
-    Each record carries the group-key columns plus per-shard aggregate
-    finals; ``group_columns`` maps each aggregate column to its combiner
-    (a count of counts is a sum).  The kernel behind the cluster layer's
-    ``group_agg`` merge.
-    """
-    table = GroupTable(
-        lambda record: (
-            {name: record.get(name) for name in group_keys},
-            {name: [] for name in group_columns},
-        )
-    )
-    for records in shard_records:
-        for record in records:
-            key = tuple(index_key(record.get(name)) for name in group_keys)
-            _key_values, partials = table.probe(key, record)
-            for name in group_columns:
-                partials[name].append(record.get(name))
-    out: list[Any] = []
-    for key_values, partials in table.values():
-        merged = dict(key_values)
-        for name, combiner in group_columns.items():
-            merged[name] = combiner(partials[name])
-        out.append(merged)
-    return out

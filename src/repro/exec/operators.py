@@ -11,7 +11,7 @@ record streams:
   engine returns (project, aggregate, record sort, limit).
 
 Output shaping deliberately reuses the row engine's helpers
-(:func:`~repro.sqlengine.physical.make_accumulator`, aggregate
+(:func:`~repro.sqlengine.physical.aggregate_feeds`, aggregate
 substitution, dedup keys) so the two paths cannot drift apart; the
 per-row expression interpretation — the hot loop — is what the batch
 path replaces.
@@ -26,9 +26,11 @@ from __future__ import annotations
 
 from typing import Any, Iterator, TYPE_CHECKING
 
+from repro.errors import ExecutionError
 from repro.exec.batch import DEFAULT_BATCH_SIZE, ColumnBatch
 from repro.exec.kernels import Descending
 from repro.exec.memory import SpillableGroups, SpillSorter, estimate_record_bytes
+from repro.exec.scalar import hashable, merge_group_state
 from repro.sqlengine.ast_nodes import (
     Expression,
     OrderItem,
@@ -38,10 +40,8 @@ from repro.sqlengine.ast_nodes import (
 from repro.sqlengine.physical import (
     ExecutionContext,
     _collect_aggregates,
-    _dedup_key,
-    _eval_with_aggregates,
-    make_accumulator,
-    merge_group_state,
+    aggregate_feeds,
+    shape_aggregate_output,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - break the exec <-> sqlengine cycle
@@ -327,7 +327,7 @@ class VecProject(VectorHead):
         for batch in self.child.batches(ctx, evaluator):
             for record in self._project_batch(batch, evaluator):
                 if seen is not None:
-                    key = _dedup_key(record)
+                    key = hashable(record)
                     if key in seen:
                         continue
                     seen.add(key)
@@ -405,75 +405,96 @@ class VecAggregate(VectorHead):
             yield from self._scalar(ctx, evaluator)
 
     def _scalar(self, ctx, evaluator):
-        accumulators = [make_accumulator(call) for call in self._agg_calls]
+        feeds = aggregate_feeds(self._agg_calls, evaluator.dialect)
+        accumulators = [make() for make, _argument in feeds]
         representative: Any = None
         for batch in self.child.batches(ctx, evaluator):
             if representative is None and batch.length:
                 representative = {batch.alias: batch.row_record(0)}
-            for call, accumulator in zip(self._agg_calls, accumulators):
-                accumulator.add_rows(batch.length)
-                if not call.star:
-                    vector = evaluator.evaluate(call.args[0], batch)
+            vectors = _arguments(evaluator, feeds, batch)
+            if vectors is None:
+                for i in range(batch.length):
+                    _add_row(ctx, feeds, batch, i, accumulators)
+                continue
+            for vector, accumulator in zip(vectors, accumulators):
+                if vector is None:
+                    accumulator.add_rows(batch.length)
+                else:
                     accumulator.add_many(vector.to_python())
         results = {
             id(call): accumulator.result()
             for call, accumulator in zip(self._agg_calls, accumulators)
         }
         # SQL: aggregates over an empty input still produce one row.
-        yield self._shape_output(
-            ctx, representative if representative is not None else {}, results
+        yield shape_aggregate_output(
+            ctx.evaluator, self.items, self.select_value,
+            representative if representative is not None else {}, results,
         )
 
     def _grouped(self, ctx, evaluator):
+        feeds = aggregate_feeds(self._agg_calls, evaluator.dialect)
         groups = SpillableGroups(ctx.memory)
         try:
             for batch in self.child.batches(ctx, evaluator):
                 key_vectors = [
                     evaluator.evaluate(expr, batch) for expr in self.group_by
                 ]
-                arg_vectors = [
-                    None if call.star else evaluator.evaluate(call.args[0], batch)
-                    for call in self._agg_calls
-                ]
+                arg_vectors = _arguments(evaluator, feeds, batch)
+                slots = None if arg_vectors is None else list(enumerate(arg_vectors))
                 for i in range(batch.length):
                     key = tuple(_order_key(vector.item(i)) for vector in key_vectors)
                     entry = groups.get(key)
                     if entry is None:
                         representative = {batch.alias: batch.row_record(i)}
-                        entry = (
-                            [make_accumulator(call) for call in self._agg_calls],
-                            representative,
-                        )
+                        entry = ([make() for make, _argument in feeds], representative)
                         groups.insert(key, entry, estimate_record_bytes(representative))
                     accumulators = entry[0]
-                    for j, accumulator in enumerate(accumulators):
-                        accumulator.add_row()
-                        vector = arg_vectors[j]
-                        if vector is not None:
-                            accumulator.add(vector.item(i))
+                    if slots is None:
+                        _add_row(ctx, feeds, batch, i, accumulators)
+                        continue
+                    for slot, vector in slots:
+                        if vector is None:
+                            accumulators[slot].add_rows(1)
+                        else:
+                            accumulators[slot].add(vector.item(i))
             for accumulators, representative in groups.finalized(merge_group_state):
                 results = {
                     id(call): accumulator.result()
                     for call, accumulator in zip(self._agg_calls, accumulators)
                 }
-                yield self._shape_output(ctx, representative, results)
+                yield shape_aggregate_output(
+                    ctx.evaluator, self.items, self.select_value, representative, results
+                )
         finally:
             groups.close()
-
-    def _shape_output(self, ctx, row, agg_results):
-        values: dict[str, Any] = {}
-        single_value: Any = None
-        for item in self.items:
-            value = _eval_with_aggregates(ctx.evaluator, item.expr, row, agg_results)
-            if self.select_value:
-                single_value = value
-            else:
-                values[item.output_name()] = value
-        return single_value if self.select_value else values
 
     def describe(self) -> str:
         keys = ", ".join(str(expr) for expr in self.group_by) or "<scalar>"
         return f"VecAggregate[{keys}]"
+
+
+def _arguments(evaluator, feeds, batch) -> list | None:
+    """Each aggregate's argument over *batch* (None for COUNT(*)), or None
+    when one fails batch-wise (the batch is then added row by row)."""
+    try:
+        return [
+            None if argument is None else evaluator.evaluate(argument, batch)
+            for _make, argument in feeds
+        ]
+    except ExecutionError:
+        return None
+
+
+def _add_row(ctx, feeds, batch, i, accumulators) -> None:
+    """Row *i* added as the row engine adds it — each argument evaluated and
+    added in turn — once an argument failed batch-wise, so the error raised
+    is the one the row engine meets first."""
+    env = {batch.alias: batch.row_record(i)}
+    for (_make, argument), accumulator in zip(feeds, accumulators):
+        if argument is None:
+            accumulator.add_rows(1)
+        else:
+            accumulator.add(ctx.evaluator.evaluate(argument, env))
 
 
 class VecRecordSort(VectorHead):

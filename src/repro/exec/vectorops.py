@@ -3,29 +3,18 @@
 One :class:`VectorEvaluator` call evaluates an expression for every row
 of a batch at once, dispatching on the AST *once per batch* instead of
 once per row — the interpreter-overhead win the row evaluator cannot
-have.  Semantics are pinned to
-:class:`repro.sqlengine.expressions.Evaluator`:
-
-- comparisons/arithmetic with NULL yield NULL; MISSING propagates and
-  dominates NULL (``dialect='sqlpp'``),
-- AND/OR/NOT follow Kleene three-valued logic (MISSING behaves like
-  NULL inside logic),
-- ``IS NULL`` / ``IS MISSING`` / ``IS UNKNOWN`` follow the per-dialect
-  rules of benchmark expression 13,
-- division by zero yields NULL; cross-type comparisons raise
-  :class:`~repro.errors.ExecutionError` exactly like the row engine,
-- WHERE truthiness admits only ``True``.
-
-The row-vs-vector parity suite (``tests/test_exec_parity.py``) holds the
-two evaluators to byte-identical answers over randomized data.
+have.  The semantics are not this module's: every operator, ``IS`` form
+and scalar function is a batch kernel of :mod:`repro.exec.scalar`, which
+maps the row evaluator's own value functions over any slot that is NULL
+or MISSING (or where the C-level fast path raised), so the two answer
+and fail alike by construction (``docs/execution.md#scalar-semantics``).
+WHERE truthiness admits only ``True``.
 """
 
 from __future__ import annotations
 
-import operator
-from typing import Any, Callable
-
 from repro.errors import ExecutionError, PlanningError
+from repro.exec import scalar
 from repro.exec.batch import (
     MASK_MISSING,
     MASK_NULL,
@@ -44,27 +33,6 @@ from repro.sqlengine.ast_nodes import (
     Star,
     UnaryOp,
 )
-from repro.sqlengine.expressions import apply_scalar_function
-from repro.storage.keys import SENTINEL_MISSING
-
-_COMPARISONS: dict[str, Callable[[Any, Any], Any]] = {
-    "=": operator.eq,
-    "!=": operator.ne,
-    ">": operator.gt,
-    "<": operator.lt,
-    ">=": operator.ge,
-    "<=": operator.le,
-}
-
-_ARITHMETIC: dict[str, Callable[[Any, Any], Any]] = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "%": operator.mod,
-}
-
-_ORDERED = (">", "<", ">=", "<=")
 
 
 class VectorEvaluator:
@@ -74,6 +42,7 @@ class VectorEvaluator:
         if dialect not in ("sql", "sqlpp"):
             raise ValueError(f"unknown dialect {dialect!r}")
         self.dialect = dialect
+        self._ops = scalar.operators(dialect)
         # A missing attribute is NULL in SQL, MISSING in SQL++.
         self._absent_state = MASK_MISSING if dialect == "sqlpp" else MASK_NULL
 
@@ -141,115 +110,26 @@ class VectorEvaluator:
         return vector
 
     # ------------------------------------------------------------------
-    # Binary operators
+    # Operators and functions: the scalar kernels
     # ------------------------------------------------------------------
     def _binary(self, expr: BinaryOp, batch: ColumnBatch) -> Vector:
-        op = expr.op
-        if op in ("AND", "OR"):
-            return self._logical(op, expr, batch)
-        left = self.evaluate(expr.left, batch)
-        right = self.evaluate(expr.right, batch)
-        if op in _COMPARISONS:
-            return _apply_binary(
-                _COMPARISONS[op], left, right, ordered=op in _ORDERED, op=op
-            )
-        if op == "||":
-            return _apply_binary(
-                lambda a, b: str(a) + str(b), left, right, ordered=False, op=op
-            )
-        if op in _ARITHMETIC:
-            return _apply_binary(
-                _ARITHMETIC[op], left, right, ordered=False, op=op, arithmetic=True
-            )
-        raise ExecutionError(f"unknown binary operator {op!r}")
+        kernel = self._ops.batch_binary.get(expr.op)
+        if kernel is None:
+            raise ExecutionError(f"unknown binary operator {expr.op!r}")
+        return kernel(self.evaluate(expr.left, batch), self.evaluate(expr.right, batch))
 
-    def _logical(self, op: str, expr: BinaryOp, batch: ColumnBatch) -> Vector:
-        """Kleene three-valued AND/OR; MISSING behaves like NULL here."""
-        left = self.evaluate(expr.left, batch)
-        right = self.evaluate(expr.right, batch)
-        left_states = _tristates(left)
-        right_states = _tristates(right)
-        values: list = []
-        mask: bytearray | None = None
-        conjunction = op == "AND"
-        for index, (a, b) in enumerate(zip(left_states, right_states)):
-            if conjunction:
-                if a is False or b is False:
-                    result: Any = False
-                elif a is None or b is None:
-                    result = None
-                else:
-                    result = True
-            else:
-                if a is True or b is True:
-                    result = True
-                elif a is None or b is None:
-                    result = None
-                else:
-                    result = False
-            if result is None:
-                if mask is None:
-                    mask = bytearray(index)
-                values.append(None)
-                mask.append(MASK_NULL)
-            else:
-                values.append(result)
-                if mask is not None:
-                    mask.append(MASK_VALID)
-        return Vector(values, mask)
-
-    # ------------------------------------------------------------------
-    # Unary operators
-    # ------------------------------------------------------------------
     def _unary(self, expr: UnaryOp, batch: ColumnBatch) -> Vector:
         vector = self.evaluate(expr.operand, batch)
         if expr.op == "NOT":
-            values: list = []
-            mask: bytearray | None = None
-            for index, state in enumerate(_tristates(vector)):
-                if state is None:
-                    if mask is None:
-                        mask = bytearray(index)
-                    values.append(None)
-                    mask.append(MASK_NULL)
-                else:
-                    values.append(not state)
-                    if mask is not None:
-                        mask.append(MASK_VALID)
-            return Vector(values, mask)
+            return self._ops.batch_not(vector)
         if expr.op == "-":
-            if vector.mask is None:
-                return Vector([-value for value in vector.values], None)
-            return Vector(
-                [
-                    -value if state == MASK_VALID else None
-                    for value, state in zip(vector.values, vector.mask)
-                ],
-                bytearray(vector.mask),
-            )
+            return self._ops.batch_negate(vector)
         raise ExecutionError(f"unknown unary operator {expr.op!r}")
 
-    # ------------------------------------------------------------------
-    # IS [NOT] NULL / MISSING / UNKNOWN
-    # ------------------------------------------------------------------
     def _is_absent(self, expr: IsAbsent, batch: ColumnBatch) -> Vector:
         vector = self.evaluate(expr.operand, batch)
-        length = len(vector)
-        if vector.mask is None:
-            absent = [False] * length
-        elif self.dialect == "sql" or expr.mode == "unknown":
-            absent = [state != MASK_VALID for state in vector.mask]
-        elif expr.mode == "null":
-            absent = [state == MASK_NULL for state in vector.mask]
-        else:  # missing
-            absent = [state == MASK_MISSING for state in vector.mask]
-        if expr.negated:
-            absent = [not value for value in absent]
-        return Vector(absent, None)
+        return self._ops.batch_is(expr.mode, expr.negated, vector)
 
-    # ------------------------------------------------------------------
-    # Scalar functions
-    # ------------------------------------------------------------------
     def _call(self, expr: FuncCall, batch: ColumnBatch) -> Vector:
         name = expr.name.upper()
         if name in AGGREGATE_FUNCTIONS:
@@ -257,117 +137,4 @@ class VectorEvaluator:
                 f"aggregate {name} must be handled by an aggregation operator"
             )
         args = [self.evaluate(arg, batch) for arg in expr.args]
-        length = batch.length
-        if all(vector.mask is None for vector in args):
-            if len(args) == 1:
-                return Vector(
-                    [apply_scalar_function(name, [value]) for value in args[0].values],
-                    None,
-                )
-            columns = [vector.values for vector in args]
-            return Vector(
-                [
-                    apply_scalar_function(name, list(row))
-                    for row in zip(*columns)
-                ]
-                if columns
-                else [apply_scalar_function(name, []) for _ in range(length)],
-                None,
-            )
-        values: list = []
-        mask: bytearray | None = None
-        for index in range(length):
-            row = [vector.item(index) for vector in args]
-            if any(value is SENTINEL_MISSING for value in row):
-                result: Any = SENTINEL_MISSING
-            elif any(value is None for value in row):
-                result = None
-            else:
-                result = apply_scalar_function(name, row)
-            if result is None or result is SENTINEL_MISSING:
-                if mask is None:
-                    mask = bytearray(index)
-                values.append(None)
-                mask.append(
-                    MASK_MISSING if result is SENTINEL_MISSING else MASK_NULL
-                )
-            else:
-                values.append(result)
-                if mask is not None:
-                    mask.append(MASK_VALID)
-        return Vector(values, mask)
-
-
-# ----------------------------------------------------------------------
-# Kernels
-# ----------------------------------------------------------------------
-
-
-def _tristates(vector: Vector) -> list:
-    """Collapse a vector into Kleene states: True / False / None."""
-    if vector.mask is None:
-        return [bool(value) for value in vector.values]
-    return [
-        bool(value) if state == MASK_VALID else None
-        for value, state in zip(vector.values, vector.mask)
-    ]
-
-
-def _apply_binary(
-    func: Callable[[Any, Any], Any],
-    left: Vector,
-    right: Vector,
-    *,
-    ordered: bool,
-    op: str,
-    arithmetic: bool = False,
-) -> Vector:
-    """Elementwise binary kernel with NULL/MISSING propagation."""
-    if left.mask is None and right.mask is None:
-        try:
-            return Vector(list(map(func, left.values, right.values)), None)
-        except TypeError:
-            pass  # fall through to the slow path for the precise error
-        except ZeroDivisionError:
-            pass
-    values: list = []
-    mask: bytearray | None = None
-    left_values, left_mask = left.values, left.mask
-    right_values, right_mask = right.values, right.mask
-    for index in range(len(left_values)):
-        left_state = MASK_VALID if left_mask is None else left_mask[index]
-        right_state = MASK_VALID if right_mask is None else right_mask[index]
-        if left_state == MASK_MISSING or right_state == MASK_MISSING:
-            state = MASK_MISSING
-            result: Any = None
-        elif left_state == MASK_NULL or right_state == MASK_NULL:
-            state = MASK_NULL
-            result = None
-        else:
-            a, b = left_values[index], right_values[index]
-            try:
-                result = func(a, b)
-                state = MASK_VALID
-            except TypeError:
-                if ordered:
-                    raise ExecutionError(
-                        f"cannot compare {type(a).__name__} with {type(b).__name__}"
-                    ) from None
-                raise ExecutionError(
-                    f"cannot apply {op} to {type(a).__name__} and {type(b).__name__}"
-                ) from None
-            except ZeroDivisionError:
-                if not arithmetic:
-                    raise
-                state = MASK_NULL
-                result = None
-        if state == MASK_VALID:
-            values.append(result)
-            if mask is not None:
-                mask.append(MASK_VALID)
-        else:
-            if mask is None:
-                mask = bytearray(index)
-            values.append(None)
-            mask.append(state)
-    return Vector(values, mask)
+        return self._ops.batch_call(name, args, batch.length)

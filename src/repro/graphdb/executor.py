@@ -14,6 +14,9 @@ The executor reproduces the Neo4j behaviours the paper's results depend on:
   ``stats.string_store_reads``);
 - a labeled MATCH whose WHERE and aggregate read the node only as ``v.p``
   runs as one loop over property columns (:meth:`CypherExecutor._fuse`).
+
+Operators, functions and aggregates are :mod:`repro.exec.scalar`'s under
+its ``cypher`` dialect (``docs/execution.md#scalar-semantics``).
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from dataclasses import replace
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import ExecutionError
-from repro.exec.kernels import finalize_avg, finalize_std
+from repro.exec import scalar
+from repro.exec.scalar import raises as _raises
 from repro.exec.memory import MemoryBudget, estimate_record_bytes
 from repro.obs.profile import OpProfile, profiled_rows
 from repro.graphdb.cypher_ast import (
@@ -49,7 +53,9 @@ from repro.graphdb.cypher_ast import (
 )
 from repro.graphdb.store import GraphStore
 from repro.sqlengine.result import QueryStats
-from repro.storage.keys import SENTINEL_MISSING, index_key, sorts_before
+from repro.storage.keys import SENTINEL_MISSING, index_key
+
+CYPHER = scalar.DIALECTS["cypher"]
 
 
 class NodeHandle:
@@ -374,7 +380,7 @@ class CypherExecutor:
     def _distinct(self, rows: Iterator[Row]) -> Iterator[Row]:
         seen: set = set()
         for row in rows:
-            key = _hashable({name: _plain_value(value) for name, value in row.items()})
+            key = scalar.hashable({name: _plain_value(value) for name, value in row.items()})
             if key not in seen:
                 seen.add(key)
                 yield row
@@ -397,7 +403,7 @@ class CypherExecutor:
         group_exprs, calls = _classify(items)
         key_parts = [_compile(expr, columns) for expr in group_exprs]
         if columns is None:  # a row's key may be a node or a map: group its hashable form
-            key_parts = [lambda row, aggs, part=part: _hashable(_plain_value(part(row, aggs)))
+            key_parts = [lambda row, aggs, part=part: scalar.hashable(_plain_value(part(row, aggs)))
                          for part in key_parts]
         leading = columns is not None and [
             columns.get((e.var, e.name)) for e in group_exprs if isinstance(e, Prop)]
@@ -517,13 +523,6 @@ def _where(rows: Iterator[Row], predicate: CypherExpr) -> Iterator[Row]:
     return (row for row in rows if test(row, None) is True)
 
 
-def _raises(message: str) -> RowFn:
-    def fail(_row: Row, _aggs: Any) -> Any:
-        raise ExecutionError(message)
-
-    return fail
-
-
 def _plain_value(value: Any) -> Any:
     return value.materialize() if isinstance(value, NodeHandle) else value
 
@@ -560,79 +559,7 @@ def _compile_prop(expr: Prop, slots: Any) -> RowFn:
     return read
 
 
-_ORDERINGS = {">": operator.gt, "<": operator.lt, ">=": operator.ge, "<=": operator.le}
-#: Null-propagating binary operators; a TypeError or a zero divisor yields NULL.
-_ARITHMETIC = {
-    "=": operator.eq,
-    "!=": operator.ne,
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "%": operator.mod,
-}
-
-
-def _compile_bin(expr: Bin, slots: Any) -> RowFn:
-    op = expr.op
-    left, right = _compile(expr.left, slots), _compile(expr.right, slots)
-    if op in ("AND", "OR"):
-        dominant = op == "OR"  # TRUE decides an OR, FALSE an AND, whatever the other side
-
-        def logical(row: Row, aggs: Any) -> Any:
-            lhs, rhs = left(row, aggs), right(row, aggs)  # both sides always run
-            if lhs is dominant or rhs is dominant:
-                return dominant
-            if lhs is None or rhs is None:
-                return None
-            return bool(lhs) or bool(rhs) if dominant else bool(lhs) and bool(rhs)
-
-        return logical
-    if op in _ORDERINGS:
-        compare = _ORDERINGS[op]
-
-        def ordered(row: Row, aggs: Any) -> Any:
-            lhs, rhs = left(row, aggs), right(row, aggs)
-            if lhs is None or rhs is None:
-                return None
-            kind = type(lhs)
-            if kind is type(rhs) and (kind is int or kind is str):
-                return compare(lhs, rhs)  # same rank: values order as their keys do
-            return compare(index_key(lhs), index_key(rhs))
-
-        return ordered
-    func = _ARITHMETIC.get(op)
-
-    def arithmetic(row: Row, aggs: Any) -> Any:
-        lhs, rhs = left(row, aggs), right(row, aggs)
-        if lhs is None or rhs is None:
-            return None
-        if func is None:
-            raise ExecutionError(f"unknown operator {op!r}")
-        try:
-            return func(lhs, rhs)
-        except (TypeError, ZeroDivisionError):
-            return None
-
-    return arithmetic
-
-
-def _compile_un(expr: Un, slots: Any) -> RowFn:
-    operand = _compile(expr.operand, slots)
-    apply = operator.not_ if expr.op == "NOT" else operator.neg
-
-    def unary(row: Row, aggs: Any) -> Any:
-        value = operand(row, aggs)
-        return None if value is None else apply(value)
-
-    return unary
-
-
-def _compile_is_null(expr: IsNull, slots: Any) -> RowFn:
-    operand = _compile(expr.operand, slots)
-    if expr.negated:
-        return lambda row, aggs: operand(row, aggs) is not None
-    return lambda row, aggs: operand(row, aggs) is None
+_ORDERINGS = (">", "<", ">=", "<=")
 
 
 def _compile_map_literal(expr: MapLiteral, slots: Any) -> RowFn:
@@ -663,15 +590,9 @@ def _compile_map_projection(expr: MapProjection, slots: Any) -> RowFn:
     return project
 
 
-_FUNCTIONS: dict[str, Callable[[Any], Any]] = {
-    "upper": lambda value: str(value).upper(),
-    "lower": lambda value: str(value).lower(),
-    "tointeger": lambda value: int(float(value)),
-    "toint": lambda value: int(float(value)),
-    "tostring": str,
-    "abs": abs,
-    "size": len,
-}
+#: Cypher's scalar functions, by lower-cased name, onto the shared table.
+_FUNCTIONS = {"upper": "UPPER", "lower": "LOWER", "tointeger": "TO_INT", "toint": "TO_INT",
+              "tostring": "TO_STRING", "abs": "ABS", "size": "SIZE"}
 
 
 def _compile_func(expr: Func, slots: Any) -> RowFn:
@@ -681,26 +602,34 @@ def _compile_func(expr: Func, slots: Any) -> RowFn:
         if slot is None:
             return _raises(f"aggregate {expr.name} outside aggregation context")
         return lambda _row, aggs: aggs[slot]
-    func = _FUNCTIONS.get(name)
     arguments = [_compile(arg, slots) for arg in expr.args]
+    if name not in _FUNCTIONS:
+        # apoc.convert.* arrives as nested idents; parser flattens to one name.
+        message = f"unknown function {expr.name!r}"
 
-    def call(row: Row, aggs: Any) -> Any:
-        values = [argument(row, aggs) for argument in arguments]
-        if func is None:
-            # apoc.convert.* arrives as nested idents; parser flattens to one name.
-            raise ExecutionError(f"unknown function {expr.name!r}")
-        return None if values[0] is None else func(values[0])
+        def unknown(row: Row, aggs: Any) -> Any:
+            for argument in arguments:
+                argument(row, aggs)
+            raise ExecutionError(message)
 
-    return call
+        return unknown
+    return scalar.compile_call(_FUNCTIONS[name], expr.name, arguments)
 
 
 _BUILDERS: dict[type, Callable[[Any, Any], RowFn]] = {
     Lit: lambda expr, _slots: lambda _row, _aggs: expr.value,
     Var: _compile_var,
     Prop: _compile_prop,
-    Bin: _compile_bin,
-    Un: _compile_un,
-    IsNull: _compile_is_null,
+    # Operators are the shared kernel's, under Cypher's row of its dialect table.
+    Bin: lambda expr, slots: scalar.compile_binary(
+        expr.op, CYPHER, _compile(expr.left, slots), _compile(expr.right, slots)
+    ),
+    Un: lambda expr, slots: (scalar.compile_not if expr.op == "NOT" else scalar.compile_negate)(
+        _compile(expr.operand, slots)
+    ),
+    IsNull: lambda expr, slots: scalar.compile_is(
+        "null", expr.negated, CYPHER, _compile(expr.operand, slots)
+    ),
     MapLiteral: _compile_map_literal,
     MapProjection: _compile_map_projection,
     Func: _compile_func,
@@ -874,76 +803,16 @@ def _match_prop_literal(expr: CypherExpr, var: str) -> tuple[str, str, Any] | No
     return None
 
 
-class _CountAcc:
-    """COUNT(expr): non-null values; COUNT(*) feeds it a constant per row."""
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def add(self, value: Any) -> None:
-        if value is not None:
-            self.count += 1
-
-    def result(self) -> int:
-        return self.count
-
-
-class _MinMaxAcc:
-    def __init__(self, is_min: bool) -> None:
-        self.is_min = is_min
-        self.best: Any = None
-
-    def add(self, value: Any) -> None:
-        best = self.best
-        if value is not None and (
-            best is None
-            or (sorts_before(value, best) if self.is_min else sorts_before(best, value))
-        ):
-            self.best = value
-
-    def result(self) -> Any:
-        return self.best
-
-
-class _MomentsAcc:
-    """SUM / AVG / STDEVP from exact (count, sum, sum-of-squares) state and the
-    finalizers the other three engines share, so the last digits agree."""
-
-    def __init__(self, finalize: Callable[[int, Any, Any], Any]) -> None:
-        self.finalize = finalize
-        self.count = 0
-        self.total: Any = 0
-        self.total_sq: Any = 0
-
-    def add(self, value: Any) -> None:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            self.count += 1
-            self.total += value
-            self.total_sq += value * value
-
-    def result(self) -> Any:
-        return self.finalize(self.count, self.total, self.total_sq)
-
-
-_ACCUMULATORS: dict[str, Callable[[], Any]] = {
-    "count": _CountAcc,
-    "min": lambda: _MinMaxAcc(is_min=True),
-    "max": lambda: _MinMaxAcc(is_min=False),
-    "sum": lambda: _MomentsAcc(lambda count, total, total_sq: total),
-    "avg": lambda: _MomentsAcc(lambda count, total, total_sq: finalize_avg(total, count)),
-    "stdevp": lambda: _MomentsAcc(finalize_std),
-    "stdev": lambda: _MomentsAcc(finalize_std),
-}
-
-
 def _compile_aggregate(call: Func, slots: Any = None) -> tuple[Callable[[], Any], RowFn]:
     """``(accumulator factory, argument closure)`` of one aggregate call."""
-    make = _ACCUMULATORS[call.name.lower()]
+    name = call.name.lower()
+    kind = "STD" if name.startswith("stdev") else name.upper()
+    make = scalar.accumulator(kind, CYPHER, call.name)
     if call.star:
-        counted = True if make is _CountAcc else None  # only COUNT(*) counts rows
+        counted = True if kind == "COUNT" else None  # only COUNT(*) counts rows
         return make, lambda _row, _aggs: counted
     if not call.args:  # ``count()``: fails at the first row, never on no rows
-        return make, lambda _row, _aggs: call.args[0]
+        return make, _raises(f"{call.name}() takes one argument")
     return make, _compile(call.args[0], slots)
 
 
@@ -971,13 +840,3 @@ def _classify(items: tuple[WithItem, ...]) -> tuple[list[CypherExpr], list[Func]
     for item in items:
         classify(item.expr)
     return group_exprs, agg_calls
-
-
-def _hashable(value: Any) -> Any:
-    if isinstance(value, dict):
-        return tuple(sorted((k, _hashable(v)) for k, v in value.items()))
-    if isinstance(value, list):
-        return tuple(_hashable(v) for v in value)
-    if isinstance(value, NodeHandle):
-        return ("__node__", value.node_id)
-    return value

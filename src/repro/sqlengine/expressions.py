@@ -1,26 +1,26 @@
-"""Runtime expression evaluation with three-valued logic.
+"""Runtime expression evaluation for SQL and SQL++.
 
 Rows flow through physical operators as *environments*: dicts mapping a
 FROM-clause binding alias to its current record.  ``t.lang`` resolves
 through binding ``t``; a bare ``lang`` searches every binding; a bare ``t``
 that names a binding yields the whole record (SQL++'s ``SELECT VALUE t``).
 
-Absent-value semantics differ by dialect and are central to benchmark
-expression 13:
-
-- ``dialect='sql'``: a key missing from the record is NULL.  Comparisons
-  with NULL yield NULL; ``IS NULL`` is true for NULL.
-- ``dialect='sqlpp'``: NULL and MISSING are distinct.  A missing key yields
-  MISSING, which propagates through comparisons/arithmetic; ``IS UNKNOWN``
-  is true for either state (this is what PolyFrame emits for ``isna()``).
+This module only walks the syntax tree and resolves columns; what an
+operator or function does with its values — NULL / MISSING propagation,
+Kleene logic, comparison and arithmetic errors, ``IS NULL`` / ``IS
+MISSING`` / ``IS UNKNOWN`` — is :mod:`repro.exec.scalar`'s, under the
+``sql`` or ``sqlpp`` row of its dialect table (see
+``docs/execution.md#scalar-semantics``).  A key missing from the record
+is NULL in SQL and MISSING in SQL++, which is central to benchmark
+expression 13.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any, Mapping
 
 from repro.errors import ExecutionError, PlanningError
+from repro.exec import scalar
 from repro.sqlengine.ast_nodes import (
     AGGREGATE_FUNCTIONS,
     BinaryOp,
@@ -32,7 +32,6 @@ from repro.sqlengine.ast_nodes import (
     Star,
     UnaryOp,
 )
-from repro.storage.keys import SENTINEL_MISSING
 
 Row = Mapping[str, Any]  # binding alias -> record
 
@@ -44,7 +43,9 @@ class Evaluator:
         if dialect not in ("sql", "sqlpp"):
             raise ValueError(f"unknown dialect {dialect!r}")
         self.dialect = dialect
-        self._absent_default = SENTINEL_MISSING if dialect == "sqlpp" else None
+        self._ops = ops = scalar.operators(dialect)
+        self._binary_ops, self._is = ops.binary, ops.is_
+        self._absent_default = ops.dialect.absent
 
     # ------------------------------------------------------------------
     # Resolution
@@ -86,157 +87,32 @@ class Evaluator:
         if isinstance(expr, UnaryOp):
             return self._unary(expr, row)
         if isinstance(expr, IsAbsent):
-            return self._is_absent(expr, row)
+            return self._is[expr.mode][expr.negated](self.evaluate(expr.operand, row), None)
         if isinstance(expr, FuncCall):
             return self._call(expr, row)
         raise ExecutionError(f"cannot evaluate expression node {type(expr).__name__}")
 
-    def truthy(self, value: Any) -> bool:
-        """WHERE-clause semantics: only TRUE passes (NULL/MISSING filter out)."""
-        return value is True
-
-    # ------------------------------------------------------------------
-    # Operators
-    # ------------------------------------------------------------------
+    # Small methods, not branches of ``evaluate``: its frame stays three locals.
     def _binary(self, expr: BinaryOp, row: Row) -> Any:
-        op = expr.op
-        if op in ("AND", "OR"):
-            return self._logical(op, expr, row)
-        left = self.evaluate(expr.left, row)
-        right = self.evaluate(expr.right, row)
-        if left is SENTINEL_MISSING or right is SENTINEL_MISSING:
-            return SENTINEL_MISSING
-        if left is None or right is None:
-            return None
-        if op == "=":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op in (">", "<", ">=", "<="):
-            try:
-                if op == ">":
-                    return left > right
-                if op == "<":
-                    return left < right
-                if op == ">=":
-                    return left >= right
-                return left <= right
-            except TypeError:
-                raise ExecutionError(
-                    f"cannot compare {type(left).__name__} with {type(right).__name__}"
-                ) from None
-        if op == "||":
-            return str(left) + str(right)
-        try:
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if op == "/":
-                return left / right
-            if op == "%":
-                return left % right
-        except TypeError:
-            raise ExecutionError(
-                f"cannot apply {op} to {type(left).__name__} and {type(right).__name__}"
-            ) from None
-        except ZeroDivisionError:
-            return None
-        raise ExecutionError(f"unknown binary operator {op!r}")
-
-    def _logical(self, op: str, expr: BinaryOp, row: Row) -> Any:
-        """Kleene three-valued AND/OR; MISSING behaves like NULL here."""
-        left = _as_tristate(self.evaluate(expr.left, row))
-        right = _as_tristate(self.evaluate(expr.right, row))
-        if op == "AND":
-            if left is False or right is False:
-                return False
-            if left is None or right is None:
-                return None
-            return True
-        if left is True or right is True:
-            return True
-        if left is None or right is None:
-            return None
-        return False
+        apply = self._binary_ops.get(expr.op)
+        if apply is None:
+            raise ExecutionError(f"unknown binary operator {expr.op!r}")
+        return apply(self.evaluate(expr.left, row), self.evaluate(expr.right, row))
 
     def _unary(self, expr: UnaryOp, row: Row) -> Any:
-        value = self.evaluate(expr.operand, row)
         if expr.op == "NOT":
-            state = _as_tristate(value)
-            return None if state is None else not state
+            return self._ops.not_(self.evaluate(expr.operand, row), None)
         if expr.op == "-":
-            if value is None or value is SENTINEL_MISSING:
-                return value
-            return -value
+            return self._ops.negate(self.evaluate(expr.operand, row), None)
         raise ExecutionError(f"unknown unary operator {expr.op!r}")
 
-    def _is_absent(self, expr: IsAbsent, row: Row) -> bool:
-        value = self.evaluate(expr.operand, row)
-        if self.dialect == "sql":
-            # SQL has no MISSING: both absent states are NULL.
-            result = value is None or value is SENTINEL_MISSING
-        elif expr.mode == "null":
-            result = value is None
-        elif expr.mode == "missing":
-            result = value is SENTINEL_MISSING
-        else:  # unknown = null or missing
-            result = value is None or value is SENTINEL_MISSING
-        return not result if expr.negated else result
-
-    # ------------------------------------------------------------------
-    # Scalar functions
-    # ------------------------------------------------------------------
     def _call(self, expr: FuncCall, row: Row) -> Any:
         name = expr.name.upper()
         if name in AGGREGATE_FUNCTIONS:
-            raise PlanningError(
-                f"aggregate {name} must be handled by an aggregation operator"
-            )
+            raise PlanningError(f"aggregate {name} must be handled by an aggregation operator")
         args = [self.evaluate(arg, row) for arg in expr.args]
-        if any(value is SENTINEL_MISSING for value in args):
-            return SENTINEL_MISSING
-        if any(value is None for value in args):
-            return None
-        return apply_scalar_function(name, args)
+        return self._ops.call(name, len(args))(args, None)
 
-
-def apply_scalar_function(name: str, args: list[Any]) -> Any:
-    """Dispatch one non-aggregate function by (upper-cased) name."""
-    try:
-        func = _SCALAR_FUNCTIONS[name]
-    except KeyError:
-        raise ExecutionError(f"unknown function {name}") from None
-    try:
-        return func(*args)
-    except TypeError as exc:
-        raise ExecutionError(f"bad arguments to {name}: {exc}") from None
-
-
-_SCALAR_FUNCTIONS = {
-    "UPPER": lambda s: str(s).upper(),
-    "LOWER": lambda s: str(s).lower(),
-    "LENGTH": lambda s: len(str(s)),
-    "ABS": abs,
-    "ROUND": lambda x, n=0: round(x, int(n)),
-    "FLOOR": math.floor,
-    "CEIL": math.ceil,
-    "SQRT": math.sqrt,
-    "TO_STRING": str,
-    "TO_INT": lambda x: int(float(x)),
-    "TO_DOUBLE": float,
-    "SUBSTR": lambda s, start, length=None: (
-        str(s)[int(start):] if length is None else str(s)[int(start):int(start) + int(length)]
-    ),
-    "TRIM": lambda s: str(s).strip(),
-    "CONCAT": lambda *parts: "".join(str(part) for part in parts),
-}
-
-
-def _as_tristate(value: Any) -> bool | None:
-    """Collapse a value into Kleene logic: True / False / unknown(None)."""
-    if value is None or value is SENTINEL_MISSING:
-        return None
-    return bool(value)
+    def truthy(self, value: Any) -> bool:
+        """WHERE-clause semantics: only TRUE passes (NULL/MISSING filter out)."""
+        return value is True

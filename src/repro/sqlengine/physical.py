@@ -15,10 +15,11 @@ results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.errors import ExecutionError, PlanningError
-from repro.exec.kernels import Descending, finalize_avg, finalize_std
+from repro.exec import scalar
+from repro.exec.kernels import Descending
 from repro.exec.memory import (
     MemoryBudget,
     SpillableGroups,
@@ -26,11 +27,16 @@ from repro.exec.memory import (
     estimate_record_bytes,
 )
 from repro.sqlengine.ast_nodes import (
+    AGGREGATE_FUNCTIONS,
+    BinaryOp,
     Expression,
     FuncCall,
+    IsAbsent,
+    Literal,
     OrderItem,
     SelectItem,
     Star,
+    UnaryOp,
 )
 from repro.sqlengine.expressions import Evaluator
 from repro.sqlengine.result import QueryStats
@@ -467,7 +473,7 @@ class ProjectOp(PhysicalPlan):
         for row in self.child.execute(ctx):
             record = project_row(ctx.evaluator, row, self.items, self.select_value)
             if seen is not None:
-                key = _dedup_key(record)
+                key = scalar.hashable(record)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -735,239 +741,20 @@ class IndexNestedLoopJoin(PhysicalPlan):
 # ----------------------------------------------------------------------
 
 
-class _Accumulator:
-    """One aggregate function's running state."""
-
-    def add(self, value: Any) -> None:
-        raise NotImplementedError
-
-    def add_row(self) -> None:
-        """COUNT(*) hook: called once per row regardless of values."""
-
-    def add_rows(self, count: int) -> None:
-        """Batch COUNT(*) hook: *count* rows at once (vector engine)."""
-        for _ in range(count):
-            self.add_row()
-
-    def add_many(self, values: list[Any]) -> None:
-        """Batch value hook; subclasses override with vectorized forms."""
-        for value in values:
-            self.add(value)
-
-    def merge(self, other: "_Accumulator") -> None:
-        """Fold another accumulator's state into this one (spill merge)."""
-        raise NotImplementedError
-
-    def result(self) -> Any:
-        raise NotImplementedError
-
-
-class _CountStar(_Accumulator):
-    def __init__(self) -> None:
-        self.count = 0
-
-    def add(self, value: Any) -> None:  # pragma: no cover - not used for *
-        pass
-
-    def add_row(self) -> None:
-        self.count += 1
-
-    def add_rows(self, count: int) -> None:
-        self.count += count
-
-    def merge(self, other: "_CountStar") -> None:
-        self.count += other.count
-
-    def result(self) -> int:
-        return self.count
-
-
-class _CountValue(_Accumulator):
-    def __init__(self) -> None:
-        self.count = 0
-
-    def add(self, value: Any) -> None:
-        if value is not None and value is not SENTINEL_MISSING:
-            self.count += 1
-
-    def add_many(self, values: list[Any]) -> None:
-        self.count += sum(
-            1 for value in values
-            if value is not None and value is not SENTINEL_MISSING
-        )
-
-    def merge(self, other: "_CountValue") -> None:
-        self.count += other.count
-
-    def result(self) -> int:
-        return self.count
-
-
-class _MinMax(_Accumulator):
-    def __init__(self, is_min: bool) -> None:
-        self.is_min = is_min
-        self.best: Any = None
-
-    def add(self, value: Any) -> None:
-        if value is None or value is SENTINEL_MISSING:
-            return
-        if self.best is None:
-            self.best = value
-        elif self.is_min and value < self.best:
-            self.best = value
-        elif not self.is_min and value > self.best:
-            self.best = value
-
-    def add_many(self, values: list[Any]) -> None:
-        present = [
-            value for value in values
-            if value is not None and value is not SENTINEL_MISSING
-        ]
-        if not present:
-            return
-        best = min(present) if self.is_min else max(present)
-        self.add(best)
-
-    def merge(self, other: "_MinMax") -> None:
-        if other.best is not None:
-            self.add(other.best)
-
-    def result(self) -> Any:
-        return self.best
-
-
-class _Sum(_Accumulator):
-    def __init__(self) -> None:
-        self.total: Any = None
-
-    def add(self, value: Any) -> None:
-        if value is None or value is SENTINEL_MISSING:
-            return
-        self.total = value if self.total is None else self.total + value
-
-    def add_many(self, values: list[Any]) -> None:
-        present = [
-            value for value in values
-            if value is not None and value is not SENTINEL_MISSING
-        ]
-        if not present:
-            return
-        subtotal = sum(present[1:], present[0])
-        self.total = subtotal if self.total is None else self.total + subtotal
-
-    def merge(self, other: "_Sum") -> None:
-        if other.total is not None:
-            self.total = other.total if self.total is None else self.total + other.total
-
-    def result(self) -> Any:
-        return self.total
-
-
-class _Avg(_Accumulator):
-    """Mean from exact (sum, count) partial state.
-
-    The sum starts at integer ``0`` so integer inputs accumulate exactly;
-    the final division happens once, in the shared finalizer — the same
-    state and finalizer the cluster coordinator combines per-shard
-    partials through, which is what makes the distributed AVG
-    bit-identical on integer columns.
-    """
-
-    def __init__(self) -> None:
-        self.total: Any = 0
-        self.count = 0
-
-    def add(self, value: Any) -> None:
-        if value is None or value is SENTINEL_MISSING:
-            return
-        self.total += value
-        self.count += 1
-
-    def add_many(self, values: list[Any]) -> None:
-        present = [
-            value for value in values
-            if value is not None and value is not SENTINEL_MISSING
-        ]
-        self.total += sum(present)
-        self.count += len(present)
-
-    def merge(self, other: "_Avg") -> None:
-        self.total += other.total
-        self.count += other.count
-
-    def result(self) -> float | None:
-        return finalize_avg(self.total, self.count)
-
-
-class _Std(_Accumulator):
-    """Population standard deviation from (count, sum, sum-of-squares).
-
-    Decomposable partial state instead of Welford's recurrence: exact in
-    integer arithmetic until the finalizer's single division, and the
-    identical state the cluster coordinator combines across shards.
-    """
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total: Any = 0
-        self.total_sq: Any = 0
-
-    def add(self, value: Any) -> None:
-        if value is None or value is SENTINEL_MISSING:
-            return
-        self.count += 1
-        self.total += value
-        self.total_sq += value * value
-
-    def add_many(self, values: list[Any]) -> None:
-        present = [
-            value for value in values
-            if value is not None and value is not SENTINEL_MISSING
-        ]
-        self.count += len(present)
-        self.total += sum(present)
-        self.total_sq += sum(value * value for value in present)
-
-    def merge(self, other: "_Std") -> None:
-        self.count += other.count
-        self.total += other.total
-        self.total_sq += other.total_sq
-
-    def result(self) -> float | None:
-        return finalize_std(self.count, self.total, self.total_sq)
-
-
-def make_accumulator(call: FuncCall) -> _Accumulator:
-    """Build the accumulator for one aggregate call."""
-    name = call.name.upper()
-    if name == "COUNT":
-        return _CountStar() if call.star else _CountValue()
-    if name == "MIN":
-        return _MinMax(is_min=True)
-    if name == "MAX":
-        return _MinMax(is_min=False)
-    if name == "SUM":
-        return _Sum()
-    if name == "AVG":
-        return _Avg()
-    if name in ("STDDEV", "STDDEV_POP"):
-        return _Std()
-    raise PlanningError(f"unknown aggregate function {name}")
-
-
-def merge_group_state(
-    prior: tuple[list[_Accumulator], Any], later: tuple[list[_Accumulator], Any]
-) -> tuple[list[_Accumulator], Any]:
-    """Fold a later spill run's group state into the earlier one.
-
-    Accumulators combine positionally; the representative row stays the
-    earliest one seen, which is what the unspilled dict would have kept.
-    """
-    prior_accumulators, representative = prior
-    later_accumulators, _later_representative = later
-    for accumulator, other in zip(prior_accumulators, later_accumulators):
-        accumulator.merge(other)
-    return (prior_accumulators, representative)
+def aggregate_feeds(
+    calls: list[FuncCall], dialect: str
+) -> list[tuple[Callable[[], Any], Expression | None]]:
+    """``(accumulator factory, argument)`` of each aggregate call, from the
+    shared set (``repro.exec.scalar``); COUNT(*) has no argument — it adds rows."""
+    feeds = []
+    for call in calls:
+        name = call.name.upper()
+        kind = "STD" if name.startswith("STDDEV") else name
+        if (call.star and kind != "COUNT") or (not call.star and len(call.args) != 1):
+            raise PlanningError(f"{call} takes one argument")
+        make = scalar.accumulator(kind, scalar.DIALECTS[dialect], name)
+        feeds.append((make, None if call.star else call.args[0]))
+    return feeds
 
 
 class HashAggregate(PhysicalPlan):
@@ -991,49 +778,39 @@ class HashAggregate(PhysicalPlan):
 
     def execute(self, ctx: ExecutionContext) -> Iterator[Any]:
         evaluate = ctx.evaluator.evaluate
+        feeds = aggregate_feeds(self._agg_calls, ctx.evaluator.dialect)
+        makes = [make for make, _argument in feeds]
+        arguments = [(slot, argument) for slot, (_make, argument) in enumerate(feeds)]
         groups = SpillableGroups(ctx.memory)
-        scalar = not self.group_by
+        grouped = bool(self.group_by)
         try:
             for row in self.child.execute(ctx):
-                if scalar:
-                    key = ()
-                else:
-                    key = tuple(
-                        index_key(_absent_to_none(evaluate(expr, row)))
-                        for expr in self.group_by
-                    )
+                key = tuple(
+                    index_key(_absent_to_none(evaluate(expr, row))) for expr in self.group_by
+                ) if grouped else ()
                 entry = groups.get(key)
                 if entry is None:
-                    entry = ([make_accumulator(call) for call in self._agg_calls], row)
+                    entry = ([make() for make in makes], row)
                     groups.insert(key, entry, estimate_record_bytes(row))
-                accumulators, _representative = entry
-                for call, accumulator in zip(self._agg_calls, accumulators):
-                    accumulator.add_row()
-                    if not call.star:
-                        accumulator.add(evaluate(call.args[0], row))
-            if scalar and not len(groups) and not groups.spilled:
+                accumulators = entry[0]
+                for slot, argument in arguments:
+                    if argument is None:
+                        accumulators[slot].add_rows(1)
+                    else:
+                        accumulators[slot].add(evaluate(argument, row))
+            if not grouped and not len(groups) and not groups.spilled:
                 # SQL: aggregates over an empty input still produce one row.
-                accumulators = [make_accumulator(call) for call in self._agg_calls]
-                groups.insert((), (accumulators, {}), 0)
-            for accumulators, representative in groups.finalized(merge_group_state):
+                groups.insert((), ([make() for make in makes], {}), 0)
+            for accumulators, representative in groups.finalized(scalar.merge_group_state):
                 results = {
                     id(call): accumulator.result()
                     for call, accumulator in zip(self._agg_calls, accumulators)
                 }
-                yield self._shape_output(ctx, representative, results)
+                yield shape_aggregate_output(
+                    ctx.evaluator, self.items, self.select_value, representative, results
+                )
         finally:
             groups.close()
-
-    def _shape_output(self, ctx: ExecutionContext, row: Any, agg_results: dict[int, Any]) -> Any:
-        values: dict[str, Any] = {}
-        single_value: Any = None
-        for item in self.items:
-            value = _eval_with_aggregates(ctx.evaluator, item.expr, row, agg_results)
-            if self.select_value:
-                single_value = value
-            else:
-                values[item.output_name()] = value
-        return single_value if self.select_value else values
 
     def describe(self) -> str:
         keys = ", ".join(str(expr) for expr in self.group_by) or "<scalar>"
@@ -1041,23 +818,18 @@ class HashAggregate(PhysicalPlan):
 
 
 def _collect_aggregates(items: tuple[SelectItem, ...]) -> list[FuncCall]:
-    from repro.sqlengine.ast_nodes import AGGREGATE_FUNCTIONS, BinaryOp, IsAbsent, UnaryOp
-
     calls: list[FuncCall] = []
 
     def walk(expr: Expression) -> None:
-        if isinstance(expr, FuncCall):
-            if expr.name.upper() in AGGREGATE_FUNCTIONS:
-                calls.append(expr)
-                return
+        if isinstance(expr, FuncCall) and expr.name.upper() in AGGREGATE_FUNCTIONS:
+            calls.append(expr)
+        elif isinstance(expr, FuncCall):
             for arg in expr.args:
                 walk(arg)
         elif isinstance(expr, BinaryOp):
             walk(expr.left)
             walk(expr.right)
-        elif isinstance(expr, UnaryOp):
-            walk(expr.operand)
-        elif isinstance(expr, IsAbsent):
+        elif isinstance(expr, (UnaryOp, IsAbsent)):
             walk(expr.operand)
 
     for item in items:
@@ -1069,27 +841,29 @@ def _eval_with_aggregates(
     evaluator: Evaluator, expr: Expression, row: Any, agg_results: dict[int, Any]
 ) -> Any:
     """Evaluate an output expression, substituting computed aggregates."""
-    from repro.sqlengine.ast_nodes import AGGREGATE_FUNCTIONS, BinaryOp, IsAbsent, UnaryOp
-
-    if isinstance(expr, FuncCall) and expr.name.upper() in AGGREGATE_FUNCTIONS:
+    if id(expr) in agg_results:
         return agg_results[id(expr)]
     if isinstance(expr, BinaryOp):
-        rewritten = BinaryOp(
-            expr.op,
-            _LiteralWrap(_eval_with_aggregates(evaluator, expr.left, row, agg_results)),
-            _LiteralWrap(_eval_with_aggregates(evaluator, expr.right, row, agg_results)),
-        )
-        return evaluator.evaluate(rewritten, row)
-    if isinstance(expr, (UnaryOp, IsAbsent)):
-        # No benchmark query nests aggregates under these; evaluate directly.
-        return evaluator.evaluate(expr, row)
+        left = _eval_with_aggregates(evaluator, expr.left, row, agg_results)
+        right = _eval_with_aggregates(evaluator, expr.right, row, agg_results)
+        return evaluator.evaluate(BinaryOp(expr.op, Literal(left), Literal(right)), row)
     return evaluator.evaluate(expr, row)
 
 
-def _LiteralWrap(value: Any):
-    from repro.sqlengine.ast_nodes import Literal
-
-    return Literal(value)
+def shape_aggregate_output(
+    evaluator: Evaluator,
+    items: tuple[SelectItem, ...],
+    select_value: bool,
+    row: Any,
+    agg_results: dict[int, Any],
+) -> Any:
+    """One group's output: its SELECT list over the representative *row*."""
+    if select_value:
+        return _eval_with_aggregates(evaluator, items[-1].expr, row, agg_results)
+    return {
+        item.output_name(): _eval_with_aggregates(evaluator, item.expr, row, agg_results)
+        for item in items
+    }
 
 
 # ----------------------------------------------------------------------
@@ -1106,7 +880,7 @@ def project_row(
     """Evaluate a SELECT list against one environment."""
     if select_value:
         value = evaluator.evaluate(items[0].expr, row)
-        return _absent_to_none_shallow(value)
+        return _absent_to_none(value)
     record: dict[str, Any] = {}
     for item in items:
         if isinstance(item.expr, Star):
@@ -1130,22 +904,8 @@ def _absent_to_none(value: Any) -> Any:
     return None if value is SENTINEL_MISSING else value
 
 
-def _absent_to_none_shallow(value: Any) -> Any:
-    if value is SENTINEL_MISSING:
-        return None
-    return value
-
-
 def _shape_scalar(value: Any, item: SelectItem, select_value: bool) -> Any:
     """Shape a precomputed scalar the way the SELECT list would have."""
     if select_value:
         return value
     return {item.output_name(): value}
-
-
-def _dedup_key(record: Any) -> Any:
-    if isinstance(record, dict):
-        return tuple(sorted((k, _dedup_key(v)) for k, v in record.items()))
-    if isinstance(record, list):
-        return tuple(_dedup_key(v) for v in record)
-    return record

@@ -399,20 +399,20 @@ def run_cypher(text: str, row_spec: dict[str, list]) -> Any:
 
 def sql_ast(tree: list):
     """The parser's expression nodes for one JSON expression tree."""
-    from repro.sqlengine.ast_nodes import BinaryOp, ColumnRef, FuncCall, IsAbsent, Literal, UnaryOp
+    from repro.sqlengine import ast_nodes as n
 
     kind = tree[0]
     if kind == "col":
-        return ColumnRef(tree[1], "t")
+        return n.ColumnRef(tree[1], "t")
     if kind == "lit":
-        return Literal(tree[1])
+        return n.Literal(tree[1])
     if kind == "bin":
-        return BinaryOp(tree[1], sql_ast(tree[2]), sql_ast(tree[3]))
+        return n.BinaryOp(tree[1], sql_ast(tree[2]), sql_ast(tree[3]))
     if kind == "un":
-        return UnaryOp(tree[1], sql_ast(tree[2]))
+        return n.UnaryOp(tree[1], sql_ast(tree[2]))
     if kind == "is":
-        return IsAbsent(sql_ast(tree[3]), tree[1], tree[2])
-    return FuncCall(tree[1], tuple(sql_ast(arg) for arg in tree[2]))
+        return n.IsAbsent(sql_ast(tree[3]), tree[1], tree[2])
+    return n.FuncCall(tree[1], tuple(sql_ast(arg) for arg in tree[2]))
 
 
 def run_sql_row(dialect: str, tree: list, record: dict) -> Any:

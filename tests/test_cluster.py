@@ -253,10 +253,10 @@ class TestClusterParity:
         # from the shards; the finalized answers must equal a single
         # node's bit-for-bit on integer columns (exact integer partials).
         records, adb, gp, mg = loaded_clusters
-        from repro.exec.kernels import finalize_avg, finalize_std
+        from repro.exec.scalar import finalize_avg, finalize_std
 
         values = [r["four"] for r in records]
-        expected_avg = finalize_avg(sum(values), len(values))
+        expected_avg = finalize_avg(len(values), sum(values))
         expected_std = finalize_std(
             len(values), sum(values), sum(v * v for v in values)
         )

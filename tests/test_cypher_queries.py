@@ -10,9 +10,11 @@ and streamed, and must match as JSON text — records, key order, ``1`` vs
 ``1.0``, and ``heap_fetches`` / ``index_entries`` / ``full_scans`` /
 ``string_store_reads``.
 
-The only expectations that changed are listed in ``EDITED_DEAD_PROJECTIONS``:
-a map projection such as ``t{.*, r}`` that no later clause reads is no
-longer built, so its ``string_store_reads`` fall to 0.
+The only expectations that changed are listed in ``EDITED_DEAD_PROJECTIONS``
+— a map projection such as ``t{.*, r}`` that no later clause reads is no
+longer built, so its ``string_store_reads`` fall to 0 — and in
+``EDITED_RAW_ERRORS``: a query that failed with a bare Python exception
+now fails with the ``ExecutionError`` naming the function.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ EDITED_DEAD_PROJECTIONS = [
     "shape/2",
     "shape/3",
 ]
+#: Every case whose bare Python exception became an ``ExecutionError``.
+EDITED_RAW_ERRORS = ["shape/8"]
 
 
 def _load_generator():
@@ -75,8 +79,14 @@ def test_every_query_replays_with_zero_mismatches(generator, corpus, stores, mod
 
 def test_edited_expectations_are_exactly_the_dead_projections(corpus):
     edited = [case for case in corpus["cases"] if "edited" in case]
-    assert [case["name"] for case in edited] == EDITED_DEAD_PROJECTIONS
+    assert [case["name"] for case in edited] == sorted(
+        EDITED_DEAD_PROJECTIONS + EDITED_RAW_ERRORS, key=[c["name"] for c in corpus["cases"]].index
+    )
     for case in edited:
+        if case["name"] in EDITED_RAW_ERRORS:
+            assert case["edited"]["before"]["error"][0] == "IndexError"
+            assert case["want"]["error"][0] == "ExecutionError"
+            continue
         before, now = case["edited"]["before"], case["want"]
         assert before["records"] == now["records"]
         assert now["counters"]["string_store_reads"] == 0 < before["counters"]["string_store_reads"]

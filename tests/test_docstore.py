@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.docstore import MongoDatabase
-from repro.docstore.exprs import ExprEvaluator, get_path
+from repro.docstore.exprs import compile_expr, get_path
 from repro.errors import CatalogError, ExecutionError, UnsupportedOperationError
 from repro.storage.keys import SENTINEL_MISSING
 
@@ -28,62 +28,64 @@ def db():
     return database
 
 
+def evaluate(expr, doc, variables=None):
+    return compile_expr(expr)(doc, variables or {})
+
+
 class TestExprEvaluator:
     def setup_method(self):
-        self.ev = ExprEvaluator()
         self.doc = {"a": 3, "b": "x", "nested": {"c": 7}, "n": None}
 
     def test_field_paths(self):
-        assert self.ev.evaluate("$a", self.doc) == 3
-        assert self.ev.evaluate("$nested.c", self.doc) == 7
-        assert self.ev.evaluate("$missing", self.doc) is SENTINEL_MISSING
+        assert evaluate("$a", self.doc) == 3
+        assert evaluate("$nested.c", self.doc) == 7
+        assert evaluate("$missing", self.doc) is SENTINEL_MISSING
 
     def test_get_path_on_non_dict(self):
         assert get_path({"a": 5}, "a.b") is SENTINEL_MISSING
 
     def test_variables(self):
-        ev = ExprEvaluator({"v": 42})
-        assert ev.evaluate("$$v", self.doc) == 42
+        assert evaluate("$$v", self.doc, {"v": 42}) == 42
         with pytest.raises(ExecutionError):
-            self.ev.evaluate("$$undefined", self.doc)
+            evaluate("$$undefined", self.doc)
 
     def test_comparisons(self):
-        assert self.ev.evaluate({"$eq": ["$a", 3]}, self.doc) is True
-        assert self.ev.evaluate({"$gt": ["$a", 2]}, self.doc) is True
-        assert self.ev.evaluate({"$lte": ["$a", 2]}, self.doc) is False
+        assert evaluate({"$eq": ["$a", 3]}, self.doc) is True
+        assert evaluate({"$gt": ["$a", 2]}, self.doc) is True
+        assert evaluate({"$lte": ["$a", 2]}, self.doc) is False
 
     def test_missing_sorts_below_null(self):
         """The expression-13 trick: missing < null in comparison order."""
-        assert self.ev.evaluate({"$lt": ["$missing", None]}, self.doc) is True
-        assert self.ev.evaluate({"$lt": ["$n", None]}, self.doc) is False
+        assert evaluate({"$lt": ["$missing", None]}, self.doc) is True
+        assert evaluate({"$lt": ["$n", None]}, self.doc) is False
 
     def test_logical_operators(self):
         expr = {"$and": [{"$eq": ["$a", 3]}, {"$eq": ["$b", "x"]}]}
-        assert self.ev.evaluate(expr, self.doc) is True
-        assert self.ev.evaluate({"$not": [{"$eq": ["$a", 3]}]}, self.doc) is False
-        assert self.ev.evaluate({"$or": [{"$eq": ["$a", 9]}, {"$eq": ["$b", "x"]}]}, self.doc)
+        assert evaluate(expr, self.doc) is True
+        assert evaluate({"$not": [{"$eq": ["$a", 3]}]}, self.doc) is False
+        assert evaluate({"$or": [{"$eq": ["$a", 9]}, {"$eq": ["$b", "x"]}]}, self.doc)
 
     def test_arithmetic(self):
-        assert self.ev.evaluate({"$add": ["$a", 2]}, self.doc) == 5
-        assert self.ev.evaluate({"$multiply": ["$a", "$a"]}, self.doc) == 9
-        assert self.ev.evaluate({"$mod": ["$a", 2]}, self.doc) == 1
-        assert self.ev.evaluate({"$add": ["$missing", 1]}, self.doc) is None
+        assert evaluate({"$add": ["$a", 2]}, self.doc) == 5
+        assert evaluate({"$multiply": ["$a", "$a"]}, self.doc) == 9
+        assert evaluate({"$mod": ["$a", 2]}, self.doc) == 1
+        assert evaluate({"$add": ["$missing", 1]}, self.doc) is None
 
     def test_string_operators(self):
-        assert self.ev.evaluate({"$toUpper": "$b"}, self.doc) == "X"
-        assert self.ev.evaluate({"$concat": ["$b", "!"]}, self.doc) == "x!"
+        assert evaluate({"$toUpper": "$b"}, self.doc) == "X"
+        assert evaluate({"$concat": ["$b", "!"]}, self.doc) == "x!"
 
     def test_conversions(self):
-        assert self.ev.evaluate({"$toInt": "3.9"}, self.doc) == 3
-        assert self.ev.evaluate({"$toString": "$a"}, self.doc) == "3"
+        assert evaluate({"$toInt": "3.9"}, self.doc) == 3
+        assert evaluate({"$toString": "$a"}, self.doc) == "3"
 
     def test_if_null(self):
-        assert self.ev.evaluate({"$ifNull": ["$missing", 9]}, self.doc) == 9
-        assert self.ev.evaluate({"$ifNull": ["$a", 9]}, self.doc) == 3
+        assert evaluate({"$ifNull": ["$missing", 9]}, self.doc) == 9
+        assert evaluate({"$ifNull": ["$a", 9]}, self.doc) == 3
 
     def test_unknown_operator(self):
         with pytest.raises(ExecutionError):
-            self.ev.evaluate({"$frobnicate": 1}, self.doc)
+            evaluate({"$frobnicate": 1}, self.doc)
 
 
 class TestPipelineStages:

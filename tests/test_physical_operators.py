@@ -15,7 +15,7 @@ from repro.sqlengine.physical import (
     SeqScan,
     SortOp,
     TopKOp,
-    make_accumulator,
+    aggregate_feeds,
 )
 from repro.sqlengine.result import QueryStats, ResultSet
 from repro.storage.catalog import Catalog
@@ -93,11 +93,16 @@ class TestJoins:
         assert ctx.stats.index_entries == 5
 
 
+def make_accumulator(call):
+    ((make, _argument),) = aggregate_feeds([call], "sql")
+    return make()
+
+
 class TestAccumulators:
     def test_count_star_counts_rows(self):
         acc = make_accumulator(FuncCall("COUNT", star=True))
         for _ in range(4):
-            acc.add_row()
+            acc.add_rows(1)
         assert acc.result() == 4
 
     def test_count_value_skips_absent(self):

@@ -19,8 +19,9 @@ def test_debug_trace_logs_queries(caplog):
     frame = make_frame()
     with caplog.at_level(logging.DEBUG, logger="repro.polyframe"):
         frame.head(3)
-    assert len(caplog.records) == 1
-    message = caplog.records[0].getMessage()
+    # The per-query trace line only: under the CI chaos env a retried
+    # attempt logs its own DEBUG line on the same logger.
+    (message,) = [r.getMessage() for r in caplog.records if " <- " in r.getMessage()]
     assert "SELECT" in message and "3 rows" in message
 
 

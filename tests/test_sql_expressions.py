@@ -14,7 +14,8 @@ from repro.sqlengine.ast_nodes import (
     Star,
     UnaryOp,
 )
-from repro.sqlengine.expressions import Evaluator, apply_scalar_function
+from repro.exec.scalar import operators
+from repro.sqlengine.expressions import Evaluator
 from repro.sqlengine.expr_utils import (
     columns_used,
     conjoin,
@@ -25,6 +26,11 @@ from repro.sqlengine.expr_utils import (
 from repro.storage.keys import SENTINEL_MISSING
 
 SQL = Evaluator("sql")
+
+
+def apply_scalar_function(name, args):
+    return operators("sql").call(name, len(args))(args, None)
+
 SQLPP = Evaluator("sqlpp")
 ROW = {"t": {"a": 5, "b": None, "s": "Hi"}}
 
