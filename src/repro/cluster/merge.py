@@ -35,7 +35,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import UnsupportedOperationError
 from repro.exec.kernels import Descending
-from repro.exec.scalar import DIALECTS, accumulator, finalize_avg, finalize_std
+from repro.exec.scalar import DIALECTS, accumulator
 from repro.sqlengine.ast_nodes import (
     AGGREGATE_FUNCTIONS,
     ColumnRef,
@@ -182,13 +182,13 @@ def _field(record: Any, column: str) -> Any:
 
 
 def _finalize_value(partial: PartialColumn, combined: dict[str, Any]) -> Any:
-    if partial.finalize == "avg":
-        return finalize_avg(combined.get(partial.count_col), combined.get(partial.sum_col))
-    return finalize_std(
-        combined.get(partial.count_col) or 0,
-        combined.get(partial.sum_col) or 0,
-        combined.get(partial.sumsq_col) or 0,
-    )
+    """The combined partials as one AVG / STD accumulator's state (every
+    dialect finalizes those alike)."""
+    state = accumulator(partial.finalize.upper(), DIALECTS["sql"])()
+    state.count = combined.get(partial.count_col) or 0
+    state.total = combined.get(partial.sum_col) or 0
+    state.total_sq = combined.get(partial.sumsq_col) or 0
+    return state.result()
 
 
 def _finalize_record(spec: MergeSpec, combined: dict[str, Any]) -> dict[str, Any]:
@@ -233,10 +233,10 @@ def _merge_aggregates(spec: MergeSpec, shard_records: list[list[Any]]) -> list[A
 # ----------------------------------------------------------------------
 
 
-def spec_for_select(ast: SelectQuery, dialect: str = "sql") -> MergeSpec:
+def spec_for_select(ast: SelectQuery) -> MergeSpec:
     """Derive the merge spec from a parsed SQL/SQL++ query."""
     if ast.is_aggregate():
-        return _aggregate_spec(ast, dialect)
+        return _aggregate_spec(ast)
     order_columns = []
     for item in ast.order_by:
         if isinstance(item.expr, ColumnRef):
@@ -267,7 +267,8 @@ def _decompose(
     return PartialColumn(out_name, finalize, index, sum_col, count_col, sumsq_col)
 
 
-def _aggregate_spec(ast: SelectQuery, dialect: str) -> MergeSpec:
+def _aggregate_spec(ast: SelectQuery) -> MergeSpec:
+    dialect = "sql"  # SQL and SQL++ agree on every aggregate rule
     keys: list[str] = []
     columns: dict[str, Callable[[list[Any]], Any]] = {}
     partial_outputs: list[PartialColumn] = []

@@ -146,7 +146,7 @@ def plan_select(query_text: str, language: str) -> tuple[str, MergeSpec]:
     ``[PARTIAL AGGREGATION]`` rewrite rules, keeping the original
     aggregate argument text verbatim.
     """
-    spec = spec_for_select(parse(query_text, language), language)
+    spec = spec_for_select(parse(query_text, language))
     if not spec.needs_rewrite:
         return query_text, spec
     if spec.select_value:

@@ -380,6 +380,15 @@ class VecAggregate(VectorHead):
     shaping reuses the row engine's aggregate-substitution helper
     against a representative row, so non-aggregate output expressions
     behave identically under both engines.
+
+    A scalar aggregation feeds each aggregate its argument batch-wise, in
+    SELECT-list order; a batch failing in two places may name another of
+    the two than the row engine does.  A grouped one adds row by row (a
+    spill may write a batch's groups out mid-batch) and re-adds a batch
+    whose argument fails through the row evaluator, raising the row
+    engine's first error: the 4-shard STDDEV rewrite ``SUM(v), COUNT(v),
+    SUM(v * v)`` per group over strings fails in ``SUM`` row by row but
+    in ``v * v`` batch-wise.
     """
 
     def __init__(
@@ -411,16 +420,11 @@ class VecAggregate(VectorHead):
         for batch in self.child.batches(ctx, evaluator):
             if representative is None and batch.length:
                 representative = {batch.alias: batch.row_record(0)}
-            vectors = _arguments(evaluator, feeds, batch)
-            if vectors is None:
-                for i in range(batch.length):
-                    _add_row(ctx, feeds, batch, i, accumulators)
-                continue
-            for vector, accumulator in zip(vectors, accumulators):
-                if vector is None:
+            for (_make, argument), accumulator in zip(feeds, accumulators):
+                if argument is None:
                     accumulator.add_rows(batch.length)
                 else:
-                    accumulator.add_many(vector.to_python())
+                    accumulator.add_many(evaluator.evaluate(argument, batch).to_python())
         results = {
             id(call): accumulator.result()
             for call, accumulator in zip(self._agg_calls, accumulators)
@@ -475,7 +479,7 @@ class VecAggregate(VectorHead):
 
 def _arguments(evaluator, feeds, batch) -> list | None:
     """Each aggregate's argument over *batch* (None for COUNT(*)), or None
-    when one fails batch-wise (the batch is then added row by row)."""
+    when one fails batch-wise."""
     try:
         return [
             None if argument is None else evaluator.evaluate(argument, batch)
@@ -486,9 +490,8 @@ def _arguments(evaluator, feeds, batch) -> list | None:
 
 
 def _add_row(ctx, feeds, batch, i, accumulators) -> None:
-    """Row *i* added as the row engine adds it — each argument evaluated and
-    added in turn — once an argument failed batch-wise, so the error raised
-    is the one the row engine meets first."""
+    """Row *i* added as the row engine adds it: each argument evaluated
+    and added in turn."""
     env = {batch.alias: batch.row_record(i)}
     for (_make, argument), accumulator in zip(feeds, accumulators):
         if argument is None:

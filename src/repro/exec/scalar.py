@@ -296,6 +296,8 @@ def compile_arithmetic(op: str, dialect: Dialect, left: Closure, right: Closure)
             return on_type(op, lhs, rhs)
         except ZeroDivisionError:
             return on_zero(op, lhs, rhs)
+        except ArithmeticError as exc:
+            raise apply_error(op, lhs, rhs, detail=f": {exc}") from None
 
     return arithmetic
 
@@ -321,6 +323,8 @@ def compile_fold(op: str, dialect: Dialect, operands: list[Closure], label: str)
                 return on_type(label, result, value)
             except ZeroDivisionError:
                 return on_zero(label, result, value)
+            except ArithmeticError as exc:
+                raise apply_error(label, result, value, detail=f": {exc}") from None
         return result
 
     return fold
@@ -494,7 +498,7 @@ def _binary_kernel(fast: Callable[[Any, Any], Any], value: Closure) -> Callable:
         if left.mask is None and right.mask is None:
             try:
                 return Vector(list(map(fast, left.values, right.values)), None)
-            except (TypeError, ZeroDivisionError):
+            except (TypeError, ArithmeticError):
                 pass  # the slot-wise path answers or raises precisely
         return Vector.from_python(map(value, left.to_python(), right.to_python()))
 
@@ -647,27 +651,35 @@ class Moments:
             self.total_sq += value * value
         except TypeError:
             raise apply_error(self.label, value) from None
+        except ArithmeticError as exc:
+            raise apply_error(self.label, value, detail=f": {exc}") from None
         self.count += 1
 
     def add_many(self, values: list[Any]) -> None:
         present = [value for value in values if value is not None and value is not MISSING]
         try:
             total, total_sq = sum(present), sum(value * value for value in present)
-        except TypeError:
+            new_total, new_total_sq = self.total + total, self.total_sq + total_sq
+        except (TypeError, ArithmeticError):
             for value in present:
                 self.add(value)  # raises at the first value that does not add
             return
         self.count += len(present)
-        self.total += total
-        self.total_sq += total_sq
+        self.total, self.total_sq = new_total, new_total_sq
 
     def merge(self, other: "Moments") -> None:
+        try:
+            total, total_sq = self.total + other.total, self.total_sq + other.total_sq
+        except ArithmeticError as exc:
+            raise apply_error(self.label, self.total, other.total, detail=f": {exc}") from None
         self.count += other.count
-        self.total += other.total
-        self.total_sq += other.total_sq
+        self.total, self.total_sq = total, total_sq
 
     def result(self) -> Any:
-        return self.finalize(self.count, self.total, self.total_sq)
+        try:
+            return self.finalize(self.count, self.total, self.total_sq)
+        except ArithmeticError as exc:  # an integer sum no float holds
+            raise apply_error(self.label, self.total, detail=f": {exc}") from None
 
 
 class NumericMoments(Moments):
@@ -677,9 +689,12 @@ class NumericMoments(Moments):
 
     def add(self, value: Any) -> None:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                self.total += value
+                self.total_sq += value * value
+            except ArithmeticError as exc:
+                raise apply_error(self.label, value, detail=f": {exc}") from None
             self.count += 1
-            self.total += value
-            self.total_sq += value * value
 
     def add_many(self, values: list[Any]) -> None:
         for value in values:

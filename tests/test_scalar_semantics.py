@@ -16,7 +16,8 @@ carry an ``edited`` note (``before``: the earlier answer) are exactly the
 ones that failed with a bare Python exception, whose answer is now an
 ``ExecutionError``, and 4-shard answers that now agree with one node.
 Beyond the corpus: a derandomized fuzz over expression trees of all four
-dialects (only ``ReproError`` escapes; row equals vector), single node
+dialects (only ``ReproError`` escapes; row equals vector), integer
+overflow on every engine, single node
 against 4 shards for every merged accumulator, the docs table against
 :data:`repro.exec.scalar.DIALECTS`, and no accumulator class outside
 ``repro.exec.scalar``.
@@ -199,9 +200,10 @@ def test_sharded_mongodb_min_max_order_mixed_types_like_one_node():
 # ----------------------------------------------------------------------
 # Fuzz: only ReproError escapes, and row equals vector
 # ----------------------------------------------------------------------
+HUGE = 10**400  # no float holds it: true division and float arithmetic overflow
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-5, 10), st.sampled_from(["", "x", "3.7", "-2", "Ab"]),
-    st.sampled_from([0.0, -0.0, 2.5, -1.5, math.inf, math.nan]),
+    st.sampled_from([0.0, -0.0, 2.5, -1.5, math.inf, math.nan]), st.just(HUGE),
 )
 
 
@@ -307,6 +309,108 @@ def test_cypher_fuzz_raises_only_repro_errors(expr, row):
     from repro.graphdb.executor import _compile
 
     _outcome(lambda: _compile(expr)(GENERATOR.build_row(GENERATOR.ROWS[row]), None))
+
+
+# ----------------------------------------------------------------------
+# Overflow: an integer no float holds fails through the funnel
+# ----------------------------------------------------------------------
+OVERFLOW_RECORDS = [{"k": 0, "v": 1.5}, {"k": 1, "v": HUGE}]
+
+
+def _sql_engine(dialect, exec_engine):
+    from repro.sqlengine import SQLDatabase
+    from repro.sqlpp import AsterixDB
+
+    if dialect == "sql":
+        db = SQLDatabase(exec_engine=exec_engine)
+        db.create_table("N.d", primary_key="k")
+        db.insert("N.d", OVERFLOW_RECORDS)
+    else:
+        db = AsterixDB(query_prep_overhead=0.0, exec_engine=exec_engine)
+        db.create_dataverse("N")
+        db.create_dataset("N", "d", primary_key="k")
+        db.load("N.d", OVERFLOW_RECORDS)
+    return db
+
+
+@pytest.mark.parametrize("query, message", [
+    (f"SELECT {HUGE} / 3 AS r FROM N.d t",
+     "cannot apply / to int and int: integer division result too large for a float"),
+    ("SELECT t.v * 1.5 AS r FROM N.d t",
+     "cannot apply * to int and float: int too large to convert to float"),
+    ("SELECT SUM(t.v) AS r FROM N.d t", "cannot apply SUM to int: int too large to convert to float"),
+    ("SELECT t.k AS g, SUM(t.v + 0.5) AS r FROM N.d t GROUP BY t.k",
+     "cannot apply + to int and float: int too large to convert to float"),
+    (f"SELECT AVG(t.k + {HUGE}) AS r FROM N.d t",
+     "cannot apply AVG to int: integer division result too large for a float"),
+], ids=["divide", "multiply", "sum", "grouped-sum", "avg"])
+@pytest.mark.parametrize("exec_engine", ["row", "vector"])
+@pytest.mark.parametrize("dialect", ["sql", "sqlpp"])
+def test_sql_overflow_is_one_execution_error_on_row_and_vector(dialect, exec_engine, query,
+                                                              message):
+    with pytest.raises(ExecutionError) as raised:
+        _sql_engine(dialect, exec_engine).execute(query)
+    assert str(raised.value) == message
+
+
+def test_mongodb_and_cypher_overflow_is_an_execution_error():
+    from repro.docstore import MongoDatabase
+    from repro.graphdb import Neo4jDatabase
+
+    mongo = MongoDatabase(query_prep_overhead=0.0)
+    mongo.create_collection("d").insert_many(OVERFLOW_RECORDS)
+    neo4j = Neo4jDatabase(query_prep_overhead=0.0)
+    neo4j.load("d", OVERFLOW_RECORDS)
+    runs = {
+        "cannot apply $sum to int": lambda: mongo.aggregate(
+            "d", [{"$group": {"_id": {}, "r": {"$sum": "$v"}}}]),
+        "cannot apply $divide to int and int": lambda: mongo.aggregate(
+            "d", [{"$project": {"r": {"$divide": [HUGE, 3]}}}]),
+        "cannot apply sum to int": lambda: neo4j.execute("MATCH (t:d) RETURN sum(t.v) AS r"),
+        "cannot apply * to int and float": lambda: neo4j.execute(
+            "MATCH (t:d) RETURN t.v * 1.5 AS r"),
+        "cannot apply $avg to int": lambda: mongo.aggregate(
+            "d", [{"$group": {"_id": {}, "r": {"$avg": {"$add": ["$k", HUGE]}}}}]),
+        "cannot apply avg to int": lambda: neo4j.execute(
+            f"MATCH (t:d) RETURN avg(t.k + {HUGE}) AS r"),
+    }
+    for prefix, run in runs.items():
+        with pytest.raises(ExecutionError, match=re.escape(prefix) + ": .* too large"):
+            run()
+
+
+def test_sharded_avg_and_std_overflow_through_the_funnel():
+    from repro.cluster import GreenplumCluster, MongoDBCluster
+    from repro.resilience import FaultInjector
+
+    knobs = {"fault_injector": FaultInjector(), "query_prep_overhead": 0.0}
+    greenplum = GreenplumCluster(4, **knobs)
+    greenplum.create_table("N.d", primary_key="k")
+    greenplum.insert("N.d", OVERFLOW_RECORDS, shard_key="k")
+    mongo = MongoDBCluster(4, **knobs)
+    mongo.create_collection("d")
+    mongo.insert_many("d", OVERFLOW_RECORDS, shard_key="k")
+    runs = [
+        ("cannot apply AVG to int", lambda: greenplum.execute(
+            f"SELECT AVG(t.k + {HUGE}) AS r FROM N.d t")),
+        ("cannot apply STD to int", lambda: greenplum.execute(
+            f"SELECT STDDEV(t.k * {HUGE}) AS r FROM N.d t")),
+        ("cannot apply AVG to int", lambda: mongo.aggregate(
+            "d", [{"$group": {"_id": {}, "r": {"$avg": {"$add": ["$k", HUGE]}}}}])),
+    ]
+    for prefix, run in runs:
+        with pytest.raises(ExecutionError, match=re.escape(prefix) + ": .* too large"):
+            run()
+
+
+def test_merging_sum_states_overflow_through_the_funnel():
+    """A spilled group's SUM state meets a later spill run's."""
+    make = scalar.accumulator("SUM", scalar.DIALECTS["sql"])
+    prior, later = make(), make()
+    prior.add(1.5)
+    later.add(HUGE)
+    with pytest.raises(ExecutionError, match="^cannot apply SUM to float and int: int too large"):
+        prior.merge(later)
 
 
 # ----------------------------------------------------------------------
