@@ -1,6 +1,6 @@
 """Shared benchmark fixtures.
 
-Scale control: ``REPRO_BENCH_XS`` sets the XS record count (default 2000);
+Scale control: ``REPRO_BENCH_XS`` sets the XS record count (default 3000);
 all other sizes keep the paper's Table IV ratios.  Every figure bench writes
 its regenerated table to ``benchmarks/results/`` and prints it, so running
 

@@ -22,6 +22,7 @@ Quickstart::
 """
 
 from repro.cache import ResultCache
+from repro.config import Config
 from repro.core import (
     AsterixDBConnector,
     DatabaseConnector,
@@ -43,6 +44,7 @@ __version__ = "1.0.0"
 __all__ = [
     "AFrame",
     "AsterixDBConnector",
+    "Config",
     "DatabaseConnector",
     "MongoDBConnector",
     "Neo4jConnector",

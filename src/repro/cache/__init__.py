@@ -16,10 +16,8 @@ plans; the rest of this package removes the *execution* cost:
   touches is part of the cache key, so a stale entry can never match.
 - :class:`Singleflight` — in-flight deduplication: concurrent identical
   sends execute once, the rest block on the winner and share its answer.
-- :func:`resolve_result_cache` — the ``cache=`` kwarg / ``REPRO_CACHE``
-  environment variable resolution shared by connectors and clusters.
-
-Result caching is off by default (seed-identical behavior); see
+Result caching (the ``cache=`` kwarg / ``REPRO_CACHE``, see
+:mod:`repro.config`) is off by default (seed-identical behavior); see
 ``docs/caching.md`` for the key structure, invalidation rules, admission
 policy, and fallback matrix.
 """
@@ -27,21 +25,17 @@ policy, and fallback matrix.
 from repro.cache.compiled import CompiledQueryCache
 from repro.cache.result_cache import (
     DEFAULT_MAX_BYTES,
-    ENV_CACHE,
     CacheEntry,
     DatasetVersions,
     ResultCache,
-    resolve_result_cache,
 )
 from repro.cache.singleflight import Singleflight
 
 __all__ = [
     "DEFAULT_MAX_BYTES",
-    "ENV_CACHE",
     "CacheEntry",
     "CompiledQueryCache",
     "DatasetVersions",
     "ResultCache",
     "Singleflight",
-    "resolve_result_cache",
 ]

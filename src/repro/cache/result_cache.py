@@ -2,21 +2,14 @@
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import OrderedDict
 from typing import Any, Hashable, Iterable
 
 from repro.errors import ReproError
-from repro.exec.memory import estimate_record_bytes, parse_budget
+from repro.exec.memory import estimate_record_bytes
 from repro.obs import metrics
-
-#: Environment variable enabling result caching process-wide.  ``1`` (or
-#: ``true``/``on``) enables the default-sized cache; a byte count with an
-#: optional ``k``/``m``/``g`` suffix (``64m``) sizes it; empty/``0``
-#: disables (the default — seed-identical behavior).
-ENV_CACHE = "REPRO_CACHE"
 
 #: Default byte budget for one cache (64 MiB).
 DEFAULT_MAX_BYTES = 64 * 1024 * 1024
@@ -304,50 +297,3 @@ class ResultCache:
             f"ResultCache(entries={len(self._entries)}, bytes={self._bytes}, "
             f"hits={self.hits}, misses={self.misses})"
         )
-
-
-def resolve_result_cache(
-    cache: "ResultCache | bool | int | str | None",
-    *,
-    backend: str = "",
-) -> ResultCache | None:
-    """The effective result cache: explicit setting, else the environment.
-
-    ``True`` means a default-sized cache, ``False`` explicitly disables
-    even when ``REPRO_CACHE`` is set, an int/str is a byte budget
-    (``parse_budget`` spellings — except the literal ``1``/``'1'`` and
-    ``'true'``/``'on'``, which mean "on with defaults", matching the
-    other ``REPRO_*`` switches), and ``None`` defers to ``REPRO_CACHE``.
-    """
-    if isinstance(cache, ResultCache):
-        return cache
-    if cache is True:
-        return ResultCache(backend=backend)
-    if cache is False:
-        return None
-    if cache is None:
-        raw = os.environ.get(ENV_CACHE, "")
-        return _from_spelling(raw, backend, origin=ENV_CACHE)
-    if isinstance(cache, int):
-        if cache == 0:
-            return None
-        if cache == 1:
-            return ResultCache(backend=backend)
-        if cache < 0:
-            raise ReproError(f"malformed cache size {cache!r}: must not be negative")
-        return ResultCache(max_bytes=cache, backend=backend)
-    if isinstance(cache, str):
-        return _from_spelling(cache, backend, origin="cache=")
-    raise ReproError(f"cannot interpret cache={cache!r}")
-
-
-def _from_spelling(raw: str, backend: str, *, origin: str) -> ResultCache | None:
-    text = raw.strip().lower()
-    if not text or text in ("0", "false", "off"):
-        return None
-    if text in ("1", "true", "on"):
-        return ResultCache(backend=backend)
-    size = parse_budget(text)
-    if size is None:
-        return None
-    return ResultCache(max_bytes=size, backend=backend)

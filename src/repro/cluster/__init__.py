@@ -40,28 +40,24 @@ one node (expression 12), also as in the paper.
 
 from repro.cluster.asterixdb_cluster import AsterixDBCluster
 from repro.cluster.dispatch import (
-    ENV_DISPATCH,
+    DISPATCHERS,
     Dispatcher,
     SerialDispatcher,
     ThreadPoolDispatcher,
-    resolve_dispatcher,
 )
 from repro.cluster.greenplum import GreenplumCluster
 from repro.cluster.mongo_cluster import MongoDBCluster
 from repro.cluster.replica import (
-    ENV_REPLICATION,
     HedgePolicy,
     NodeHealth,
     NodeHealthBoard,
     ReplicaSet,
     ReplicaStore,
     records_checksum,
-    resolve_replication_factor,
 )
 
 __all__ = [
-    "ENV_DISPATCH",
-    "ENV_REPLICATION",
+    "DISPATCHERS",
     "AsterixDBCluster",
     "Dispatcher",
     "GreenplumCluster",
@@ -74,6 +70,4 @@ __all__ = [
     "SerialDispatcher",
     "ThreadPoolDispatcher",
     "records_checksum",
-    "resolve_dispatcher",
-    "resolve_replication_factor",
 ]

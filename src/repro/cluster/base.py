@@ -31,8 +31,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro.cache import DatasetVersions, ResultCache, resolve_result_cache
-from repro.cluster.dispatch import Dispatcher, resolve_dispatcher
+from repro.cache import DatasetVersions, ResultCache
+from repro.cluster.dispatch import DISPATCHERS, SERIAL, Dispatcher
 from repro.cluster.merge import MergeSpec, merge_record_stream, merge_records
 from repro.cluster.partial import plan_select
 from repro.cluster.replica import (
@@ -42,7 +42,6 @@ from repro.cluster.replica import (
     ReplicaSet,
     ReplicaStore,
     records_checksum,
-    resolve_replication_factor,
 )
 from repro.errors import (
     CircuitOpenError,
@@ -55,8 +54,9 @@ from repro.errors import (
 )
 from repro.obs import ambient_span, metrics
 from repro.obs.profile import OpProfile, analyze_active
-from repro.resilience import CircuitBreaker, FaultInjector, RetryPolicy, cluster_resilience
-from repro.resilience.admission import AdmissionController, resolve_admission
+from repro.config import Config
+from repro.resilience import CircuitBreaker, FaultInjector, RetryPolicy
+from repro.resilience.admission import AdmissionController
 from repro.resilience.deadline import (
     CancellationToken,
     Deadline,
@@ -632,7 +632,8 @@ def scatter_gather(
     dispatcher into the k-way merge; blocking merges and analyze mode
     materialize, and quorum reads materialize each shard first.
     """
-    dispatcher = resolve_dispatcher(dispatcher)
+    if not isinstance(dispatcher, Dispatcher):
+        dispatcher = DISPATCHERS[dispatcher or SERIAL]()
     if health is None:
         health = NodeHealthBoard(replica_set.num_nodes, cluster_name=backend_name)
     g = _Gather(
@@ -867,13 +868,23 @@ class ShardedCluster:
             raise ValueError("a cluster needs at least one node")
         self.num_nodes = num_nodes
         self.name = name = f"{self.backend}[{num_nodes}]"
-        self.dispatcher = resolve_dispatcher(dispatch)
+        # Every REPRO_* knob, resolved once (repro.config): kwarg, else env.
+        config = Config.resolve(
+            dispatch=dispatch,
+            admission=admission,
+            replication_factor=replication_factor,
+            cache=cache,
+        )
+        self._chaos = config.chaos()
+        if not isinstance(dispatch, Dispatcher):
+            dispatch = DISPATCHERS[config.dispatch]()
+        self.dispatcher = dispatch
         self.retry_policy = retry_policy
         self.fault_injector = fault_injector
         self.allow_partial = allow_partial
         #: Coordinator-side load shedding (``admission=`` / ``REPRO_ADMISSION``).
-        self.admission = resolve_admission(admission, backend=name)
-        self.replication_factor = resolve_replication_factor(replication_factor, num_nodes)
+        self.admission = config.admission_controller(admission, name)
+        self.replication_factor = min(config.replication_factor, num_nodes)
         self.replica_set = ReplicaSet(num_nodes, num_nodes, self.replication_factor)
         engine_knobs: dict[str, Any] = {"memory_budget": memory_budget}
         if query_prep_overhead is not None:
@@ -895,7 +906,7 @@ class ShardedCluster:
         #: Per-shard result cache (``cache=`` / ``REPRO_CACHE``); entries
         #: are keyed on the query's spelling plus the cluster's dataset
         #: version vector, so every write invalidates by construction.
-        self.result_cache = resolve_result_cache(cache, backend=name)
+        self.result_cache = config.result_cache(cache, name)
         self.dataset_versions = DatasetVersions()
 
     def _make_engine(self, replica: str, **engine_knobs: Any) -> Any:
@@ -949,7 +960,8 @@ class ShardedCluster:
         are the values bound into a prepared *text*, spelled by ``repr``
         in the key so ``1``, ``1.0`` and ``True`` stay apart.
         """
-        injector, policy = cluster_resilience(self.fault_injector, self.retry_policy)
+        injector = self.fault_injector or self._chaos[0]
+        policy = self.retry_policy or self._chaos[1]
         cache_key = None
         if self.result_cache is not None:
             versions = self.dataset_versions.vector(text, *collection)

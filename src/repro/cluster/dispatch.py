@@ -15,8 +15,8 @@ with a simulated parallel wall time (``max`` over shards).  A
 
 Selection: every cluster takes a ``dispatch=`` keyword (a mode string or
 a ready dispatcher instance); without one, the ``REPRO_DISPATCH``
-environment variable decides (``serial`` by default) — the same pattern
-as ``REPRO_REPLICATION``.
+environment variable decides (``serial`` by default; :mod:`repro.config`)
+and :data:`DISPATCHERS` builds the mode's dispatcher.
 
 Span context does not cross threads on its own (the span stack is
 thread-local), so both the worker-pool map and the hedge race capture the
@@ -34,7 +34,6 @@ completion.  See ``docs/distributed-execution.md`` and
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 import time
@@ -50,7 +49,7 @@ from repro.resilience.deadline import (
 )
 
 __all__ = [
-    "ENV_DISPATCH",
+    "DISPATCHERS",
     "SERIAL",
     "THREADS",
     "DEFAULT_MAX_WORKERS",
@@ -59,11 +58,7 @@ __all__ = [
     "RaceResult",
     "SerialDispatcher",
     "ThreadPoolDispatcher",
-    "resolve_dispatcher",
 ]
-
-#: Environment variable selecting the process-wide default dispatch mode.
-ENV_DISPATCH = "REPRO_DISPATCH"
 
 SERIAL = "serial"
 THREADS = "threads"
@@ -405,24 +400,8 @@ class ThreadPoolDispatcher(Dispatcher):
         return RaceResult(box["value"], hedged, hedge_value, primary_first)
 
 
-def resolve_dispatcher(
-    dispatch: "Dispatcher | str | None",
-    *,
-    max_workers: int | None = None,
-) -> Dispatcher:
-    """Resolve the ``dispatch=`` knob into a ready dispatcher.
-
-    Accepts a :class:`Dispatcher` instance (returned as-is), a mode string
-    (``'serial'``/``'threads'``), or ``None`` — in which case the
-    ``REPRO_DISPATCH`` environment variable decides, defaulting to serial.
-    """
-    if isinstance(dispatch, Dispatcher):
-        return dispatch
-    mode = (dispatch or os.environ.get(ENV_DISPATCH, "") or SERIAL).strip().lower()
-    if mode == SERIAL:
-        return SerialDispatcher()
-    if mode == THREADS:
-        return ThreadPoolDispatcher(max_workers=max_workers)
-    raise ReproError(
-        f"unknown dispatch mode {mode!r}; expected {SERIAL!r} or {THREADS!r}"
-    )
+#: A fresh dispatcher of each mode.
+DISPATCHERS: dict[str, Callable[[], Dispatcher]] = {
+    SERIAL: SerialDispatcher,
+    THREADS: ThreadPoolDispatcher,
+}

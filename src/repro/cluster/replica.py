@@ -21,13 +21,12 @@ adds the machinery real deployments use to stay available:
   engine instances it hosts.
 
 ``REPRO_REPLICATION`` sets the process-wide default replication factor
-(see :func:`resolve_replication_factor`); clusters default to R=1 so the
-seed behaviour is unchanged unless replication is asked for.
+(:mod:`repro.config`); clusters default to R=1 so the seed behaviour is
+unchanged unless replication is asked for.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import zlib
 from typing import Any, Callable, Iterable, Sequence
@@ -36,10 +35,6 @@ from repro.errors import CircuitOpenError, ReproError
 from repro.obs import metrics
 from repro.resilience.breaker import CircuitBreaker
 
-#: Environment variable setting the default replication factor for
-#: clusters that don't pass one explicitly.
-ENV_REPLICATION = "REPRO_REPLICATION"
-
 #: Default replication factor for an explicitly constructed ReplicaSet.
 DEFAULT_REPLICATION_FACTOR = 2
 
@@ -47,26 +42,6 @@ DEFAULT_REPLICATION_FACTOR = 2
 UP = "up"
 SUSPECT = "suspect"
 DOWN = "down"
-
-
-def resolve_replication_factor(requested: int | None, num_nodes: int) -> int:
-    """The replication factor a cluster should run with.
-
-    ``requested`` wins when given; otherwise ``REPRO_REPLICATION`` from
-    the environment; otherwise 1 (the seed's single-copy behaviour, so
-    nothing changes for existing callers).  The result is clamped to
-    ``num_nodes`` — you cannot place more distinct copies than there are
-    nodes.
-    """
-    if requested is None:
-        raw = os.environ.get(ENV_REPLICATION, "")
-        try:
-            requested = int(raw) if raw.strip() else 1
-        except ValueError:
-            requested = 1
-    if requested < 1:
-        raise ReproError(f"replication_factor must be >= 1, got {requested}")
-    return min(requested, num_nodes)
 
 
 class ReplicaSet:
@@ -430,7 +405,6 @@ def records_checksum(records: Iterable[Any]) -> int:
 __all__ = [
     "DEFAULT_REPLICATION_FACTOR",
     "DOWN",
-    "ENV_REPLICATION",
     "SUSPECT",
     "UP",
     "HedgePolicy",
@@ -439,5 +413,4 @@ __all__ = [
     "ReplicaSet",
     "ReplicaStore",
     "records_checksum",
-    "resolve_replication_factor",
 ]

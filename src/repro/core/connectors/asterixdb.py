@@ -4,11 +4,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.connectors.base import (
-    DatabaseConnector,
-    set_exec_engine,
-    set_memory_budget,
-)
+from repro.core.connectors.base import DatabaseConnector, configure_engines
 from repro.sqlengine.result import ResultSet
 from repro.sqlpp import AsterixDB
 
@@ -35,10 +31,7 @@ class AsterixDBConnector(DatabaseConnector):
     ) -> None:
         super().__init__(rule_overrides, **resilience)
         self._db = database
-        if exec_engine is not None:
-            set_exec_engine(database, exec_engine)
-        if memory_budget is not None:
-            set_memory_budget(database, memory_budget)
+        configure_engines(database, exec_engine=exec_engine, memory_budget=memory_budget)
 
     def _execute(self, query: str, collection: str, params: tuple = ()) -> ResultSet:
         return self._db.execute(query, params=params)

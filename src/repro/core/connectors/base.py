@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import abc
 import logging
-import os
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Iterator
 
-from repro.cache import DatasetVersions, ResultCache, Singleflight, resolve_result_cache
+from repro.cache import DatasetVersions, ResultCache, Singleflight
 from repro.cache.compiled import CompiledQueryCache
+from repro.config import Config
 from repro.core.rewrite import RewriteEngine
 from repro.errors import (
     CircuitOpenError,
@@ -35,18 +35,11 @@ from repro.errors import (
     ReproError,
 )
 from repro.exec.batch import DEFAULT_BATCH_SIZE
-from repro.exec.memory import resolve_budget
 from repro.obs import OpProfile, analyze_active, metrics, span_for
 from repro.obs.trace import Tracer
 from repro.resilience import CircuitBreaker, FaultInjector, QueryTimeout, RetryPolicy
-from repro.resilience.admission import AdmissionController, AdmissionTicket, resolve_admission
-from repro.resilience.deadline import (
-    CancellationToken,
-    Deadline,
-    current_frame,
-    resolve_deadline_seconds,
-)
-from repro.resilience.faults import global_resilience
+from repro.resilience.admission import AdmissionController, AdmissionTicket
+from repro.resilience.deadline import CancellationToken, Deadline, current_frame
 from repro.sqlengine.result import QueryStats, ResultSet
 
 #: Query trace: enable with ``logging.getLogger('repro.polyframe').setLevel(DEBUG)``
@@ -205,41 +198,18 @@ def _engines_of(database: Any) -> list[Any]:
     return [database]
 
 
-def set_exec_engine(database: Any, exec_engine: str) -> None:
-    """Point *database* (or every node of a cluster) at an execution engine.
+def configure_engines(database: Any, **knobs: Any) -> None:
+    """Point *database* (or every node of a cluster) at the engine *knobs* given.
 
-    The connector-level counterpart of the ``REPRO_EXEC`` environment
-    variable, for the embedded SQL/SQL++ engines that support both paths.
+    A connector's ``exec_engine=`` / ``memory_budget=`` kwargs, parsed
+    like ``REPRO_EXEC`` / ``REPRO_MEM_BUDGET``; a knob left ``None``
+    keeps each engine's own setting.
     """
-    if exec_engine not in ("row", "vector"):
-        raise ValueError(f"unknown exec_engine {exec_engine!r}")
+    given = {name: value for name, value in knobs.items() if value is not None}
+    config = Config.resolve(**given)
     for engine in _engines_of(database):
-        engine.exec_engine = exec_engine
-
-
-def set_memory_budget(database: Any, memory_budget: int | str | None) -> None:
-    """Point *database* (or every node of a cluster) at a per-query budget.
-
-    The connector-level counterpart of the ``REPRO_MEM_BUDGET``
-    environment variable; accepts the same spellings (bytes, or a string
-    with an optional ``k``/``m``/``g`` suffix).
-    """
-    budget = resolve_budget(memory_budget)
-    for engine in _engines_of(database):
-        engine.memory_budget = budget
-
-
-def _default_optimization_level() -> int:
-    """Process-wide default plan-optimization level (``REPRO_OPT_LEVEL``)."""
-    raw = os.environ.get("REPRO_OPT_LEVEL", "").strip()
-    if not raw:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_OPT_LEVEL must be an integer, got {raw!r}"
-        ) from None
+        for name in given:
+            setattr(engine, name, getattr(config, name))
 
 
 class DatabaseConnector(abc.ABC):
@@ -249,6 +219,11 @@ class DatabaseConnector(abc.ABC):
     implement :meth:`_execute`.  ``rule_overrides`` lets callers install
     user-defined rewrites at connection time.
 
+    Every knob that has a ``REPRO_*`` variable is resolved once, here,
+    by :meth:`Config.resolve <repro.config.Config.resolve>`: the kwarg
+    wins, else the variable, else the default (the README's
+    "Configuration" table).  :attr:`config` reports the live settings.
+
     Resilience knobs (all optional, all public attributes so they can be
     reconfigured after construction):
 
@@ -257,29 +232,28 @@ class DatabaseConnector(abc.ABC):
     - ``circuit_breaker`` — fail fast while the backend is unhealthy.
     - ``fault_injector`` — chaos hooks for deterministic failure testing.
     - ``deadline`` — an end-to-end per-action budget in seconds
-      (:class:`~repro.resilience.Deadline`); ``None`` defers to the
-      ``REPRO_DEADLINE`` environment variable, and both default to off —
-      the seed behaviour.  Unlike ``timeout`` the deadline spans *every*
+      (:class:`~repro.resilience.Deadline`), ``None`` when off — the
+      seed behaviour.  Unlike ``timeout`` the deadline spans *every*
       attempt, backoff sleep, shard, hedge, and streamed batch of one
       action.  See ``docs/deadlines.md``.
     - ``admission`` — overload protection: ``True`` /
       an :class:`~repro.resilience.AdmissionController` (shareable for a
       cluster-wide limit) gates sends through a bounded, deadline-aware,
-      AIMD-adaptive admission queue; ``None`` defers to
-      ``REPRO_ADMISSION``, ``False`` disables.  Shed queries raise the
-      retryable :class:`~repro.errors.OverloadError` without executing.
+      AIMD-adaptive admission queue; ``False`` disables.  Shed queries
+      raise the retryable :class:`~repro.errors.OverloadError` without
+      executing.
 
-    When no ``fault_injector`` is set and the ``REPRO_FAULT_RATE``
-    environment variable is, a process-wide injector (plus a default retry
-    policy, unless one was given) is used instead — the CI chaos job runs
-    the whole suite this way.
+    When ``REPRO_FAULT_RATE`` or ``REPRO_NODE_DOWN`` is set, the connector
+    builds its own chaos injector and fast retry policy
+    (:meth:`Config.chaos <repro.config.Config.chaos>`); a send uses them
+    whenever ``fault_injector`` (resp. ``retry_policy``) is ``None`` —
+    the CI chaos job runs the whole suite this way.
 
     Compilation knobs (the logical-plan layer, see ``docs/plan-ir.md``):
 
     - ``optimization_level`` — the plan-optimization level frames compiled
       through this connector use by default (0 = byte-parity with the
-      eager rewriter, 1 = structural fusion, 2 = + scan fusion).  Defaults
-      to the ``REPRO_OPT_LEVEL`` environment variable, else 0.
+      eager rewriter, 1 = structural fusion, 2 = + scan fusion).
     - ``compile_cache`` — this connector's :class:`CompiledQueryCache`.
     - ``compile_log`` — one :class:`~repro.core.plan.compiler.CompileRecord`
       per compilation, in order (the bench layer diffs this like
@@ -289,10 +263,9 @@ class DatabaseConnector(abc.ABC):
     ``docs/caching.md``):
 
     - ``cache`` — ``True``/byte size/:class:`~repro.cache.ResultCache`
-      enables semantic result caching on this connector; ``None`` defers
-      to the ``REPRO_CACHE`` environment variable, ``False`` disables
-      even when it is set.  The resolved cache is the public
-      ``result_cache`` attribute.
+      enables semantic result caching on this connector, ``False``
+      disables it.  The resolved cache is the public ``result_cache``
+      attribute.
     - ``dataset_versions`` — the per-dataset version counters behind
       write invalidation; :meth:`note_write` bumps them.
     """
@@ -321,21 +294,50 @@ class DatabaseConnector(abc.ABC):
         self.timeout = QueryTimeout(timeout) if isinstance(timeout, (int, float)) else timeout
         self.circuit_breaker = circuit_breaker
         self.fault_injector = fault_injector
-        self.deadline = deadline
+        config = Config.resolve(
+            deadline=deadline,
+            admission=admission,
+            optimization_level=optimization_level,
+            cache=cache,
+        )
+        self._config = config
+        self._chaos = config.chaos()
+        self.deadline = config.deadline
         #: Monotonic clock used for deadlines this connector creates
-        #: itself (action roots, env-driven per-send budgets); tests
-        #: inject a fake clock here for deterministic budget accounting.
+        #: itself (action roots, per-send budgets); tests inject a fake
+        #: clock here for deterministic budget accounting.
         self.deadline_clock = time.monotonic
-        self.admission = resolve_admission(admission, backend=self.name)
-        if optimization_level is None:
-            optimization_level = _default_optimization_level()
-        self.optimization_level = optimization_level
+        self.admission = config.admission_controller(admission, self.name)
+        self.optimization_level = config.optimization_level
         self.compile_cache = CompiledQueryCache()
         self.compile_log: list = []
         self.tracer: Tracer | None = None
-        self.result_cache = resolve_result_cache(cache, backend=self.name)
+        self.result_cache = config.result_cache(cache, self.name)
         self.dataset_versions = DatasetVersions()
         self._singleflight = Singleflight()
+
+    @property
+    def config(self) -> Config:
+        """The settings this connector and its database run with now.
+
+        Reassigning an attribute (``deadline``, ``admission``,
+        ``result_cache``, ``optimization_level``, an engine's
+        ``exec_engine``) shows up here.
+        """
+        live: dict[str, Any] = {
+            "deadline": self.deadline if self.deadline and self.deadline > 0 else None,
+            "admission": self.admission is not None,
+            "optimization_level": self.optimization_level,
+            "cache": getattr(self.result_cache, "max_bytes", None),
+        }
+        database = getattr(self, "_db", None)
+        for holder in (_engines_of(database)[0], database):
+            for name in ("exec_engine", "memory_budget", "replication_factor"):
+                if hasattr(holder, name):
+                    live[name] = getattr(holder, name)
+        if hasattr(database, "dispatcher"):
+            live["dispatch"] = database.dispatcher.mode
+        return replace(self._config, **live)
 
     def set_tracer(self, tracer: Tracer | None) -> None:
         """Trace every action through this connector (``None`` disables).
@@ -395,15 +397,13 @@ class DatabaseConnector(abc.ABC):
         injector = self.fault_injector
         policy = self.retry_policy
         if injector is None:
-            injector, global_policy = global_resilience()
+            injector, chaos_policy = self._chaos
             if policy is None:
-                policy = global_policy
+                policy = chaos_policy
         frame = current_frame()
         deadline = frame.deadline
-        if deadline is None:
-            seconds = resolve_deadline_seconds(self.deadline)
-            if seconds is not None:
-                deadline = Deadline(seconds, clock=self.deadline_clock)
+        if deadline is None and self.deadline and self.deadline > 0:
+            deadline = Deadline(self.deadline, clock=self.deadline_clock)
         if deadline is None and stream and self.timeout is not None:
             # No end-to-end budget, but a per-attempt timeout: for a
             # streamed attempt "the attempt" is the whole drain, so the

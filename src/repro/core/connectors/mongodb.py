@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.core.connectors.base import DatabaseConnector, set_memory_budget
+from repro.core.connectors.base import DatabaseConnector, configure_engines
 from repro.docstore import MongoDatabase
 from repro.errors import ConnectorError
 from repro.sqlengine.result import ResultSet
@@ -32,8 +32,7 @@ class MongoDBConnector(DatabaseConnector):
     ) -> None:
         super().__init__(rule_overrides, **resilience)
         self._db = database
-        if memory_budget is not None:
-            set_memory_budget(database, memory_budget)
+        configure_engines(database, memory_budget=memory_budget)
 
     def preprocess(self, query: str, collection: str) -> list[dict[str, Any]]:
         """Stage text → pipeline list (JSON parse)."""

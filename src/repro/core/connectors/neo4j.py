@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.connectors.base import DatabaseConnector, set_memory_budget
+from repro.core.connectors.base import DatabaseConnector, configure_engines
 from repro.graphdb import Neo4jDatabase
 from repro.sqlengine.result import ResultSet
 
@@ -30,8 +30,7 @@ class Neo4jConnector(DatabaseConnector):
     ) -> None:
         super().__init__(rule_overrides, **resilience)
         self._db = database
-        if memory_budget is not None:
-            set_memory_budget(database, memory_budget)
+        configure_engines(database, memory_budget=memory_budget)
 
     def _execute(self, query: str, collection: str, params: tuple = ()) -> ResultSet:
         return self._db.execute(query, params=params)

@@ -146,8 +146,9 @@ class PolyFrame:
         With ``verbose=True``, a three-stage report: the logical plan (as
         recorded and, if optimization changed it, as optimized), the query
         text generated for this backend — with the plan's shape, the
-        template compiled for it and this frame's bindings — and, where
-        the backend exposes one, the engine's own query plan.
+        template compiled for it and this frame's bindings — the
+        connector's live :class:`~repro.config.Config` and, where the
+        backend exposes one, the engine's own query plan.
 
         With ``analyze=True``, the query actually *runs* (like SQL's
         ``EXPLAIN ANALYZE``) and the report is the physical operator tree
@@ -174,6 +175,7 @@ class PolyFrame:
             "-- template --",
             template.native or template.fill(lambda slot: f"?{slot}"),
             f"-- bindings -- {compiled.bindings!r}",
+            f"-- config -- {self.connector.config!r}",
             "-- backend plan --",
         ]
         try:

@@ -6,15 +6,11 @@ import time
 from typing import Any, Iterable
 
 from repro import obs
+from repro.config import Config
 from repro.errors import CatalogError
 from repro.docstore.collection import Collection
 from repro.docstore.pipeline import PipelineExecutor
-from repro.exec.memory import (
-    MemoryBudget,
-    drain_with_stats,
-    resolve_budget,
-    stamp_memory,
-)
+from repro.exec.memory import MemoryBudget, drain_with_stats, stamp_memory
 from repro.sqlengine.result import QueryStats, ResultSet, StreamingResultSet
 
 #: Simulated fixed per-command overhead (driver round trip + cursor setup).
@@ -43,7 +39,7 @@ class MongoDatabase:
         self.query_prep_overhead = query_prep_overhead
         # Per-query budget for the blocking stages ($sort/$group spill):
         # explicit kwarg wins, else REPRO_MEM_BUDGET.
-        self.memory_budget = resolve_budget(memory_budget)
+        self.memory_budget = Config.resolve(memory_budget=memory_budget).memory_budget
         self._collections: dict[str, Collection] = {}
 
     # ------------------------------------------------------------------

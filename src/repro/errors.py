@@ -12,6 +12,10 @@ class ReproError(Exception):
     """Base class for every error raised by this package."""
 
 
+class ConfigError(ReproError, ValueError):
+    """A ``REPRO_*`` variable or a knob kwarg has a value no parser accepts."""
+
+
 class StorageError(ReproError):
     """A storage-layer invariant was violated (heap, index, catalog)."""
 

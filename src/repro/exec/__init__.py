@@ -42,21 +42,18 @@ from repro.exec.batch import (
 )
 from repro.exec.kernels import sort_records
 from repro.exec.memory import (
-    ENV_MEM_BUDGET,
     MemoryBudget,
     SpillableGroups,
     SpillFile,
     SpillSorter,
     estimate_record_bytes,
     parse_budget,
-    resolve_budget,
 )
 from repro.exec.vectorops import VectorEvaluator
 
 __all__ = [
     "ColumnBatch",
     "DEFAULT_BATCH_SIZE",
-    "ENV_MEM_BUDGET",
     "MASK_MISSING",
     "MASK_NULL",
     "MASK_VALID",
@@ -69,6 +66,5 @@ __all__ = [
     "concat_batches",
     "estimate_record_bytes",
     "parse_budget",
-    "resolve_budget",
     "sort_records",
 ]

@@ -11,8 +11,9 @@ byte-identical answer.
 
 The budget comes from the ``REPRO_MEM_BUDGET`` environment variable or a
 per-connector/engine ``memory_budget`` argument (the explicit argument
-wins).  Values are bytes, with optional ``k``/``m``/``g`` suffixes
-(``REPRO_MEM_BUDGET=64m``).  A malformed value raises
+wins; :mod:`repro.config`).  Values are bytes, with optional
+``k``/``m``/``g`` suffixes (``REPRO_MEM_BUDGET=64m``), parsed by
+:func:`parse_budget`; a malformed value raises
 :class:`~repro.errors.ReproError` naming the offending text rather than
 silently running unbounded.
 
@@ -40,15 +41,11 @@ import sys
 import tempfile
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
-from repro.errors import ReproError
+from repro.config import parse_budget  # noqa: F401 - the budget grammar, re-exported
 from repro.resilience.deadline import current_frame
 
 if TYPE_CHECKING:
     from repro.sqlengine.result import QueryStats
-
-#: Environment variable holding the default per-query budget (bytes;
-#: ``k``/``m``/``g`` suffixes allowed).
-ENV_MEM_BUDGET = "REPRO_MEM_BUDGET"
 
 #: How many records a blocking operator absorbs between cooperative
 #: cancellation checkpoints.  Small enough that a cancelled or expired
@@ -56,54 +53,10 @@ ENV_MEM_BUDGET = "REPRO_MEM_BUDGET"
 #: per-record cost is one integer decrement.
 CANCEL_CHECK_INTERVAL = 256
 
-_SUFFIXES = {"k": 1024, "m": 1024**2, "g": 1024**3}
-
 #: Flat per-record overhead (dict header + key interning slack) charged on
 #: top of the measured value sizes; keeps the estimate monotone in record
 #: count even for tiny records.
 _RECORD_OVERHEAD = 64
-
-
-def parse_budget(text: str) -> int | None:
-    """Parse a budget string into bytes; ``''``/``'0'`` mean unlimited.
-
-    Accepts plain integers and ``k``/``m``/``g`` suffixes (binary units).
-    Malformed values raise :class:`ReproError` naming the offending text
-    instead of silently falling back to unbounded execution.
-    """
-    raw = text.strip()
-    if not raw:
-        return None
-    lowered = raw.lower()
-    multiplier = 1
-    if lowered[-1] in _SUFFIXES:
-        multiplier = _SUFFIXES[lowered[-1]]
-        lowered = lowered[:-1]
-    try:
-        value = int(lowered)
-    except ValueError:
-        raise ReproError(
-            f"malformed memory budget {text!r}: expected bytes with an "
-            "optional k/m/g suffix (e.g. '67108864' or '64m')"
-        ) from None
-    if value < 0:
-        raise ReproError(f"malformed memory budget {text!r}: must not be negative")
-    return value * multiplier or None
-
-
-def resolve_budget(explicit: int | str | None = None) -> int | None:
-    """The effective budget in bytes: explicit setting, else the environment.
-
-    ``None``/``0`` mean unlimited.  An explicit integer must be
-    non-negative; an explicit string goes through :func:`parse_budget`.
-    """
-    if explicit is not None:
-        if isinstance(explicit, str):
-            return parse_budget(explicit)
-        if explicit < 0:
-            raise ReproError(f"malformed memory budget {explicit!r}: must not be negative")
-        return int(explicit) or None
-    return parse_budget(os.environ.get(ENV_MEM_BUDGET, ""))
 
 
 def check_budget_frame(*, where: str = "") -> None:

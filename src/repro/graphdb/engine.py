@@ -14,12 +14,8 @@ from typing import Any, Iterable, Sequence
 
 from repro import obs
 from repro.cache.compiled import CompiledQueryCache, binder
-from repro.exec.memory import (
-    MemoryBudget,
-    drain_with_stats,
-    resolve_budget,
-    stamp_memory,
-)
+from repro.config import Config
+from repro.exec.memory import MemoryBudget, drain_with_stats, stamp_memory
 from repro.graphdb.cypher_ast import CypherQuery, Lit, Param, Un
 from repro.graphdb.cypher_parser import parse
 from repro.graphdb.executor import CypherExecutor
@@ -54,7 +50,7 @@ class Neo4jDatabase:
         # store handles, so blocking stages account bytes but always
         # materialize in memory (the documented fallback) — the budget
         # here tracks peak usage rather than triggering disk spill.
-        self.memory_budget = resolve_budget(memory_budget)
+        self.memory_budget = Config.resolve(memory_budget=memory_budget).memory_budget
         self.store = GraphStore()
         #: Prepared queries: text → parsed query.
         self.plan_cache = CompiledQueryCache()

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
 import threading
 import time
 from typing import Any, Iterator
@@ -268,20 +267,17 @@ _ENV_SENTINEL = object()
 _global_tracer: Any = _ENV_SENTINEL
 
 
-def _env_wants_tracing() -> bool:
-    return os.environ.get("REPRO_TRACE", "").strip().lower() in ("1", "true", "yes", "on")
-
-
 def get_tracer() -> Tracer | None:
     """The process-wide tracer, if one is configured.
 
     ``set_global_tracer(...)`` wins; otherwise a tracer is created once
-    when ``REPRO_TRACE=1`` (or ``true``/``yes``/``on``) is in the
-    environment; otherwise ``None``.
+    when ``REPRO_TRACE`` is on (:mod:`repro.config`); otherwise ``None``.
     """
     global _global_tracer
     if _global_tracer is _ENV_SENTINEL:
-        _global_tracer = Tracer() if _env_wants_tracing() else None
+        from repro.config import Config  # repro.config imports this package
+
+        _global_tracer = Tracer() if Config.resolve().trace else None
     return _global_tracer
 
 

@@ -28,15 +28,9 @@ See ``docs/resilience.md`` and ``docs/deadlines.md`` for how these weave
 through :meth:`DatabaseConnector.send` and ``scatter_gather``.
 """
 
-from repro.resilience.admission import (
-    ENV_ADMISSION,
-    AdmissionController,
-    AdmissionTicket,
-    resolve_admission,
-)
+from repro.resilience.admission import AdmissionController, AdmissionTicket
 from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.resilience.deadline import (
-    ENV_DEADLINE,
     BudgetFrame,
     CancellationToken,
     Deadline,
@@ -45,29 +39,13 @@ from repro.resilience.deadline import (
     current_frame,
     current_token,
     propagated_frame,
-    resolve_deadline_seconds,
 )
-from repro.resilience.faults import (
-    ENV_FAULT_RATE,
-    ENV_FAULT_SEED,
-    ENV_NODE_DOWN,
-    NODE_DOWN,
-    SLOW_NODE,
-    FaultInjector,
-    FaultRule,
-    cluster_resilience,
-    global_resilience,
-)
+from repro.resilience.faults import NODE_DOWN, SLOW_NODE, FaultInjector, FaultRule
 from repro.resilience.retry import DEFAULT_RETRYABLE, QueryTimeout, RetryPolicy, no_sleep
 
 __all__ = [
     "CLOSED",
     "DEFAULT_RETRYABLE",
-    "ENV_ADMISSION",
-    "ENV_DEADLINE",
-    "ENV_FAULT_RATE",
-    "ENV_FAULT_SEED",
-    "ENV_NODE_DOWN",
     "HALF_OPEN",
     "NODE_DOWN",
     "OPEN",
@@ -83,13 +61,9 @@ __all__ = [
     "QueryTimeout",
     "RetryPolicy",
     "budget_scope",
-    "cluster_resilience",
     "current_deadline",
     "current_frame",
     "current_token",
-    "global_resilience",
     "no_sleep",
     "propagated_frame",
-    "resolve_admission",
-    "resolve_deadline_seconds",
 ]

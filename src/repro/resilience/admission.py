@@ -26,7 +26,8 @@ load instead:
 Admission is **off by default** (seed-identical).  Opt in per
 connector/cluster with ``admission=True`` (or a configured
 :class:`AdmissionController`, shareable across connectors for a
-cluster-wide limit) or process-wide with ``REPRO_ADMISSION=1``.
+cluster-wide limit) or process-wide with ``REPRO_ADMISSION=1``
+(:mod:`repro.config`).
 
 Observability: ``queries_shed_total`` counts rejections,
 ``inflight`` / ``queue_depth`` gauges track the controller's state, and
@@ -37,7 +38,6 @@ every admitted query's ``queue_wait_ms`` flows through
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import Callable
@@ -47,15 +47,9 @@ from repro.obs import metrics
 from repro.resilience.deadline import Deadline
 
 __all__ = [
-    "ENV_ADMISSION",
     "AdmissionController",
     "AdmissionTicket",
-    "resolve_admission",
 ]
-
-#: Environment variable enabling admission control process-wide
-#: (any non-empty value other than "0"/"false"/"off").
-ENV_ADMISSION = "REPRO_ADMISSION"
 
 #: Defaults sized for the embedded engines: generous enough that the
 #: tier-1 suite (sequential queries, inflight 1) never queues, tight
@@ -295,32 +289,3 @@ class AdmissionController:
             f"AdmissionController(limit={self.limit}, inflight={self._inflight}, "
             f"queued={self._queued}, backend={self.backend!r})"
         )
-
-
-def _env_admission_on() -> bool:
-    raw = os.environ.get(ENV_ADMISSION, "").strip().lower()
-    return bool(raw) and raw not in ("0", "false", "off")
-
-
-def resolve_admission(
-    admission: "AdmissionController | bool | None",
-    *,
-    backend: str = "",
-) -> AdmissionController | None:
-    """Resolve the ``admission=`` knob into a controller, or ``None``.
-
-    Accepts a ready :class:`AdmissionController` (returned as-is, so one
-    controller can guard several connectors), ``True`` (a fresh default
-    controller), ``False`` (off, even when the env asks for it), or
-    ``None`` — in which case ``REPRO_ADMISSION`` decides.  Default off:
-    seed-identical.
-    """
-    if isinstance(admission, AdmissionController):
-        if backend and not admission.backend:
-            admission.backend = backend
-        return admission
-    if admission is True:
-        return AdmissionController(backend=backend)
-    if admission is False:
-        return None
-    return AdmissionController(backend=backend) if _env_admission_on() else None

@@ -31,7 +31,6 @@ like trace-span context.  See ``docs/deadlines.md``.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from contextlib import contextmanager
@@ -40,7 +39,6 @@ from typing import Callable, Iterator
 from repro.errors import QueryCancelledError, QueryTimeoutError
 
 __all__ = [
-    "ENV_DEADLINE",
     "BudgetFrame",
     "CancellationToken",
     "Deadline",
@@ -50,12 +48,7 @@ __all__ = [
     "current_frame",
     "current_token",
     "propagated_frame",
-    "resolve_deadline_seconds",
 ]
-
-#: Environment variable setting a process-wide default per-action deadline
-#: (seconds).  Off by default — seed-identical behaviour.
-ENV_DEADLINE = "REPRO_DEADLINE"
 
 
 class Deadline:
@@ -233,8 +226,8 @@ def action_scope(connector: object) -> Iterator[BudgetFrame]:
 
     Opened by every dataframe/series action next to its root trace span:
     creates the action's :class:`Deadline` (from the connector's
-    ``deadline=`` setting or ``REPRO_DEADLINE`` — ``None`` when both are
-    off, the seed default) and a fresh :class:`CancellationToken`, so a
+    ``deadline`` attribute — ``None`` when it is off, the seed default)
+    and a fresh :class:`CancellationToken`, so a
     multi-query action spends *one* budget across all of its sends and
     every gather below it can hang child tokens off the action's.  A
     nested action that already runs under a frame with a deadline shares
@@ -244,31 +237,11 @@ def action_scope(connector: object) -> Iterator[BudgetFrame]:
     if outer.deadline is not None:
         yield outer
         return
-    seconds = resolve_deadline_seconds(getattr(connector, "deadline", None))
+    seconds = getattr(connector, "deadline", None)
     deadline: Deadline | None = None
-    if seconds is not None:
+    if seconds and seconds > 0:
         clock = getattr(connector, "deadline_clock", None) or time.monotonic
         deadline = Deadline(seconds, clock=clock)
     token = CancellationToken(parent=outer.token)
     with budget_scope(deadline, token) as frame:
         yield frame
-
-
-def resolve_deadline_seconds(configured: float | None = None) -> float | None:
-    """The per-action deadline budget to use, in seconds, or ``None``.
-
-    An explicit ``deadline=`` setting wins; otherwise the
-    ``REPRO_DEADLINE`` environment variable (a float, seconds) decides;
-    otherwise deadlines are off — the seed behaviour.  Malformed env
-    values are ignored rather than breaking every query.
-    """
-    if configured is not None:
-        return configured if configured > 0 else None
-    raw = os.environ.get(ENV_DEADLINE, "").strip()
-    if not raw:
-        return None
-    try:
-        seconds = float(raw)
-    except ValueError:
-        return None
-    return seconds if seconds > 0 else None

@@ -22,17 +22,15 @@ the attempt.  The replica path adds that to the engine's reported time,
 so a no-op ``sleep`` hook still drives deterministic timeout and hedging
 behaviour without wall-clock cost.
 
-Global injection: setting ``REPRO_FAULT_RATE`` and/or ``REPRO_NODE_DOWN``
-(optionally ``REPRO_FAULT_SEED``) in the environment makes every
-connector and cluster without an explicit injector run with a
-process-wide injector, paired with a default retry policy — the CI chaos
-matrix runs the whole test suite this way to prove retries and replica
-failover keep it green.
+Env-driven chaos: setting ``REPRO_FAULT_RATE`` and/or ``REPRO_NODE_DOWN``
+makes every connector and cluster without an explicit injector build its
+own injector, paired with a fast retry policy
+(:meth:`repro.config.Config.chaos`) — the CI chaos matrix runs the whole
+test suite this way to prove retries and replica failover keep it green.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 import time
@@ -41,12 +39,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import TransientBackendError
-from repro.resilience.retry import RetryPolicy, no_sleep
-
-#: Environment variables controlling process-wide fault injection.
-ENV_FAULT_RATE = "REPRO_FAULT_RATE"
-ENV_FAULT_SEED = "REPRO_FAULT_SEED"
-ENV_NODE_DOWN = "REPRO_NODE_DOWN"
 
 TRANSIENT = "transient"  # raise TransientBackendError (recoverable)
 DOWN = "down"  # raise TransientBackendError on *every* request (outage)
@@ -259,96 +251,12 @@ class FaultInjector:
                 rule.injected = 0
 
 
-# ----------------------------------------------------------------------
-# Process-wide injection (the CI chaos job)
-# ----------------------------------------------------------------------
-_GLOBAL: tuple[FaultInjector | None, RetryPolicy | None] | None = None
-
-
-def _env_down_nodes() -> tuple[int, ...]:
-    """Node indices named by ``REPRO_NODE_DOWN`` (comma-separated)."""
-    raw = os.environ.get(ENV_NODE_DOWN, "")
-    nodes: list[int] = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            nodes.append(int(part))
-        except ValueError:
-            continue
-    return tuple(nodes)
-
-
-def global_resilience() -> tuple[FaultInjector | None, RetryPolicy | None]:
-    """The env-configured (injector, retry policy) pair, or ``(None, None)``.
-
-    Read once per process: ``REPRO_FAULT_RATE`` > 0 enables a shared
-    injector failing every connector request at that rate, paired with a
-    fast default retry policy sized so that a rate ≤ 0.1 virtually never
-    exhausts the budget (0.1^6 ≈ 1e-6 per query).  ``REPRO_NODE_DOWN``
-    additionally (or independently) takes the named cluster nodes down
-    hard — only replica failover keeps those queries alive, which is what
-    the CI ``node_down`` chaos scenario asserts.  The shared policy uses a
-    no-op sleeper so chaos runs cost no wall-clock backoff time.
-    """
-    global _GLOBAL
-    if _GLOBAL is None:
-        try:
-            rate = float(os.environ.get(ENV_FAULT_RATE, "") or 0.0)
-        except ValueError:
-            rate = 0.0
-        down_nodes = _env_down_nodes()
-        if rate > 0.0 or down_nodes:
-            seed = int(os.environ.get(ENV_FAULT_SEED, "") or 2021)
-            injector = FaultInjector(seed=seed, sleep=no_sleep)
-            if rate > 0.0:
-                injector.transient_rate(min(rate, 1.0))
-            for node in down_nodes:
-                injector.node_down(node)
-            policy = RetryPolicy(
-                max_attempts=6, base_delay=0.0001, max_delay=0.002, seed=seed, sleep=no_sleep
-            )
-            _GLOBAL = (injector, policy)
-        else:
-            _GLOBAL = (None, None)
-    return _GLOBAL
-
-
-def cluster_resilience(
-    injector: FaultInjector | None, policy: RetryPolicy | None
-) -> tuple[FaultInjector | None, RetryPolicy | None]:
-    """Resolve a cluster's (injector, policy), falling back to the env pair.
-
-    Clusters call this at query time so the process-wide chaos
-    configuration (``REPRO_FAULT_RATE``/``REPRO_NODE_DOWN``) reaches
-    scatter-gather even when the cluster was built without explicit
-    resilience knobs.  Explicit arguments always win.
-    """
-    global_injector, global_policy = global_resilience()
-    return (
-        injector if injector is not None else global_injector,
-        policy if policy is not None else global_policy,
-    )
-
-
-def _reset_global_resilience() -> None:
-    """Drop the cached env configuration (test hook)."""
-    global _GLOBAL
-    _GLOBAL = None
-
-
 __all__ = [
     "DOWN",
-    "ENV_FAULT_RATE",
-    "ENV_FAULT_SEED",
-    "ENV_NODE_DOWN",
     "LATENCY",
     "NODE_DOWN",
     "SLOW_NODE",
     "TRANSIENT",
     "FaultInjector",
     "FaultRule",
-    "cluster_resilience",
-    "global_resilience",
 ]

@@ -27,18 +27,13 @@ relative magnitudes from their connector presets.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Any, Iterable, Sequence
 
 from repro import obs
 from repro.cache.compiled import CompiledQueryCache, binder
-from repro.exec.memory import (
-    MemoryBudget,
-    drain_with_stats,
-    resolve_budget,
-    stamp_memory,
-)
+from repro.config import Config
+from repro.exec.memory import MemoryBudget, drain_with_stats, stamp_memory
 from repro.sqlengine.ast_nodes import Literal, Param, UnaryOp
 from repro.sqlengine.expressions import Evaluator
 from repro.sqlengine.logical import LogicalPlan
@@ -49,12 +44,6 @@ from repro.sqlengine.planner import plan_query
 from repro.sqlengine.result import QueryStats, ResultSet, StreamingResultSet
 from repro.sqlengine.vectorize import vectorize
 from repro.storage.catalog import Catalog, TableInfo
-
-
-def _default_exec_engine() -> str:
-    """Process-wide engine default: ``REPRO_EXEC=vector`` flips it."""
-    value = os.environ.get("REPRO_EXEC", "").strip().lower()
-    return value if value in ("row", "vector") else "row"
 
 
 class SQLDatabase:
@@ -77,14 +66,12 @@ class SQLDatabase:
         self.catalog = Catalog(default_include_absent=include_absent_in_index)
         self.query_prep_overhead = query_prep_overhead
         # Per-query operator-state budget in bytes (PostgreSQL work_mem
-        # semantics): explicit kwarg wins, else REPRO_MEM_BUDGET.
-        self.memory_budget = resolve_budget(memory_budget)
+        # semantics) and the row/vector executor: kwarg, else REPRO_MEM_BUDGET
+        # and REPRO_EXEC.
+        config = Config.resolve(exec_engine=exec_engine, memory_budget=memory_budget)
+        self.memory_budget = config.memory_budget
+        self.exec_engine = config.exec_engine
         self._evaluator = Evaluator(self.dialect)
-        if exec_engine is None:
-            exec_engine = _default_exec_engine()
-        if exec_engine not in ("row", "vector"):
-            raise ValueError(f"unknown exec_engine {exec_engine!r}")
-        self.exec_engine = exec_engine
         #: Prepared plans: ``(schema epoch, text)`` → rewritten logical plan.
         self.plan_cache = CompiledQueryCache()
 

@@ -22,11 +22,7 @@ from repro.errors import OverloadError, QueryTimeoutError
 from repro.obs import metrics
 from repro.obs.trace import get_tracer
 from repro.resilience import FaultInjector
-from repro.resilience.admission import (
-    ENV_ADMISSION,
-    AdmissionController,
-    resolve_admission,
-)
+from repro.resilience.admission import AdmissionController
 from repro.resilience.deadline import Deadline
 from repro.sqlengine import SQLDatabase
 from repro.wisconsin import loaders, wisconsin_records
@@ -205,47 +201,16 @@ class TestAdmissionController:
             AdmissionController(decrease_factor=1.0)
 
 
-class TestResolveAdmission:
-    def test_off_by_default(self, monkeypatch):
-        monkeypatch.delenv(ENV_ADMISSION, raising=False)
-        assert resolve_admission(None) is None
-
-    def test_env_opt_in_and_spellings(self, monkeypatch):
-        monkeypatch.setenv(ENV_ADMISSION, "1")
-        assert resolve_admission(None) is not None
-        for off in ("0", "false", "off", ""):
-            monkeypatch.setenv(ENV_ADMISSION, off)
-            assert resolve_admission(None) is None
-
-    def test_explicit_false_beats_the_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_ADMISSION, "1")
-        assert resolve_admission(False) is None
-
-    def test_true_builds_a_fresh_controller(self, monkeypatch):
-        monkeypatch.delenv(ENV_ADMISSION, raising=False)
-        ctrl = resolve_admission(True, backend="pg")
-        assert isinstance(ctrl, AdmissionController)
-        assert ctrl.backend == "pg"
-
-    def test_shared_controller_passes_through(self):
-        shared = AdmissionController()
-        assert resolve_admission(shared, backend="pg") is shared
-        assert shared.backend == "pg"  # backfilled for metrics labels
-        named = AdmissionController(backend="cluster-wide")
-        resolve_admission(named, backend="pg")
-        assert named.backend == "cluster-wide"  # never overwritten
-
-
 # ----------------------------------------------------------------------
 # Connector integration
 # ----------------------------------------------------------------------
 class TestConnectorAdmission:
     def test_off_by_default(self, monkeypatch):
-        monkeypatch.delenv(ENV_ADMISSION, raising=False)
+        monkeypatch.delenv("REPRO_ADMISSION", raising=False)
         assert single_node_connector().admission is None
 
     def test_env_opt_in(self, monkeypatch):
-        monkeypatch.setenv(ENV_ADMISSION, "1")
+        monkeypatch.setenv("REPRO_ADMISSION", "1")
         connector = single_node_connector()
         assert connector.admission is not None
         assert connector.admission.backend == "PostgresConnector"
@@ -391,7 +356,7 @@ class TestClusterAdmission:
         assert shared.inflight == 0
 
     def test_cluster_admission_off_by_default(self, monkeypatch):
-        monkeypatch.delenv(ENV_ADMISSION, raising=False)
+        monkeypatch.delenv("REPRO_ADMISSION", raising=False)
         cluster = GreenplumCluster(
             2, fault_injector=FaultInjector(), replication_factor=1
         )

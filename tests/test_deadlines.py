@@ -37,14 +37,12 @@ from repro.obs.trace import get_tracer
 from repro.resilience import FaultInjector, RetryPolicy, no_sleep
 from repro.resilience.admission import AdmissionController
 from repro.resilience.deadline import (
-    ENV_DEADLINE,
     CancellationToken,
     Deadline,
     action_scope,
     budget_scope,
     current_deadline,
     current_token,
-    resolve_deadline_seconds,
 )
 from repro.sqlengine import SQLDatabase
 from repro.sqlengine.result import ResultSet
@@ -193,7 +191,7 @@ class TestBudgetScope:
 
 class TestActionScope:
     def test_configured_deadline_creates_root_frame(self, monkeypatch):
-        monkeypatch.delenv(ENV_DEADLINE, raising=False)
+        monkeypatch.delenv("REPRO_DEADLINE", raising=False)
         connector = single_node_connector(deadline=4.0)
         connector.deadline_clock = FakeClock()
         with action_scope(connector) as frame:
@@ -202,7 +200,7 @@ class TestActionScope:
             assert frame.token is not None
 
     def test_nested_action_shares_the_outer_budget(self, monkeypatch):
-        monkeypatch.delenv(ENV_DEADLINE, raising=False)
+        monkeypatch.delenv("REPRO_DEADLINE", raising=False)
         connector = single_node_connector(deadline=4.0)
         connector.deadline_clock = FakeClock()
         with action_scope(connector) as outer:
@@ -210,30 +208,19 @@ class TestActionScope:
                 assert inner is outer  # one budget for the whole action tree
 
     def test_env_deadline_applies_without_config(self, monkeypatch):
-        monkeypatch.setenv(ENV_DEADLINE, "7.5")
+        monkeypatch.setenv("REPRO_DEADLINE", "7.5")
         connector = single_node_connector()
         with action_scope(connector) as frame:
             assert frame.deadline is not None
             assert frame.deadline.seconds == 7.5
 
     def test_off_by_default(self, monkeypatch):
-        monkeypatch.delenv(ENV_DEADLINE, raising=False)
+        monkeypatch.delenv("REPRO_DEADLINE", raising=False)
         connector = single_node_connector()
         with action_scope(connector) as frame:
             assert frame.deadline is None  # seed behaviour
             assert frame.token is not None
 
-    def test_resolve_deadline_seconds(self, monkeypatch):
-        monkeypatch.setenv(ENV_DEADLINE, "2.5")
-        assert resolve_deadline_seconds() == 2.5
-        assert resolve_deadline_seconds(1.5) == 1.5  # explicit wins
-        assert resolve_deadline_seconds(-1.0) is None  # explicit off wins too
-        monkeypatch.setenv(ENV_DEADLINE, "garbage")
-        assert resolve_deadline_seconds() is None
-        monkeypatch.setenv(ENV_DEADLINE, "-3")
-        assert resolve_deadline_seconds() is None
-        monkeypatch.delenv(ENV_DEADLINE)
-        assert resolve_deadline_seconds() is None
 
 
 # ----------------------------------------------------------------------
@@ -429,7 +416,7 @@ class TestStreamingDeadline:
 
     @needs_real_streaming
     def test_stream_raises_at_the_next_batch_boundary(self, monkeypatch):
-        monkeypatch.delenv(ENV_DEADLINE, raising=False)
+        monkeypatch.delenv("REPRO_DEADLINE", raising=False)
         clock = FakeClock()
         # An explicit empty injector keeps the CI chaos env's seeded
         # faults (and their retries) out of the exact timeline below.
@@ -447,7 +434,7 @@ class TestStreamingDeadline:
     def test_per_attempt_timeout_becomes_the_drain_deadline(self, monkeypatch):
         # The seed silently ignored ``timeout=`` on streaming sends; now
         # the attempt's budget covers the whole drain.
-        monkeypatch.delenv(ENV_DEADLINE, raising=False)
+        monkeypatch.delenv("REPRO_DEADLINE", raising=False)
         clock = FakeClock()
         connector = single_node_connector(FaultInjector(), timeout=0.5)
         connector.deadline_clock = clock
@@ -479,7 +466,7 @@ class TestStreamingDeadline:
 
     @needs_real_streaming
     def test_cancelled_token_stops_the_stream(self, monkeypatch):
-        monkeypatch.delenv(ENV_DEADLINE, raising=False)
+        monkeypatch.delenv("REPRO_DEADLINE", raising=False)
         token = CancellationToken()
         connector = single_node_connector(FaultInjector())
         with budget_scope(token=token):

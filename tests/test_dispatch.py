@@ -20,17 +20,12 @@ from repro.bench.expressions import EXPRESSIONS, DataFrameAPI, benchmark_params
 from repro.bench.systems import build_cluster_systems
 from repro.cluster import GreenplumCluster
 from repro.cluster.base import scatter_gather
-from repro.cluster.dispatch import (
-    SerialDispatcher,
-    ThreadPoolDispatcher,
-    resolve_dispatcher,
-)
+from repro.cluster.dispatch import ThreadPoolDispatcher
 from repro.cluster.merge import spec_for_select
 from repro.cluster.replica import HedgePolicy, ReplicaSet
 from repro.errors import (
     QueryCancelledError,
     QueryTimeoutError,
-    ReproError,
     TransientBackendError,
 )
 from repro.obs import Tracer
@@ -71,26 +66,6 @@ def run_all_expressions(systems) -> dict[tuple[str, int], str]:
 # Dispatcher unit behaviour
 # ----------------------------------------------------------------------
 class TestResolution:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISPATCH", raising=False)
-        assert isinstance(resolve_dispatcher(None), SerialDispatcher)
-
-    def test_env_selects_threads(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISPATCH", "threads")
-        assert isinstance(resolve_dispatcher(None), ThreadPoolDispatcher)
-
-    def test_explicit_kwarg_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISPATCH", "threads")
-        assert isinstance(resolve_dispatcher("serial"), SerialDispatcher)
-
-    def test_instance_passes_through(self):
-        dispatcher = ThreadPoolDispatcher(max_workers=2)
-        assert resolve_dispatcher(dispatcher) is dispatcher
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ReproError):
-            resolve_dispatcher("fibers")
-
     def test_cluster_accepts_dispatch_kwarg(self):
         cluster = GreenplumCluster(2, dispatch="threads")
         assert isinstance(cluster.dispatcher, ThreadPoolDispatcher)

@@ -180,7 +180,8 @@ def test_env_variable_selects_engine(monkeypatch):
     db = SQLDatabase()
     assert db.exec_engine == "vector"
     monkeypatch.setenv("REPRO_EXEC", "bogus")
-    assert SQLDatabase().exec_engine == "row"
+    with pytest.raises(ValueError, match="REPRO_EXEC='bogus'"):
+        SQLDatabase()
     monkeypatch.delenv("REPRO_EXEC")
     assert SQLDatabase().exec_engine == "row"
     with pytest.raises(ValueError):

@@ -19,14 +19,12 @@ from repro.obs.trace import get_tracer
 
 from repro.errors import ReproError
 from repro.exec.memory import (
-    ENV_MEM_BUDGET,
     MemoryBudget,
     SpillFile,
     SpillSorter,
     SpillableGroups,
     estimate_record_bytes,
     parse_budget,
-    resolve_budget,
 )
 
 
@@ -52,26 +50,6 @@ class TestParseBudget:
             parse_budget(bad)
         assert repr(bad) in str(exc.value)
 
-    def test_resolve_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_MEM_BUDGET, "1k")
-        assert resolve_budget(4096) == 4096
-        assert resolve_budget("2k") == 2048
-
-    def test_resolve_falls_back_to_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_MEM_BUDGET, "8k")
-        assert resolve_budget() == 8 * 1024
-        monkeypatch.delenv(ENV_MEM_BUDGET)
-        assert resolve_budget() is None
-
-    def test_resolve_rejects_malformed_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_MEM_BUDGET, "plenty")
-        with pytest.raises(ReproError) as exc:
-            resolve_budget()
-        assert "'plenty'" in str(exc.value)
-
-    def test_resolve_rejects_negative_int(self):
-        with pytest.raises(ReproError):
-            resolve_budget(-1)
 
 
 class TestMemoryBudget:

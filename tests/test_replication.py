@@ -33,7 +33,6 @@ from repro.cluster.replica import (
     ReplicaSet,
     ReplicaStore,
     records_checksum,
-    resolve_replication_factor,
 )
 from repro.errors import (
     ReplicaDivergenceError,
@@ -49,16 +48,9 @@ from repro.resilience import (
     FaultInjector,
     FaultRule,
     RetryPolicy,
-    cluster_resilience,
     no_sleep,
 )
 from repro.sqlengine.result import ResultSet
-from repro.resilience.faults import (
-    ENV_FAULT_RATE,
-    ENV_NODE_DOWN,
-    _reset_global_resilience,
-    global_resilience,
-)
 from repro.wisconsin import loaders, wisconsin_records
 
 NUM_NODES = 4
@@ -139,33 +131,6 @@ class TestReplicaSet:
             ReplicaSet(3, 3, 2).replicas_for(3)
         with pytest.raises(ReproError, match="out of range"):
             ReplicaSet(3, 3, 2).shards_on(3)
-
-
-class TestResolveReplicationFactor:
-    def test_defaults_to_single_copy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_REPLICATION", raising=False)
-        assert resolve_replication_factor(None, 4) == 1
-
-    def test_env_sets_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REPLICATION", "2")
-        assert resolve_replication_factor(None, 4) == 2
-
-    def test_clamped_to_node_count(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REPLICATION", "3")
-        assert resolve_replication_factor(None, 2) == 2
-        assert resolve_replication_factor(5, 3) == 3
-
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REPLICATION", "3")
-        assert resolve_replication_factor(1, 4) == 1
-
-    def test_garbage_env_ignored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REPLICATION", "two")
-        assert resolve_replication_factor(None, 4) == 1
-
-    def test_invalid_request_raises(self):
-        with pytest.raises(ReproError):
-            resolve_replication_factor(0, 4)
 
 
 # ----------------------------------------------------------------------
@@ -329,39 +294,6 @@ class TestNodeFaults:
         injector.before_request("mongodb-cluster[2]#shard0@node0")  # other backend
         with pytest.raises(TransientBackendError):
             injector.before_request("greenplum[2]#shard0@node0")
-
-
-class TestEnvResilience:
-    @pytest.fixture(autouse=True)
-    def fresh_global(self):
-        _reset_global_resilience()
-        yield
-        _reset_global_resilience()
-
-    def test_node_down_env_builds_injector(self, monkeypatch):
-        monkeypatch.delenv(ENV_FAULT_RATE, raising=False)
-        monkeypatch.setenv(ENV_NODE_DOWN, "1, 3")
-        injector, policy = global_resilience()
-        assert injector is not None and policy is not None
-        injector.before_request("c#shard0@node0")
-        with pytest.raises(TransientBackendError):
-            injector.before_request("c#shard1@node1")
-        with pytest.raises(TransientBackendError):
-            injector.before_request("c#shard3@node3")
-
-    def test_cluster_resilience_prefers_explicit(self, monkeypatch):
-        monkeypatch.setenv(ENV_NODE_DOWN, "1")
-        mine = FaultInjector(sleep=no_sleep)
-        policy = fast_policy()
-        assert cluster_resilience(mine, policy) == (mine, policy)
-        injector, fallback = cluster_resilience(None, None)
-        assert injector is not None and fallback is not None
-
-    def test_no_env_means_no_injection(self, monkeypatch):
-        monkeypatch.delenv(ENV_FAULT_RATE, raising=False)
-        monkeypatch.delenv(ENV_NODE_DOWN, raising=False)
-        assert global_resilience() == (None, None)
-        assert cluster_resilience(None, None) == (None, None)
 
 
 # ----------------------------------------------------------------------

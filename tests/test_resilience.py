@@ -43,7 +43,6 @@ from repro.resilience import (
 )
 from repro.resilience.admission import AdmissionController
 from repro.resilience.deadline import CancellationToken, Deadline, budget_scope
-from repro.resilience.faults import _reset_global_resilience
 from repro.sqlengine import SQLDatabase
 from repro.sqlengine.result import QueryStats, ResultSet, StreamingResultSet
 from repro.wisconsin import loaders, wisconsin_records
@@ -499,46 +498,6 @@ class TestStableSharding:
         assert [len(s) for s in shards] == [0, 2, 0, 2]
         assert shards[1] == [{"k": 0}, {"k": 2}]
         assert shards[3] == [{"k": 1}, {"k": 3}]
-
-
-# ----------------------------------------------------------------------
-# Process-wide (env-driven) injection, as used by the CI chaos job
-# ----------------------------------------------------------------------
-class TestGlobalInjection:
-    @pytest.fixture(autouse=True)
-    def reset_cache(self):
-        _reset_global_resilience()
-        yield
-        _reset_global_resilience()
-
-    def test_env_rate_injects_and_retries_transparently(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_RATE", "0.25")
-        monkeypatch.setenv("REPRO_FAULT_SEED", "2021")
-        _reset_global_resilience()
-        connector = single_node_connector()
-        # Retry accounting needs every send to actually execute; under
-        # REPRO_CACHE=1 the repeats would be served from cache instead.
-        connector.result_cache = None
-        for _ in range(20):
-            assert connector.send("SELECT COUNT(*) FROM t x", "t").scalar() == 2
-        attempts = sum(record.attempts for record in connector.send_log)
-        assert len(connector.send_log) == 20
-        assert attempts > 20  # some faults were injected and retried away
-
-    def test_explicit_policy_wins_over_global_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_RATE", "1.0")
-        _reset_global_resilience()
-        connector = single_node_connector(retry_policy=no_sleep_policy(2))
-        with pytest.raises(TransientBackendError):
-            connector.send("SELECT COUNT(*) FROM t x", "t")
-        assert connector.send_log[-1].attempts == 2
-
-    def test_disabled_without_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULT_RATE", raising=False)
-        _reset_global_resilience()
-        connector = single_node_connector()
-        assert connector.send("SELECT COUNT(*) FROM t x", "t").scalar() == 2
-        assert connector.send_log[-1].attempts == 1
 
 
 # ----------------------------------------------------------------------

@@ -19,11 +19,9 @@ import pytest
 
 from repro import PolyFrame, PostgresConnector
 from repro.cache import (
-    DEFAULT_MAX_BYTES,
     DatasetVersions,
     ResultCache,
     Singleflight,
-    resolve_result_cache,
 )
 from repro.cluster import GreenplumCluster
 from repro.cluster.dispatch import ThreadPoolDispatcher
@@ -288,46 +286,6 @@ class TestSingleflight:
         for thread in threads:
             thread.join()
         assert sorted(errors) == [("follower", "boom"), ("leader", "boom")]
-
-
-# ----------------------------------------------------------------------
-# cache= / REPRO_CACHE resolution
-# ----------------------------------------------------------------------
-class TestResolution:
-    def test_default_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
-        assert resolve_result_cache(None) is None
-
-    def test_env_enables_default_size(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "1")
-        cache = resolve_result_cache(None, backend="postgres")
-        assert cache is not None
-        assert cache.max_bytes == DEFAULT_MAX_BYTES
-        assert cache.backend == "postgres"
-
-    def test_env_sizes_the_budget(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "64m")
-        assert resolve_result_cache(None).max_bytes == 64 * 1024 * 1024
-
-    def test_false_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "1")
-        assert resolve_result_cache(False) is None
-
-    def test_kwarg_spellings(self):
-        assert resolve_result_cache(True).max_bytes == DEFAULT_MAX_BYTES
-        assert resolve_result_cache(1).max_bytes == DEFAULT_MAX_BYTES
-        assert resolve_result_cache(0) is None
-        assert resolve_result_cache("off") is None
-        assert resolve_result_cache("2k").max_bytes == 2048
-        assert resolve_result_cache(4096).max_bytes == 4096
-        instance = ResultCache()
-        assert resolve_result_cache(instance) is instance
-
-    def test_malformed_spellings_rejected(self):
-        with pytest.raises(ReproError):
-            resolve_result_cache(-5)
-        with pytest.raises(ReproError):
-            resolve_result_cache("a-lot")
 
 
 # ----------------------------------------------------------------------
