@@ -34,6 +34,7 @@ from repro.cluster.replica import (
     ReplicaStore,
     records_checksum,
 )
+from repro.config import Config
 from repro.errors import (
     ReplicaDivergenceError,
     ReproError,
@@ -294,6 +295,16 @@ class TestNodeFaults:
         injector.before_request("mongodb-cluster[2]#shard0@node0")  # other backend
         with pytest.raises(TransientBackendError):
             injector.before_request("greenplum[2]#shard0@node0")
+
+
+class TestEnvResilience:
+    def test_no_env_means_no_injection(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FAULT_RATE", raising=False)
+        monkeypatch.delenv("REPRO_NODE_DOWN", raising=False)
+        assert Config.resolve().chaos() == (None, None)
+        cluster = GreenplumCluster(NUM_NODES)
+        assert (cluster.fault_injector, cluster.retry_policy) == (None, None)
+        assert cluster._chaos == (None, None)
 
 
 # ----------------------------------------------------------------------

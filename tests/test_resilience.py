@@ -501,6 +501,17 @@ class TestStableSharding:
 
 
 # ----------------------------------------------------------------------
+# Env-driven injection, as used by the CI chaos job
+# ----------------------------------------------------------------------
+class TestGlobalInjection:
+    def test_disabled_without_env(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FAULT_RATE", raising=False)
+        connector = single_node_connector()
+        assert connector.send("SELECT COUNT(*) FROM t x", "t").scalar() == 2
+        assert connector.send_log[-1].attempts == 1
+
+
+# ----------------------------------------------------------------------
 # One exit: every way a send() can end, as one table
 # ----------------------------------------------------------------------
 class StubConnector(DatabaseConnector):
