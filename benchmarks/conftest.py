@@ -16,19 +16,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import benchmark_params, build_systems
+from repro.bench import benchmark_params, build_systems, single_node_sizes
 
 BENCH_XS = int(os.environ.get("REPRO_BENCH_XS", 3000))
 RESULTS_DIR = Path(__file__).parent / "results"
 
 #: Table IV ratios at bench scale.
-SIZES = {
-    "XS": BENCH_XS,
-    "S": int(BENCH_XS * 2.5),
-    "M": BENCH_XS * 5,
-    "L": int(BENCH_XS * 7.5),
-    "XL": BENCH_XS * 10,
-}
+SIZES = {spec.name: spec.num_records for spec in single_node_sizes(BENCH_XS)}
 
 
 @pytest.fixture(scope="session")

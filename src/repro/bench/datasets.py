@@ -2,7 +2,8 @@
 
 The paper's single-node sizes are 0.5M-5M records (1-10 GB of JSON) in the
 ratio 1 : 2.5 : 5 : 7.5 : 10.  We keep the ratios and scale the base count
-down (default XS = 4,000 records; override with ``REPRO_XS_RECORDS``) so a
+down (every helper takes the XS record count; ``python -m repro.bench``
+passes its ``--xs`` flag, ``pytest benchmarks/`` ``REPRO_BENCH_XS``) so a
 full sweep finishes in seconds.  The Pandas memory budget is derived from
 the XS frame footprint such that — exactly as in the paper — every
 expression completes on XS and S while M, L, and XL fail with an
@@ -11,7 +12,6 @@ out-of-memory error at DataFrame creation.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.eager.memory import estimate_value_bytes
@@ -25,8 +25,6 @@ SINGLE_NODE_RATIOS = {"XS": 1.0, "S": 2.5, "M": 5.0, "L": 7.5, "XL": 10.0}
 #: M-size creation peak (5x frame + 1.5x parse buffer = 12.5x) does not.
 PANDAS_BUDGET_XS_MULTIPLE = 11.5
 
-DEFAULT_XS_RECORDS = 4_000
-
 
 @dataclass(frozen=True)
 class SizeSpec:
@@ -36,26 +34,20 @@ class SizeSpec:
     num_records: int
 
 
-def xs_records_default() -> int:
-    """Base XS record count (``REPRO_XS_RECORDS`` overrides)."""
-    return int(os.environ.get("REPRO_XS_RECORDS", DEFAULT_XS_RECORDS))
-
-
-def single_node_sizes(xs_records: int | None = None) -> list[SizeSpec]:
+def single_node_sizes(xs_records: int) -> list[SizeSpec]:
     """The XS-XL presets of Table IV."""
-    base = xs_records if xs_records is not None else xs_records_default()
     return [
-        SizeSpec(name, int(base * ratio)) for name, ratio in SINGLE_NODE_RATIOS.items()
+        SizeSpec(name, int(xs_records * ratio))
+        for name, ratio in SINGLE_NODE_RATIOS.items()
     ]
 
 
-def multi_node_speedup_records(xs_records: int | None = None) -> int:
+def multi_node_speedup_records(xs_records: int) -> int:
     """Speedup runs use the fixed XL dataset on 1-4 nodes (Table V)."""
-    base = xs_records if xs_records is not None else xs_records_default()
-    return int(base * SINGLE_NODE_RATIOS["XL"])
+    return int(xs_records * SINGLE_NODE_RATIOS["XL"])
 
 
-def multi_node_scaleup_sizes(xs_records: int | None = None) -> dict[int, int]:
+def multi_node_scaleup_sizes(xs_records: int) -> dict[int, int]:
     """Scaleup runs grow data with the cluster: XL x nodes (Table V)."""
     base = multi_node_speedup_records(xs_records)
     return {nodes: base * nodes for nodes in (1, 2, 3, 4)}
@@ -79,7 +71,6 @@ def estimated_frame_bytes(num_records: int) -> int:
     return int(per_record * num_records)
 
 
-def pandas_memory_budget(xs_records: int | None = None) -> int:
+def pandas_memory_budget(xs_records: int) -> int:
     """The benchmark's Pandas memory budget (see module docstring)."""
-    base = xs_records if xs_records is not None else xs_records_default()
-    return int(PANDAS_BUDGET_XS_MULTIPLE * estimated_frame_bytes(base))
+    return int(PANDAS_BUDGET_XS_MULTIPLE * estimated_frame_bytes(xs_records))

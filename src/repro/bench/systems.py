@@ -80,7 +80,9 @@ def build_systems(
     """Load the dataset everywhere and return the requested systems.
 
     ``num_records == 0`` builds the 'Empty' baseline the paper uses to show
-    fixed query-preparation overheads for expressions 2 and 10.
+    fixed query-preparation overheads for expressions 2 and 10.  Building
+    ``Pandas`` needs ``xs_records_for_budget``: the XS record count its
+    memory budget is sized from (:func:`pandas_memory_budget`).
     """
     records = _wisconsin(num_records, seed)
     empty = not records
@@ -88,6 +90,8 @@ def build_systems(
     overhead: dict[str, float] = {} if prep_overheads else {"query_prep_overhead": 0.0}
 
     if "Pandas" in which:
+        if xs_records_for_budget is None:
+            raise TypeError("building Pandas needs xs_records_for_budget, its budget's XS count")
         path = os.path.join(workdir, f"wisconsin_{num_records}.json")
         if not os.path.exists(path):
             WisconsinGenerator(max(num_records, 1), seed=seed).write_json(path)

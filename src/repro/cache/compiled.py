@@ -1,7 +1,7 @@
 """One bounded LRU for compiled queries, on both sides of the connector.
 
 Each connector keeps one :class:`CompiledQueryCache` keyed on
-``(backend, optimization level, terminal rule, plan shape)``: compiling is
+``(backend, terminal rule, plan shape)``: compiling is
 pure, so ``df[df.unique1 == k]`` compiles once for every ``k`` and a hit
 only renders its bindings into the cached template.  The SQL, SQL++ and
 Cypher engines keep one each as their prepared-plan cache, keyed on the

@@ -278,6 +278,12 @@ def _aggregate_spec(ast: SelectQuery) -> MergeSpec:
         output_columns.append(out_name)
         if isinstance(expr, FuncCall) and expr.name.upper() in AGGREGATE_FUNCTIONS:
             name = expr.name.upper()
+            if expr.distinct:
+                # Per-shard distinct values overlap: no combination of the
+                # shards' answers is the answer over the union.
+                raise UnsupportedOperationError(
+                    f"cannot merge {name}(DISTINCT ...) across shards"
+                )
             if name in _DECOMPOSED:
                 partial_outputs.append(_decompose(index, name, out_name, columns, dialect))
             else:

@@ -159,8 +159,6 @@ class Knob:
 
 #: field → variable → kwarg → type → accepted spellings → parser.
 KNOBS: tuple[Knob, ...] = (
-    Knob("optimization_level", "REPRO_OPT_LEVEL", "optimization_level", "int",
-         "0, 1 or 2", _one_of(0, 1, 2)),
     Knob("exec_engine", "REPRO_EXEC", "exec_engine", "str",
          "row or vector", _one_of("row", "vector")),
     Knob("memory_budget", "REPRO_MEM_BUDGET", "memory_budget", "bytes",
@@ -190,7 +188,6 @@ class Config:
     that differ from the default, so ``Config()`` is the seed.
     """
 
-    optimization_level: int = 0
     exec_engine: str = "row"
     memory_budget: int | None = None
     cache: int | None = None

@@ -14,7 +14,6 @@ from repro.core.plan import (
     PlanNode,
     compile_plan,
     compile_plan_for,
-    optimize,
     plan_is_retargetable,
 )
 from repro.core.rewrite import RewriteEngine, RewriteRules, load_builtin
@@ -46,7 +45,6 @@ __all__ = [
     "describe",
     "get_dummies",
     "load_builtin",
-    "optimize",
     "plan_is_retargetable",
     "value_counts",
 ]

@@ -249,11 +249,8 @@ class DatabaseConnector(abc.ABC):
     whenever ``fault_injector`` (resp. ``retry_policy``) is ``None`` —
     the CI chaos job runs the whole suite this way.
 
-    Compilation knobs (the logical-plan layer, see ``docs/plan-ir.md``):
+    Compilation (the logical-plan layer, see ``docs/plan-ir.md``):
 
-    - ``optimization_level`` — the plan-optimization level frames compiled
-      through this connector use by default (0 = byte-parity with the
-      eager rewriter, 1 = structural fusion, 2 = + scan fusion).
     - ``compile_cache`` — this connector's :class:`CompiledQueryCache`.
     - ``compile_log`` — one :class:`~repro.core.plan.compiler.CompileRecord`
       per compilation, in order (the bench layer diffs this like
@@ -283,7 +280,6 @@ class DatabaseConnector(abc.ABC):
         fault_injector: FaultInjector | None = None,
         deadline: float | None = None,
         admission: "AdmissionController | bool | None" = None,
-        optimization_level: int | None = None,
         cache: "ResultCache | bool | int | str | None" = None,
     ) -> None:
         if not self.language:
@@ -297,7 +293,6 @@ class DatabaseConnector(abc.ABC):
         config = Config.resolve(
             deadline=deadline,
             admission=admission,
-            optimization_level=optimization_level,
             cache=cache,
         )
         self._config = config
@@ -308,7 +303,6 @@ class DatabaseConnector(abc.ABC):
         #: clock here for deterministic budget accounting.
         self.deadline_clock = time.monotonic
         self.admission = config.admission_controller(admission, self.name)
-        self.optimization_level = config.optimization_level
         self.compile_cache = CompiledQueryCache()
         self.compile_log: list = []
         self.tracer: Tracer | None = None
@@ -321,13 +315,11 @@ class DatabaseConnector(abc.ABC):
         """The settings this connector and its database run with now.
 
         Reassigning an attribute (``deadline``, ``admission``,
-        ``result_cache``, ``optimization_level``, an engine's
-        ``exec_engine``) shows up here.
+        ``result_cache``, an engine's ``exec_engine``) shows up here.
         """
         live: dict[str, Any] = {
             "deadline": self.deadline if self.deadline and self.deadline > 0 else None,
             "admission": self.admission is not None,
-            "optimization_level": self.optimization_level,
             "cache": getattr(self.result_cache, "max_bytes", None),
         }
         database = getattr(self, "_db", None)
@@ -556,7 +548,6 @@ class DatabaseConnector(abc.ABC):
         """
         s.key = (
             self.name,
-            self.optimization_level,
             s.collection,
             s.query,
             self.dataset_versions.vector(s.query, s.collection),
@@ -833,9 +824,9 @@ class DatabaseConnector(abc.ABC):
     def nesting_depth(self, query: str) -> int:
         """Subquery nesting depth of generated *query* text.
 
-        The honest per-language measure the bench layer and the fusion
-        tests use: for SQL-shaped languages it is the number of nested
-        ``(SELECT`` subqueries plus the outer query.  Pipeline and clause
+        The honest per-language measure the bench layer uses: for
+        SQL-shaped languages it is the number of nested ``(SELECT``
+        subqueries plus the outer query.  Pipeline and clause
         languages override this (Mongo counts pipeline stages, Cypher
         counts chained clause lines).
         """

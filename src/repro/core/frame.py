@@ -4,8 +4,7 @@ Transformations record backend-agnostic :class:`~repro.core.plan.PlanNode`
 trees and return new PolyFrame objects — no data moves, no query runs, no
 query *text* is even built.  The text is compiled lazily, at action or
 ``explain()`` time, by walking the plan through the connector's rewrite
-rules (optionally after plan-level optimization, and through the
-connector's compiled-query cache).  Actions apply a terminal rule, send
+rules and its compiled-query cache.  Actions apply a terminal rule, send
 the compiled query through the database connector, and return results as
 an eager frame, "useful when further visualization is desired".
 
@@ -44,7 +43,6 @@ from repro.core.plan.nodes import (
     Sort,
     plan_is_retargetable,
 )
-from repro.core.plan.optimizer import optimize
 from repro.core.series import PolySeries
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -130,22 +128,17 @@ class PolyFrame:
         return self.connector.rewriter
 
     def _compile(
-        self,
-        plan: PlanNode | None = None,
-        level: int | None = None,
-        terminal: str | None = None,
+        self, plan: PlanNode | None = None, terminal: str | None = None
     ) -> CompiledQuery:
         return compile_plan_for(
-            self.connector, plan if plan is not None else self._plan, level,
-            terminal=terminal,
+            self.connector, plan if plan is not None else self._plan, terminal=terminal
         )
 
     def explain(self, verbose: bool = False, analyze: bool = False) -> str:
         """The query an action would send (before terminal rules).
 
-        With ``verbose=True``, a three-stage report: the logical plan (as
-        recorded and, if optimization changed it, as optimized), the query
-        text generated for this backend — with the plan's shape, the
+        With ``verbose=True``, a three-stage report: the logical plan, the
+        query text generated for this backend — with the plan's shape, the
         template compiled for it and this frame's bindings — the
         connector's live :class:`~repro.config.Config` and, where the
         backend exposes one, the engine's own query plan.
@@ -160,11 +153,7 @@ class PolyFrame:
         if not verbose:
             return self.query
         compiled = self._compile()
-        level = compiled.level
-        optimized = optimize(self._plan, level)
-        lines = [f"-- logical plan (optimization level {level}) --", self._plan.pretty()]
-        if optimized.fingerprint() != self._plan.fingerprint():
-            lines += ["-- optimized plan --", optimized.pretty()]
+        lines = ["-- logical plan --", self._plan.pretty()]
         template = compiled.template
         lines += [
             f"-- generated query ({self.connector.name}, "

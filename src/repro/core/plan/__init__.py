@@ -5,13 +5,13 @@ and the per-language rewrite rules.  Transformations on
 :class:`~repro.core.frame.PolyFrame` record :class:`PlanNode` trees instead
 of baking backend query text eagerly; the text is produced lazily — at
 action or ``explain()`` time — by walking the plan through the connector's
-:class:`~repro.core.rewrite.RewriteEngine` (``compiler``), optionally after
-backend-agnostic plan rewrites (``optimizer``) and through a compiled-query
-cache (``cache``).
+:class:`~repro.core.rewrite.RewriteEngine` (``compiler``) and through a
+compiled-query cache (``cache``).  Flattening the nested text is left to
+each backend's own optimizer, as the paper intends.
 
 The split mirrors Modin's algebra layer and PyTond's IR: everything above
 this package is pandas surface, everything below is the paper's rewrite
-rules, and the plan in between is what makes fusion, caching, and true
+rules, and the plan in between is what makes caching and true
 retargeting (:meth:`PolyFrame.retarget`) possible.
 """
 
@@ -51,7 +51,6 @@ from repro.core.plan.nodes import (
     Sort,
     plan_is_retargetable,
 )
-from repro.core.plan.optimizer import optimize
 
 __all__ = [
     "Agg",
@@ -83,6 +82,5 @@ __all__ = [
     "Sort",
     "compile_plan",
     "compile_plan_for",
-    "optimize",
     "plan_is_retargetable",
 ]

@@ -1,25 +1,20 @@
 """Lazy compilation: logical plan → backend query text.
 
 The compiler walks a plan bottom-up, applying exactly the rewrite rules
-the eager PolyFrame path used to apply at transformation time — so at
-optimization level 0 the generated text is byte-identical to the
-pre-IR behavior (the golden-parity suite pins this).
-
-At level 2 the compiler additionally *fuses scans*: when a node sits
-directly on a :class:`Scan` and the language defines the optional
-``<rule>_scan`` template (``[FUSED QUERIES]`` in the configs), the node
-compiles as a single query level over the stored dataset instead of
-nesting the ``q1`` text as a subquery.  Languages without fused templates
-fall back to the nested form, unchanged.
+the eager PolyFrame path used to apply at transformation time — so the
+generated text is byte-identical to the pre-IR behavior (the
+golden-parity suite pins this).  Each node nests its input's text as a
+subquery, the paper's Table I shape; flattening that nesting is the
+engines' job.
 
 :func:`compile_plan_for` is the connector-aware entry point: it splits
-the optimized plan into *shape* and *bindings*, compiles a
-:class:`QueryTemplate` (the text with a gap per binding) once per shape
-through the connector's compiled-query cache, and renders each call's
-bindings into it — literal rules are context-free, so the text is
-byte-identical to compiling the literals in.  It appends a
-:class:`CompileRecord` to ``connector.compile_log`` (the bench layer's
-``compile_ms`` / ``nesting_depth`` columns read these).
+the plan into *shape* and *bindings*, compiles a :class:`QueryTemplate`
+(the text with a gap per binding) once per shape through the connector's
+compiled-query cache, and renders each call's bindings into it — literal
+rules are context-free, so the text is byte-identical to compiling the
+literals in.  It appends a :class:`CompileRecord` to
+``connector.compile_log`` (the bench layer's ``compile_ms`` /
+``nesting_depth`` columns read these).
 """
 
 from __future__ import annotations
@@ -46,7 +41,6 @@ from repro.core.plan.nodes import (
     Scan,
     Sort,
 )
-from repro.core.plan.optimizer import optimize
 from repro.core.rewrite import RewriteEngine
 from repro.errors import RewriteError
 from repro.obs import metrics, span_for
@@ -86,10 +80,9 @@ class QueryTemplate:
 
 @dataclass(frozen=True)
 class CompiledQuery:
-    """One plan compiled for one backend at one optimization level."""
+    """One plan compiled for one backend."""
 
     text: str
-    level: int
     cache_hit: bool
     compile_ms: float
     shape: str  # the compiled-query cache key's plan part
@@ -113,7 +106,6 @@ class CompileRecord:
     """Bookkeeping for one compilation, appended to ``connector.compile_log``."""
 
     cache_hit: bool
-    level: int
     compile_ms: float
     depth: int
 
@@ -135,48 +127,38 @@ class _TemplateWriter(RewriteEngine):
 # ----------------------------------------------------------------------
 # Core compilation (rewriter only — no connector, no cache)
 # ----------------------------------------------------------------------
-def compile_plan(plan: PlanNode, rw, *, fuse_scans: bool = False) -> str:
-    """Render *plan* as query text in *rw*'s language."""
-    return _compile(plan, rw, fuse_scans)
-
-
-def _scan_vars(scan: Scan) -> dict[str, str]:
-    return {"namespace": scan.namespace, "collection": scan.collection}
-
-
-def _input_vars(node_input: PlanNode, rw, fuse: bool, rule: str) -> tuple[str, dict]:
-    """Pick the nested or scan-fused form for a single-input node.
-
-    Returns ``(rule_name, variables)`` where the variables carry either
-    ``subquery=<compiled input>`` or the scan's namespace/collection.
-    """
-    if fuse and isinstance(node_input, Scan) and rw.has_rule(f"{rule}_scan"):
-        return f"{rule}_scan", _scan_vars(node_input)
-    return rule, {"subquery": _compile(node_input, rw, fuse)}
-
-
-def _compile(node: PlanNode, rw, fuse: bool) -> str:
+def compile_plan(node: PlanNode, rw) -> str:
+    """Render the plan under *node* as query text in *rw*'s language."""
     if isinstance(node, Scan):
         return rw.apply("q1", namespace=node.namespace, collection=node.collection)
 
     if isinstance(node, RawQuery):
         return node.text
 
+    if isinstance(node, Join):
+        return rw.apply(
+            "q10",
+            left_subquery=compile_plan(node.left, rw),
+            right_subquery=compile_plan(node.right, rw),
+            left_on=node.left_on,
+            right_on=node.right_on,
+            right_collection=node.right_collection,
+        )
+
+    subquery = compile_plan(node.input, rw)
+
     if isinstance(node, Filter):
-        rule, variables = _input_vars(node.input, rw, fuse, "q6")
-        return rw.apply(rule, statement=node.predicate.render(rw), **variables)
+        return rw.apply("q6", subquery=subquery, statement=node.predicate.render(rw))
 
     if isinstance(node, Project):
         entries = [
             rw.apply("project_attribute", attribute=name) for name in node.columns
         ]
-        rule, variables = _input_vars(node.input, rw, fuse, "q2")
-        return rw.apply(rule, attribute_list=rw.join_list(entries), **variables)
+        return rw.apply("q2", subquery=subquery, attribute_list=rw.join_list(entries))
 
     if isinstance(node, Compute):
-        rule, variables = _input_vars(node.input, rw, fuse, "q9")
         return rw.apply(
-            rule, statement=node.expr.render(rw), alias=node.alias, **variables
+            "q9", subquery=subquery, statement=node.expr.render(rw), alias=node.alias
         )
 
     if isinstance(node, ComputeList):
@@ -184,45 +166,38 @@ def _compile(node: PlanNode, rw, fuse: bool) -> str:
             rw.apply("statement_alias", statement=expr.render(rw), alias=alias)
             for expr, alias in node.items
         ]
-        rule, variables = _input_vars(node.input, rw, fuse, "q15")
-        return rw.apply(rule, statement_list=rw.join_list(entries), **variables)
+        return rw.apply("q15", subquery=subquery, statement_list=rw.join_list(entries))
 
     if isinstance(node, Sort):
-        base_rule = "q5" if node.ascending else "q4"
-        attr_rule = "sort_asc_attr" if node.ascending else "sort_desc_attr"
-        rule, variables = _input_vars(node.input, rw, fuse, base_rule)
-        variables[attr_rule] = rw.apply(attr_rule, attribute=node.by)
-        text = rw.apply(rule, **variables)
-        if node.limit is not None:  # a fused top-k (limit-into-sort)
-            text = rw.apply("limit", subquery=text, num=node.limit)
-        return text
+        if node.ascending:
+            attribute = rw.apply("sort_asc_attr", attribute=node.by)
+            return rw.apply("q5", subquery=subquery, sort_asc_attr=attribute)
+        attribute = rw.apply("sort_desc_attr", attribute=node.by)
+        return rw.apply("q4", subquery=subquery, sort_desc_attr=attribute)
 
     if isinstance(node, Limit):
-        return rw.apply("limit", subquery=_compile(node.input, rw, fuse), num=node.n)
+        return rw.apply("limit", subquery=subquery, num=node.n)
 
     if isinstance(node, Count):
-        rule, variables = _input_vars(node.input, rw, fuse, "q3")
-        return rw.apply(rule, **variables)
+        return rw.apply("q3", subquery=subquery)
 
     if isinstance(node, Agg):
         agg_func = rw.apply(node.func_rule, attribute=node.attribute)
-        rule, variables = _input_vars(node.input, rw, fuse, "q7")
-        return rw.apply(rule, agg_func=agg_func, agg_alias=node.alias, **variables)
+        return rw.apply("q7", subquery=subquery, agg_func=agg_func, agg_alias=node.alias)
 
     if isinstance(node, GroupAgg):
         agg_func = rw.apply(node.func_rule, attribute=node.attribute)
         if len(node.keys) == 1:
-            rule, variables = _input_vars(node.input, rw, fuse, "q8")
             return rw.apply(
-                rule,
+                "q8",
+                subquery=subquery,
                 grp_attribute=node.keys[0],
                 agg_func=agg_func,
                 agg_alias=node.alias,
-                **variables,
             )
-        rule, variables = _input_vars(node.input, rw, fuse, "q16")
         return rw.apply(
-            rule,
+            "q16",
+            subquery=subquery,
             grp_select_list=rw.join_list(
                 rw.apply("grp_select_entry", attribute=key) for key in node.keys
             ),
@@ -231,7 +206,6 @@ def _compile(node: PlanNode, rw, fuse: bool) -> str:
             ),
             agg_func=agg_func,
             agg_alias=node.alias,
-            **variables,
         )
 
     if isinstance(node, MultiAgg):
@@ -241,22 +215,10 @@ def _compile(node: PlanNode, rw, fuse: bool) -> str:
             entries.append(
                 rw.apply("agg_alias_entry", agg_func=agg_func, agg_alias=alias)
             )
-        rule, variables = _input_vars(node.input, rw, fuse, "q13")
-        return rw.apply(rule, agg_list=rw.join_list(entries), **variables)
+        return rw.apply("q13", subquery=subquery, agg_list=rw.join_list(entries))
 
     if isinstance(node, Distinct):
-        rule, variables = _input_vars(node.input, rw, fuse, "q14")
-        return rw.apply(rule, attribute=node.attribute, **variables)
-
-    if isinstance(node, Join):
-        return rw.apply(
-            "q10",
-            left_subquery=_compile(node.left, rw, fuse),
-            right_subquery=_compile(node.right, rw, fuse),
-            left_on=node.left_on,
-            right_on=node.right_on,
-            right_collection=node.right_collection,
-        )
+        return rw.apply("q14", subquery=subquery, attribute=node.attribute)
 
     raise RewriteError(f"cannot compile plan node {type(node).__name__}")
 
@@ -274,11 +236,11 @@ def send_compiled(connector, compiled: CompiledQuery, collection: str, **kwargs)
 
 
 def _compile_template(
-    connector, plan: PlanNode, slots: Slots, level: int, terminal: str | None
+    connector, plan: PlanNode, slots: Slots, terminal: str | None
 ) -> tuple[QueryTemplate, str]:
     """Compile *plan* with a gap per slot; also its text with *slots* filled in."""
     rw = connector.rewriter
-    gapped = _compile(plan, _TemplateWriter(rw, slots), level >= 2)
+    gapped = compile_plan(plan, _TemplateWriter(rw, slots))
     if terminal is not None:
         gapped = rw.apply(terminal, subquery=gapped)
     parts = gapped.split(_GAP)
@@ -291,43 +253,38 @@ def _compile_template(
 
 
 # ----------------------------------------------------------------------
-# Connector-aware entry point: optimize, split, cache, record
+# Connector-aware entry point: split, cache, record
 # ----------------------------------------------------------------------
 def compile_plan_for(
-    connector, plan: PlanNode, level: int | None = None, *, terminal: str | None = None
+    connector, plan: PlanNode, *, terminal: str | None = None
 ) -> CompiledQuery:
     """Compile *plan* for *connector*, through its compiled-query cache.
 
-    The cache key is ``(backend, level, terminal, shape)``; *terminal*
-    names a rule that wraps the compiled text the way an action sends it
+    The cache key is ``(backend, terminal, shape)``; *terminal* names a
+    rule that wraps the compiled text the way an action sends it
     (``return_all``).  Traced as a ``compile`` span (child of the
     surrounding action span, when one is open) and counted in the
     metrics registry as ``compile_cache_hits`` / ``compile_cache_misses``.
     """
-    if level is None:
-        level = connector.optimization_level
     rw = connector.rewriter
-    with span_for(connector, "compile", backend=connector.name, level=level) as span:
+    with span_for(connector, "compile", backend=connector.name) as span:
         started = time.perf_counter()
-        optimized = optimize(plan, level)
         slots = Slots()
-        shape = optimized.fingerprint(slots)
+        shape = plan.fingerprint(slots)
         bindings = tuple(slots.values)
-        key = (connector.name, level, terminal, shape)
+        key = (connector.name, terminal, shape)
         cached = connector.compile_cache.lookup(key)
         cache_hit = cached is not None
         if cache_hit:
             template = cached[1]
             text = template.render(rw, bindings)
         else:
-            template, text = _compile_template(connector, optimized, slots, level, terminal)
+            template, text = _compile_template(connector, plan, slots, terminal)
             connector.compile_cache.store(key, text, template)
         compile_ms = (time.perf_counter() - started) * 1000.0
         metrics.counter("compile_cache_hits" if cache_hit else "compile_cache_misses").inc()
         span.set(cache_hit=cache_hit, depth=template.depth, compile_ms=compile_ms)
     connector.compile_log.append(
-        CompileRecord(
-            cache_hit=cache_hit, level=level, compile_ms=compile_ms, depth=template.depth
-        )
+        CompileRecord(cache_hit=cache_hit, compile_ms=compile_ms, depth=template.depth)
     )
-    return CompiledQuery(text, level, cache_hit, compile_ms, shape, template, bindings)
+    return CompiledQuery(text, cache_hit, compile_ms, shape, template, bindings)

@@ -68,8 +68,8 @@ class Scan(PlanNode):
 class RawQuery(PlanNode):
     """Pre-rendered backend query text (the ``_with_query`` escape hatch).
 
-    Compiles to its frozen text on the backend that produced it; the
-    optimizer passes it through untouched and ``retarget()`` refuses it.
+    Compiles to its frozen text on the backend that produced it;
+    ``retarget()`` refuses it.
     """
 
     text: str
@@ -160,26 +160,20 @@ class ComputeList(PlanNode):
 
 @dataclass(frozen=True)
 class Sort(PlanNode):
-    """Order by one attribute (``q4``/``q5``); ``limit`` holds a fused top-k."""
+    """Order by one attribute (``q4``/``q5``)."""
 
     input: PlanNode
     by: str
     ascending: bool = True
-    limit: int | None = None
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.input,)
 
     def label(self) -> str:
-        direction = "asc" if self.ascending else "desc"
-        top = f", top {self.limit}" if self.limit is not None else ""
-        return f"Sort[{self.by} {direction}{top}]"
+        return f"Sort[{self.by} {'asc' if self.ascending else 'desc'}]"
 
     def fingerprint(self, slots: Slots | None = None) -> str:
-        return (
-            f"sort({self.input.fingerprint(slots)},{self.by!r},{self.ascending},"
-            f"{self.limit})"
-        )
+        return f"sort({self.input.fingerprint(slots)},{self.by!r},{self.ascending})"
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,10 @@ The optimizer reproduces MongoDB's documented pipeline behaviour:
 
 - leading no-op ``{"$match": {}}`` stages (which PolyFrame always emits as
   the dataset anchor) are elided;
+- an inclusion-only ``$project`` right before a ``$group`` that reads
+  nothing but included top-level fields is dropped (MongoDB's dependency
+  analysis does the same): it would build a narrowed copy of every
+  document for nothing;
 - a leading ``$match`` with an equality/range predicate on an indexed field
   becomes an index scan with the remainder as residual filter;
 - a leading ``$sort`` on an indexed field becomes an index-ordered scan —
@@ -74,6 +78,10 @@ class PipelineExecutor:
         self.last_profile = None
         self.memory = memory if memory is not None else MemoryBudget()
         stages = [dict(stage) for stage in stages]
+        for i in range(len(stages) - 1, 0, -1):
+            if "$group" in stages[i] and "$project" in stages[i - 1]:
+                if _keeps_what_group_reads(stages[i - 1]["$project"], stages[i]["$group"]):
+                    del stages[i - 1]
         source, remaining, source_desc = self._choose_source(collection, stages, stats)
         docs: Iterable[Any] = source
         if not profile:
@@ -351,7 +359,7 @@ class PipelineExecutor:
                 key = []
                 for fn, descending in fields:
                     value = fn(doc, None)
-                    part = index_key(None if value is SENTINEL_MISSING else value)
+                    part = scalar.order_key(value, "$sort")
                     key.append(Descending(part) if descending else part)
                 sorter.add(tuple(key), doc)
             yield from sorter.sorted_records()
@@ -506,6 +514,41 @@ def _index_probe_field(
         if var in let_spec and foreign.has_index(field):
             return field, var
     return None
+
+
+def _keeps_what_group_reads(project: dict, group: dict) -> bool:
+    """Whether inclusion-only *project* keeps every top-level field *group* reads."""
+    kept = set()
+    for field, value in project.items():
+        if field == "_id" and value in (0, False):
+            continue
+        if value not in (1, True) or "." in field or field.startswith("$"):
+            return False
+        kept.add(field)
+    if "_id" not in project:
+        kept.add("_id")
+    read = _fields_read(group)
+    return read is not None and read <= kept
+
+
+def _fields_read(spec: Any) -> set[str] | None:
+    """The top-level fields an expression spec reads; None if it may read
+    the whole document (``$$ROOT``, ``$$CURRENT`` or any other variable)."""
+    if isinstance(spec, str):
+        if spec.startswith("$$"):
+            return None
+        return {spec[1:].split(".", 1)[0]} if spec.startswith("$") else set()
+    if isinstance(spec, dict):
+        spec = list(spec.values())
+    if not isinstance(spec, list):
+        return set()
+    read: set[str] = set()
+    for member in spec:
+        fields = _fields_read(member)
+        if fields is None:
+            return None
+        read |= fields
+    return read
 
 
 #: MongoDB's accumulators onto the shared accumulator set.

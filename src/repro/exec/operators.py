@@ -30,7 +30,7 @@ from repro.errors import ExecutionError
 from repro.exec.batch import DEFAULT_BATCH_SIZE, ColumnBatch
 from repro.exec.kernels import Descending
 from repro.exec.memory import SpillableGroups, SpillSorter, estimate_record_bytes
-from repro.exec.scalar import hashable, merge_group_state
+from repro.exec.scalar import hashable, merge_group_state, order_key
 from repro.sqlengine.ast_nodes import (
     Expression,
     OrderItem,
@@ -46,12 +46,7 @@ from repro.sqlengine.physical import (
 
 if TYPE_CHECKING:  # pragma: no cover - break the exec <-> sqlengine cycle
     from repro.exec.vectorops import VectorEvaluator
-from repro.storage.keys import SENTINEL_MISSING, index_key
-
-
-def _order_key(value: Any) -> Any:
-    """In-band value → total-order sort key (MISSING folds into NULL)."""
-    return index_key(None if value is SENTINEL_MISSING else value)
+from repro.storage.keys import SENTINEL_MISSING
 
 
 class VectorNode:
@@ -221,7 +216,7 @@ class VecSort(VectorSource):
                     decorated = tuple(
                         Descending(k) if desc else k
                         for k, desc in zip(
-                            (_order_key(vector.item(i)) for vector in key_vectors),
+                            (order_key(vector.item(i), "ORDER BY") for vector in key_vectors),
                             descending,
                         )
                     )
@@ -276,7 +271,7 @@ class VecTopK(VectorSource):
                     decorated = tuple(
                         Descending(k) if desc else k
                         for k, desc in zip(
-                            (_order_key(vector.item(i)) for vector in key_vectors),
+                            (order_key(vector.item(i), "ORDER BY") for vector in key_vectors),
                             descending,
                         )
                     )
@@ -446,7 +441,7 @@ class VecAggregate(VectorHead):
                 arg_vectors = _arguments(evaluator, feeds, batch)
                 slots = None if arg_vectors is None else list(enumerate(arg_vectors))
                 for i in range(batch.length):
-                    key = tuple(_order_key(vector.item(i)) for vector in key_vectors)
+                    key = tuple(order_key(vector.item(i), "GROUP BY") for vector in key_vectors)
                     entry = groups.get(key)
                     if entry is None:
                         representative = {batch.alias: batch.row_record(i)}
@@ -525,7 +520,7 @@ class VecRecordSort(VectorHead):
                     Descending(k) if desc else k
                     for k, desc in zip(
                         (
-                            _order_key(row_evaluate(key.expr, env))
+                            order_key(row_evaluate(key.expr, env), "ORDER BY")
                             for key in self.keys
                         ),
                         descending,

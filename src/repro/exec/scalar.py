@@ -555,6 +555,16 @@ def merge_group_state(prior: tuple[list, Any], later: tuple[list, Any]) -> tuple
     return prior
 
 
+def order_key(value: Any, label: str) -> tuple:
+    """*value*'s sort / group key under operator *label* (``ORDER BY``,
+    ``$group``): its ``index_key``, MISSING as NULL.  A value with no
+    place in the key order — a map — fails the operator."""
+    try:
+        return index_key(None if value is MISSING else value)
+    except TypeError:
+        raise apply_error(label, value) from None
+
+
 def hashable(value: Any) -> Any:
     """A value's group / DISTINCT key: maps as sorted items, lists as tuples,
     MISSING apart from NULL."""
@@ -699,6 +709,32 @@ class NumericMoments(Moments):
     def add_many(self, values: list[Any]) -> None:
         for value in values:
             self.add(value)
+
+
+class Distinct:
+    """An aggregate over distinct values (``COUNT(DISTINCT x)``): each value
+    reaches *inner* once, values equal under :func:`hashable` being one."""
+
+    __slots__ = ("inner", "seen")
+
+    def __init__(self, inner: Any) -> None:
+        self.inner, self.seen = inner, {}
+
+    def add(self, value: Any) -> None:
+        key = hashable(value)
+        if key not in self.seen:
+            self.seen[key] = value
+            self.inner.add(value)
+
+    def add_many(self, values: list[Any]) -> None:
+        for value in values:
+            self.add(value)
+
+    def merge(self, other: "Distinct") -> None:
+        self.add_many(list(other.seen.values()))
+
+    def result(self) -> Any:
+        return self.inner.result()
 
 
 def _sorts_after(left: Any, right: Any) -> bool:

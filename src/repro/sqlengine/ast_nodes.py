@@ -114,8 +114,8 @@ class IsAbsent:
 class FuncCall:
     """A scalar or aggregate function call.
 
-    ``star=True`` encodes ``COUNT(*)``; ``distinct`` is parsed for
-    completeness though the benchmark never uses it.
+    ``star=True`` encodes ``COUNT(*)``; ``distinct`` makes an aggregate
+    take each distinct value once (``COUNT(DISTINCT a)``).
     """
 
     name: str

@@ -27,12 +27,16 @@ from typing import Optional
 from repro.errors import PlanningError
 from repro.sqlengine.ast_nodes import (
     AGGREGATE_FUNCTIONS,
+    BinaryOp,
     ColumnRef,
     Expression,
     FuncCall,
     IsAbsent,
+    Literal,
+    Param,
     SelectItem,
     Star,
+    UnaryOp,
 )
 from repro.sqlengine.expr_utils import (
     columns_used,
@@ -191,6 +195,13 @@ class Optimizer:
             return self._apply_rules(
                 Rebind(Sort(child.child, keys, plan.limit_hint), child.old, child.new)
             )
+        # Rule: an aggregate that reads only restricted columns needs no
+        # restriction — the narrowed record would be built per row for nothing.
+        if isinstance(plan, Aggregate) and isinstance(plan.child, ColumnRestrict):
+            restrict = plan.child
+            exprs = plan.group_by + tuple(item.expr for item in plan.items)
+            if all(_reads_only(expr, restrict.alias, restrict.columns) for expr in exprs):
+                return replace(plan, child=restrict.child)
         # Rule: LIMIT over Project(Sort) plants a top-k hint on the sort.
         if isinstance(plan, Limit) and plan.count >= 0 and isinstance(plan.child, Project):
             project = plan.child
@@ -596,6 +607,27 @@ def _scan_under_restrictions(plan: LogicalPlan) -> Optional[Scan]:
     while isinstance(plan, (ColumnRestrict, Rebind)):
         plan = plan.child
     return plan if isinstance(plan, Scan) else None
+
+
+def _reads_only(expr: Expression, alias: str, columns: tuple[str, ...]) -> bool:
+    """Whether *expr* reads nothing of *alias*'s record but *columns*.
+
+    A ``*`` or a bare binding reads the whole record, and a node kind this
+    walk does not know may read anything.
+    """
+    if isinstance(expr, ColumnRef):
+        if expr.qualifier is None:
+            return expr.name != alias and expr.name in columns
+        return expr.qualifier != alias or expr.name in columns
+    if isinstance(expr, (Literal, Param)):
+        return True
+    if isinstance(expr, BinaryOp):
+        return _reads_only(expr.left, alias, columns) and _reads_only(expr.right, alias, columns)
+    if isinstance(expr, (UnaryOp, IsAbsent)):
+        return _reads_only(expr.operand, alias, columns)
+    if isinstance(expr, FuncCall):
+        return all(_reads_only(arg, alias, columns) for arg in expr.args)
+    return False
 
 
 def _is_identity_projection(project: Project, binding: str) -> bool:

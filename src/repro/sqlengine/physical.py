@@ -19,6 +19,7 @@ from typing import Any, Callable, Iterator
 
 from repro.errors import ExecutionError, PlanningError
 from repro.exec import scalar
+from repro.exec.scalar import order_key
 from repro.exec.kernels import Descending
 from repro.exec.memory import (
     MemoryBudget,
@@ -506,7 +507,7 @@ class SortOp(PhysicalPlan):
             return tuple(
                 Descending(key) if order.descending else key
                 for order, key in (
-                    (order, index_key(_absent_to_none(evaluate(order.expr, row))))
+                    (order, order_key(evaluate(order.expr, row), "ORDER BY"))
                     for order in self.keys
                 )
             )
@@ -543,7 +544,7 @@ class TopKOp(PhysicalPlan):
         def sort_key(row: Any) -> tuple:
             parts = []
             for order in self.keys:
-                key = index_key(_absent_to_none(ctx.evaluator.evaluate(order.expr, row)))
+                key = order_key(ctx.evaluator.evaluate(order.expr, row), "ORDER BY")
                 parts.append(Descending(key) if order.descending else key)
             return tuple(parts)
 
@@ -587,7 +588,7 @@ class RecordSortOp(PhysicalPlan):
             return tuple(
                 Descending(key) if order.descending else key
                 for order, key in (
-                    (order, index_key(_absent_to_none(evaluate(order.expr, env))))
+                    (order, order_key(evaluate(order.expr, env), "ORDER BY"))
                     for order in self.keys
                 )
             )
@@ -745,14 +746,19 @@ def aggregate_feeds(
     calls: list[FuncCall], dialect: str
 ) -> list[tuple[Callable[[], Any], Expression | None]]:
     """``(accumulator factory, argument)`` of each aggregate call, from the
-    shared set (``repro.exec.scalar``); COUNT(*) has no argument — it adds rows."""
+    shared set (``repro.exec.scalar``); COUNT(*) has no argument — it adds rows.
+    ``DISTINCT`` wraps the accumulator so each distinct value counts once."""
     feeds = []
     for call in calls:
         name = call.name.upper()
         kind = "STD" if name.startswith("STDDEV") else name
-        if (call.star and kind != "COUNT") or (not call.star and len(call.args) != 1):
+        if (call.star and (kind != "COUNT" or call.distinct)) or (
+            not call.star and len(call.args) != 1
+        ):
             raise PlanningError(f"{call} takes one argument")
         make = scalar.accumulator(kind, scalar.DIALECTS[dialect], name)
+        if call.distinct:
+            make = lambda inner=make: scalar.Distinct(inner())  # noqa: E731
         feeds.append((make, None if call.star else call.args[0]))
     return feeds
 
@@ -786,7 +792,7 @@ class HashAggregate(PhysicalPlan):
         try:
             for row in self.child.execute(ctx):
                 key = tuple(
-                    index_key(_absent_to_none(evaluate(expr, row))) for expr in self.group_by
+                    order_key(evaluate(expr, row), "GROUP BY") for expr in self.group_by
                 ) if grouped else ()
                 entry = groups.get(key)
                 if entry is None:

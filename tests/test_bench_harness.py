@@ -45,9 +45,11 @@ class TestDatasets:
     def test_budget_scales_with_base(self):
         assert pandas_memory_budget(2000) > pandas_memory_budget(1000)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_XS_RECORDS", "123")
-        assert single_node_sizes()[0].num_records == 123
+    def test_the_xs_count_is_required(self, tmp_path):
+        with pytest.raises(TypeError):
+            single_node_sizes()  # type: ignore[call-arg]
+        with pytest.raises(TypeError, match="xs_records_for_budget"):
+            build_systems(10, tmp_path, which=("Pandas",))
 
 
 class TestExpressions:

@@ -5,8 +5,7 @@ Differential property tests for the semantic result cache (see
 *uncached* system; the cached system must be byte-identical to it:
 
 1. **Read parity** — all 13 Table III expressions, on all four backends,
-   at optimization levels 0/1/2, with the warm (second) pass asserted to
-   actually serve hits.
+   with the warm (second) pass asserted to actually serve hits.
 2. **Write freshness** — interleaved ``persist()`` writes (and
    engine-level appends reported via ``note_write``) between repeated
    reads: the stale-read regression test.
@@ -41,7 +40,6 @@ from repro.wisconsin import loaders, wisconsin_records
 
 RECORDS = 240
 BACKENDS = ("postgres", "asterixdb", "mongodb", "neo4j")
-LEVELS = (0, 1, 2)
 
 API = DataFrameAPI()
 PARAMS = benchmark_params()
@@ -81,12 +79,10 @@ def engines():
     return {backend: _build_engine(backend, records) for backend in BACKENDS}
 
 
-def _make_connector(backend: str, engines, level: int, *, cache):
+def _make_connector(backend: str, engines, *, cache):
     # cache=False must stay off even when the suite runs under
     # REPRO_CACHE=1 — that is the differential baseline.
-    return _FACTORIES[backend](
-        engines[backend], optimization_level=level, cache=cache
-    )
+    return _FACTORIES[backend](engines[backend], cache=cache)
 
 
 def _normalize(result):
@@ -107,19 +103,16 @@ def _run_expressions(connector):
 
 
 # ----------------------------------------------------------------------
-# 1. Read parity: expressions x backends x optimization levels
+# 1. Read parity: expressions x backends
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("level", LEVELS)
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_cache_on_equals_cache_off(backend, level, engines):
-    baseline = _run_expressions(
-        _make_connector(backend, engines, level, cache=False)
-    )
-    cached = _make_connector(backend, engines, level, cache=True)
+def test_cache_on_equals_cache_off(backend, engines):
+    baseline = _run_expressions(_make_connector(backend, engines, cache=False))
+    cached = _make_connector(backend, engines, cache=True)
     cold = _run_expressions(cached)
     warm = _run_expressions(cached)
-    assert cold == baseline, f"{backend} level {level}: cold pass diverged"
-    assert warm == baseline, f"{backend} level {level}: warm pass diverged"
+    assert cold == baseline, f"{backend}: cold pass diverged"
+    assert warm == baseline, f"{backend}: warm pass diverged"
     # The warm pass must really have been served from cache, and the
     # cumulative counters must agree with the per-send log.
     stats = cached.result_cache.stats()
@@ -261,14 +254,11 @@ def test_randomized_read_write_interleavings_match(seed):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", ("postgres", "mongodb"))
 def test_cache_with_fault_injection_stays_deterministic(backend, engines):
-    baseline = _run_expressions(
-        _make_connector(backend, engines, level=2, cache=False)
-    )
+    baseline = _run_expressions(_make_connector(backend, engines, cache=False))
     injector = FaultInjector(seed=7, sleep=lambda _s: None)
     injector.transient_rate(0.1)
     chaotic = _FACTORIES[backend](
         engines[backend],
-        optimization_level=2,
         cache=True,
         fault_injector=injector,
         retry_policy=RetryPolicy(max_attempts=5, sleep=lambda _s: None),

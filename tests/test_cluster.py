@@ -156,6 +156,19 @@ class TestMergeSpecs:
         assert merged == [{"a": 3.0}]
 
 
+    @pytest.mark.parametrize("aggregate", ["COUNT", "SUM", "AVG", "MIN"])
+    def test_aggregate_distinct_is_refused(self, aggregate):
+        # Per-shard distinct values overlap, so per-shard answers do not combine.
+        query = f"SELECT {aggregate}(DISTINCT a) AS x FROM t x"
+        with pytest.raises(UnsupportedOperationError, match="DISTINCT"):
+            spec_for_select(parse(query, "sql"))
+        cluster = GreenplumCluster(4, query_prep_overhead=0.0)
+        cluster.create_table("t")
+        cluster.insert("t", [{"a": n % 3} for n in range(12)], shard_key="a")
+        with pytest.raises(UnsupportedOperationError, match="DISTINCT"):
+            cluster.execute(query)
+
+
 @pytest.fixture(scope="module")
 def loaded_clusters():
     records = wisconsin_records(400)

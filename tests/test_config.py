@@ -9,18 +9,20 @@ Three tables pin the configuration layer (``repro.config``):
 2. **Resolution** — what each connector, cluster and engine ends up with:
    kwarg beats environment beats default, an explicit off pins a knob
    off, shared instances pass through, and the env-driven chaos pair.
-3. **The README's "Configuration" table** — the same rows as ``KNOBS``.
+3. **The README's "Configuration" table** — the same rows as ``KNOBS``,
+   and no ``REPRO_*`` name in the code, docs or CI that is neither a knob
+   nor one of the bench-sizing variables its footnote lists.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
 
 from repro import Config, PolyFrame, PostgresConnector
-from repro.bench.datasets import DEFAULT_XS_RECORDS
 from repro.cache import DEFAULT_MAX_BYTES, ResultCache
 from repro.cluster import GreenplumCluster
 from repro.cluster.dispatch import ThreadPoolDispatcher
@@ -33,7 +35,8 @@ from repro.resilience import AdmissionController, FaultInjector, RetryPolicy, no
 from repro.sqlengine import SQLDatabase
 from repro.sqlpp import AsterixDB
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 COUNT = "SELECT COUNT(*) FROM t x"
 MIB = 1024 * 1024
 KNOB = {knob.field: knob for knob in KNOBS}
@@ -77,9 +80,6 @@ SWITCH = [(text, True) for text in ("1", "true", "yes", "on", "ON")] + [
     (text, False) for text in ("0", "false", "no", "off", "Off")
 ]
 ACCEPTED = [
-    ("optimization_level", "0", 0),
-    ("optimization_level", "1", 1),
-    ("optimization_level", " 2 ", 2),
     ("exec_engine", "row", "row"),
     ("exec_engine", "Vector", "vector"),
     ("memory_budget", "4096", 4096),
@@ -107,8 +107,6 @@ ACCEPTED = [
     ("node_down", "1, 3", (1, 3)),
 ]
 MALFORMED = [
-    ("optimization_level", "two"),  # was a bare ValueError
-    ("optimization_level", "7"),  # was accepted
     ("exec_engine", "vectr"),  # was silently row
     ("memory_budget", "lots"),  # did not name the variable
     ("memory_budget", "64mb"),
@@ -299,10 +297,6 @@ RESOLUTION = [
     ("exec-explicit-wins", {"REPRO_EXEC": "vector"},
      lambda: SQLDatabase(exec_engine="row").exec_engine, "row"),
     ("exec-env-malformed-raises", {"REPRO_EXEC": "bogus"}, SQLDatabase, ConfigError),
-    ("opt-level-env", {"REPRO_OPT_LEVEL": "2"}, lambda: connector().optimization_level, 2),
-    ("opt-level-explicit-wins", {"REPRO_OPT_LEVEL": "2"},
-     lambda: connector(optimization_level=0).optimization_level, 0),
-    ("opt-level-out-of-range-raises", {"REPRO_OPT_LEVEL": "7"}, connector, ConfigError),
     ("trace-env-installs-global-tracer", {"REPRO_TRACE": "yes"}, _fresh_tracer, True),
     ("trace-off-by-default", {}, _fresh_tracer, False),
     ("chaos-off-without-env", {},
@@ -365,14 +359,12 @@ def test_config_is_a_frozen_hashable_value():
 
 
 def test_connector_config_reports_live_settings():
-    conn = connector(deadline=5, optimization_level=1)
-    assert conn.config == Config(deadline=5.0, optimization_level=1)
+    conn = connector(deadline=5)
+    assert conn.config == Config(deadline=5.0)
     conn.deadline = 30.0
     conn.admission = AdmissionController()
     conn._db.exec_engine = "vector"
-    assert conn.config == Config(
-        deadline=30.0, admission=True, optimization_level=1, exec_engine="vector"
-    )
+    assert conn.config == Config(deadline=30.0, admission=True, exec_engine="vector")
 
 
 def test_connector_config_reports_the_cluster(monkeypatch):
@@ -422,8 +414,38 @@ def test_the_readme_table_is_the_declared_table():
     ]
 
 
+BENCH_SIZING = ("REPRO_BENCH_XS", "REPRO_BENCH_VECTOR_ROWS")
+VARIABLE_NAME = re.compile(r"REPRO_[A-Z0-9_]+")
+
+
 def test_the_readme_footnote_gives_the_bench_sizing_defaults():
     section = _readme_section()
-    assert f"`REPRO_XS_RECORDS` ({DEFAULT_XS_RECORDS:,})" in section
     assert "`REPRO_BENCH_XS` (3,000)" in section
     assert "`REPRO_BENCH_VECTOR_ROWS` (100,000)" in section
+    assert "its `--xs` flag (2,000)" in section
+    assert VARIABLE_NAME.findall(section.split("Bench sizing", 1)[1]) == list(BENCH_SIZING)
+
+
+def _scanned_files() -> list[Path]:
+    files = [ROOT / name for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+    files.append(ROOT / ".github" / "workflows" / "ci.yml")
+    for top in ("src", "tests", "benchmarks", "docs", "examples"):
+        for path in sorted((ROOT / top).rglob("*")):
+            parts = path.relative_to(ROOT).parts
+            if path.suffix in (".py", ".md", ".yml") and parts[:2] not in (
+                ("benchmarks", "perf"), ("benchmarks", "results")
+            ):
+                files.append(path)
+    return files
+
+
+def test_every_repro_name_is_a_knob_or_a_bench_sizing_variable():
+    # A deleted knob cannot linger in the code, the docs or CI.
+    allowed = {knob.env for knob in KNOBS} | set(BENCH_SIZING)
+    found = {
+        (name, str(path.relative_to(ROOT)))
+        for path in _scanned_files()
+        for name in VARIABLE_NAME.findall(path.read_text(encoding="utf-8"))
+    }
+    assert len({path for _name, path in found}) > 20  # the scan reached the tree
+    assert sorted(pair for pair in found if pair[0] not in allowed) == []

@@ -46,7 +46,6 @@ DATASETS = ("data", "data2")
 
 CONFIGS = st.builds(
     Config,
-    optimization_level=st.sampled_from([0, 1, 2]),
     exec_engine=st.sampled_from(["row", "vector"]),
     memory_budget=st.sampled_from([None, 2048, 32 * 1024]),
     cache=st.sampled_from([None, 4096, 64 * 1024 * 1024]),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.docstore import MongoDatabase
 from repro.docstore.exprs import compile_expr, get_path
+from repro.docstore.pipeline import _keeps_what_group_reads
 from repro.errors import CatalogError, ExecutionError, UnsupportedOperationError
 from repro.storage.keys import SENTINEL_MISSING
 
@@ -307,6 +308,62 @@ class TestPipelineOptimizer:
         ])
         assert result.records == [{"c": 30}]
         assert result.stats.full_scans == 1
+
+
+    @pytest.mark.parametrize("project, group", [
+        ({"score": 1}, {"_id": {}, "m": {"$max": "$score"}}),
+        ({"mod": 1, "score": 1}, {"_id": "$mod", "s": {"$sum": "$score"}}),
+        ({"_id": 0, "mod": 1}, {"_id": {"mod": "$mod"}, "c": {"$sum": 1}}),
+        ({"lang": True}, {"_id": "$lang", "c": {"$sum": {"$literal": 1}}}),
+    ])
+    def test_project_keeping_what_group_reads_is_dropped(self, db, project, group):
+        pipeline = [{"$match": {}}, {"$project": project}, {"$group": group}]
+        result = db.aggregate("users", pipeline, analyze=True)
+        assert [node.name for node in result.op_profile.walk()] == [
+            "$group", "CollectionScan(users)"
+        ]
+        # A stage between them keeps the $project: the same answer, unpruned.
+        kept = db.aggregate("users", [*pipeline[:2], {"$match": {}}, pipeline[2]])
+        assert result.records == kept.records
+
+    @pytest.mark.parametrize("project, group", [
+        ({"score": 1}, {"_id": "$mod", "m": {"$max": "$score"}}),  # mod is cut away
+        ({"_id": 0, "mod": 1}, {"_id": "$_id", "c": {"$sum": 1}}),
+        ({"mod": {"$add": ["$mod", 1]}}, {"_id": "$mod", "c": {"$sum": 1}}),
+        ({"name": 0}, {"_id": "$mod", "c": {"$sum": 1}}),
+        ({"mod.x": 1}, {"_id": "$mod", "c": {"$sum": 1}}),
+    ])
+    def test_project_stays_when_group_reads_past_it(self, db, project, group):
+        pipeline = [{"$match": {}}, {"$project": project}, {"$group": group}]
+        result = db.aggregate("users", pipeline, analyze=True)
+        assert "$project" in [node.name for node in result.op_profile.walk()]
+
+    def test_a_group_reading_a_variable_keeps_the_project(self):
+        # $$ROOT / $$CURRENT read the whole document the $project narrowed.
+        assert not _keeps_what_group_reads({"mod": 1}, {"_id": "$$ROOT.mod"})
+        assert _keeps_what_group_reads({"mod": 1}, {"_id": "$mod"})
+
+
+
+@pytest.mark.parametrize("pipeline, error", [
+    ([{"$sort": {"m": 1}}], "cannot apply $sort to dict"),
+    ([{"$sort": {"n": 1, "m": -1}}], "cannot apply $sort to dict"),
+    ([{"$group": {"_id": "$m", "c": {"$sum": 1}}}, {"$sort": {"_id": 1}}],
+     "cannot apply $sort to dict"),
+    # $group keys by value, so a map is a group key like any other.
+    ([{"$group": {"_id": "$m", "c": {"$sum": 1}}}], None),
+])
+def test_a_map_valued_key(pipeline, error):
+    db = MongoDatabase(query_prep_overhead=0.0)
+    db.create_collection("docs").insert_many([{"n": i, "m": {"a": i % 3}} for i in range(6)])
+    if error is None:
+        groups = db.aggregate("docs", pipeline).records
+        assert sorted(group["_id"]["a"] for group in groups) == [0, 1, 2]
+        assert {group["c"] for group in groups} == {2}
+        return
+    with pytest.raises(ExecutionError) as caught:
+        db.aggregate("docs", pipeline)
+    assert str(caught.value) == error
 
 
 class TestShardedLimitation:

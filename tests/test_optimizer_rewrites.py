@@ -59,12 +59,30 @@ class TestFlattening:
         assert "DerivedBind" not in plan.tree_string()
 
     def test_column_projection_becomes_restrict(self, optimizer):
-        plan = rewrite(
-            optimizer, "SELECT MAX(a) FROM (SELECT a FROM data t) t", "sql"
-        )
+        plan = rewrite(optimizer, "SELECT * FROM (SELECT a FROM data t) t LIMIT 1", "sql")
         text = plan.tree_string()
         assert "ColumnRestrict" in text
         assert "DerivedBind" not in text
+
+    @pytest.mark.parametrize("sql,dialect", [
+        ("SELECT MAX(a) FROM (SELECT a FROM data t) t", "sql"),
+        ("SELECT MAX(unique1) FROM (SELECT t.unique1 FROM (SELECT VALUE t FROM data t) t) t",
+         "sqlpp"),
+        ("SELECT t.a, COUNT(*) AS n FROM (SELECT t.a, t.b FROM data t) t GROUP BY t.a", "sql"),
+        ("SELECT SUM(a + b) FROM (SELECT a, b FROM data t) t", "sql"),
+    ])
+    def test_restrict_under_aggregate_of_its_columns_is_dropped(self, optimizer, sql, dialect):
+        text = rewrite(optimizer, sql, dialect).tree_string()
+        assert "Aggregate" in text
+        assert "ColumnRestrict" not in text
+
+    @pytest.mark.parametrize("sql,dialect", [
+        ("SELECT MAX(b) FROM (SELECT a FROM data t) t", "sql"),  # b is cut away
+        ("SELECT COUNT(t) FROM (SELECT t.a FROM data t) t", "sqlpp"),  # the whole record
+        ("SELECT t.a, MAX(t.b) FROM (SELECT t.a FROM data t) t GROUP BY t.a", "sql"),
+    ])
+    def test_restrict_stays_when_the_aggregate_reads_past_it(self, optimizer, sql, dialect):
+        assert "ColumnRestrict" in rewrite(optimizer, sql, dialect).tree_string()
 
     def test_aliased_projection_does_not_flatten(self, optimizer):
         # Renaming columns changes record shape; the derived table stays.

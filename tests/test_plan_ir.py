@@ -1,9 +1,10 @@
 """Unit tests for the logical-plan layer.
 
-Covers the plan optimizer's backend-agnostic rewrites, the compiled-query
-cache (and its surfacing through QueryStats), true retargeting, the
-three-stage ``explain(verbose=True)``, the raw-query escape hatch, and
-the ``describe()`` numeric-inference fix.
+Covers plan retargetability, the engine-side flattening of the nested
+text PolyFrame sends, the compiled-query cache (and its surfacing
+through QueryStats), true retargeting, the three-stage
+``explain(verbose=True)``, the raw-query escape hatch, and the
+``describe()`` numeric-inference fix.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro import (
-    AsterixDBConnector,
     MongoDBConnector,
     PolyFrame,
     PostgresConnector,
@@ -22,12 +22,8 @@ from repro.core.plan import (
     Filter,
     Limit,
     LiteralExpr,
-    LogicalExpr,
-    Project,
     RawQuery,
     Scan,
-    Sort,
-    optimize,
     plan_is_retargetable,
 )
 from repro.errors import ConnectorError, RewriteError
@@ -42,102 +38,61 @@ SCAN = Scan("Bench", "data")
 
 
 # ----------------------------------------------------------------------
-# Optimizer rewrites (pure plan → plan)
+# Retargetability
 # ----------------------------------------------------------------------
-def test_level0_is_identity():
-    plan = Filter(Filter(SCAN, _pred("a", 1)), _pred("b", 2))
-    assert optimize(plan, 0) is plan
-
-
-def test_adjacent_filters_fuse_through_and_rule():
-    plan = Filter(Filter(SCAN, _pred("a", 1)), _pred("b", 2))
-    fused = optimize(plan, 1)
-    assert isinstance(fused, Filter)
-    assert isinstance(fused.input, Scan)
-    assert isinstance(fused.predicate, LogicalExpr)
-    assert fused.predicate.rule == "and"
-    # Inner (first-applied) predicate becomes the left operand — the same
-    # statement a user-level ``mask1 & mask2`` composes.
-    assert fused.predicate.left.fingerprint() == _pred("a", 1).fingerprint()
-
-
-def test_three_filters_fuse_to_one():
-    plan = Filter(
-        Filter(Filter(SCAN, _pred("a", 1)), _pred("b", 2)), _pred("c", 3)
-    )
-    fused = optimize(plan, 1)
-    assert isinstance(fused, Filter)
-    assert isinstance(fused.input, Scan)
-
-
-def test_projection_collapse():
-    plan = Project(Project(SCAN, ("a", "b", "c")), ("a", "b"))
-    assert optimize(plan, 1).fingerprint() == Project(SCAN, ("a", "b")).fingerprint()
-
-
-def test_projection_not_collapsed_when_outer_widens():
-    plan = Project(Project(SCAN, ("a",)), ("a", "b"))
-    assert optimize(plan, 1).fingerprint() == plan.fingerprint()
-
-
-def test_filter_pushed_under_projection():
-    plan = Filter(Project(SCAN, ("a", "b")), _pred("a", 1))
-    pushed = optimize(plan, 1)
-    expected = Project(Filter(SCAN, _pred("a", 1)), ("a", "b"))
-    assert pushed.fingerprint() == expected.fingerprint()
-
-
-def test_filter_not_pushed_when_predicate_reads_other_columns():
-    plan = Filter(Project(SCAN, ("a",)), _pred("b", 1))
-    assert optimize(plan, 1).fingerprint() == plan.fingerprint()
-
-
-def test_limit_into_sort():
-    plan = Limit(Sort(SCAN, "a", ascending=False), 5)
-    fused = optimize(plan, 1)
-    expected = Sort(SCAN, "a", ascending=False, limit=5)
-    assert fused.fingerprint() == expected.fingerprint()
-
-
 def test_retargetable_predicate_gate():
     assert plan_is_retargetable(Filter(SCAN, _pred("a", 1)))
     assert not plan_is_retargetable(RawQuery("SELECT 1"))
 
 
 # ----------------------------------------------------------------------
-# Fusion measurably reduces nesting depth of the generated text
+# The engine, not the compiler, flattens PolyFrame's nested text
 # ----------------------------------------------------------------------
-def test_filter_fusion_reduces_sql_nesting(postgres):
-    base = PostgresConnector(postgres, optimization_level=0)
-    fused = PostgresConnector(postgres, optimization_level=1)
-    scanfused = PostgresConnector(postgres, optimization_level=2)
-
-    def chained(connector):
-        af = PolyFrame("Bench", "data", connector)
-        return af[af["ten"] > 2][af["two"] == 1]
-
-    depth0 = base.nesting_depth(chained(base).query)
-    depth1 = fused.nesting_depth(chained(fused).query)
-    depth2 = scanfused.nesting_depth(chained(scanfused).query)
-    assert depth1 < depth0
-    assert depth2 < depth1
-    assert depth2 == 1  # single WHERE over the stored table
-
-    # Same records either way.
-    rows0 = sorted(r["unique2"] for r in chained(base).collect().to_records())
-    rows2 = sorted(r["unique2"] for r in chained(scanfused).collect().to_records())
-    assert rows0 == rows2
+def _logical(frame) -> list[str]:
+    """The engine's logical plan for *frame*, one operator per line."""
+    plan = frame.backend_plan().split("== logical ==\n", 1)[1].split("\n==", 1)[0]
+    return [line.strip() for line in plan.splitlines()]
 
 
+def test_three_filters_fuse_to_one(postgres):
+    af = PolyFrame("Bench", "data", PostgresConnector(postgres))
+    chained = af[af["ten"] > 2][af["two"] == 1][af["four"] == 1]
+    assert chained.query.count("WHERE") == 3
+    assert _logical(chained) == [
+        "Project *",
+        "Filter (((t.ten > 2) AND (t.two = 1)) AND (t.four = 1))",
+        "Scan Bench.data AS t",
+    ]
+
+
+def test_filter_pushed_under_projection(postgres):
+    af = PolyFrame("Bench", "data", PostgresConnector(postgres))
+    assert _logical(af[["ten", "two"]][af["ten"] > 2]) == [
+        "Project *", "ColumnRestrict t(ten, two)", "Filter (t.ten > 2)", "Scan Bench.data AS t",
+    ]
+
+
+def test_filter_not_pushed_when_predicate_reads_other_columns(postgres):
+    af = PolyFrame("Bench", "data", PostgresConnector(postgres))
+    assert _logical(af[["ten"]][af["two"] == 1]) == [
+        "Project *", "Filter (t.two = 1)", "ColumnRestrict t(ten)", "Scan Bench.data AS t",
+    ]
+
+
+def test_limit_into_sort(postgres):
+    connector = PostgresConnector(postgres)
+    ordered = PolyFrame("Bench", "data", connector).sort_values("ten", ascending=False)
+    text = ordered._compile(Limit(ordered.plan, 5)).text
+    assert "Sort ten DESC (top 5)" in connector.explain(text)
+
+
+# ----------------------------------------------------------------------
+# Nesting depth of the generated text
+# ----------------------------------------------------------------------
 def test_mongo_depth_counts_pipeline_stages(mongodb):
-    base = MongoDBConnector(mongodb, optimization_level=0)
-    fused = MongoDBConnector(mongodb, optimization_level=2)
-    af0 = PolyFrame("Bench", "data", base)
-    af2 = PolyFrame("Bench", "data", fused)
-    q0 = af0[["two", "four"]].query
-    q2 = af2[["two", "four"]].query
-    assert base.nesting_depth(q0) == 2  # empty $match + $project
-    assert fused.nesting_depth(q2) == 1  # fused into the scan
+    connector = MongoDBConnector(mongodb)
+    query = PolyFrame("Bench", "data", connector)[["two", "four"]].query
+    assert connector.nesting_depth(query) == 2  # empty $match + $project
 
 
 # ----------------------------------------------------------------------
@@ -155,17 +110,6 @@ def test_compile_cache_hits_on_repeated_plans(postgres):
     assert again.query == text_first
     assert connector.compile_cache.stats()["hits"] == 1
     assert connector.compile_cache.stats()["misses"] == 1
-
-
-def test_cache_key_distinguishes_levels(postgres):
-    connector = PostgresConnector(postgres, optimization_level=0)
-    af = PolyFrame("Bench", "data", connector)
-    filtered = af[af["ten"] > 2]
-    level0 = filtered._compile()
-    level2 = filtered._compile(level=2)
-    assert level0.text != level2.text
-    assert not level0.cache_hit and not level2.cache_hit
-    assert filtered._compile(level=2).cache_hit
 
 
 def test_cache_counters_surface_through_query_stats(postgres):
@@ -257,10 +201,10 @@ def test_explain_default_is_query_text(all_connectors):
 
 
 def test_explain_verbose_three_stages(postgres):
-    connector = PostgresConnector(postgres, optimization_level=0)
+    connector = PostgresConnector(postgres)
     af = PolyFrame("Bench", "data", connector)
     report = af[af["ten"] > 2].explain(verbose=True)
-    assert "-- logical plan (optimization level 0) --" in report
+    assert "-- logical plan --" in report
     assert "Filter[(ten > 2)]" in report
     assert "Scan[Bench.data]" in report
     assert "-- generated query (PostgresConnector" in report
@@ -273,13 +217,6 @@ def test_explain_verbose_without_backend_plan(all_connectors):
     report = af.explain(verbose=True)
     assert "-- backend plan --" in report
     assert "unavailable" in report
-
-
-def test_explain_verbose_shows_optimized_plan(postgres):
-    connector = PostgresConnector(postgres, optimization_level=1)
-    af = PolyFrame("Bench", "data", connector)
-    report = af[af["ten"] > 2][af["two"] == 1].explain(verbose=True)
-    assert "-- optimized plan --" in report
 
 
 # ----------------------------------------------------------------------
@@ -304,19 +241,11 @@ def test_query_constructor_arg_is_raw_plan(postgres):
     assert af.sort_values("unique1").query.startswith(text)
 
 
-def test_raw_frames_survive_optimization_levels(postgres):
-    connector = PostgresConnector(postgres, optimization_level=2)
-    text = 'SELECT * FROM Bench.data t WHERE t."two" = 0'
-    raw = PolyFrame("Bench", "data", connector, text, validate=False)
-    assert raw.query == text  # RawQuery passes through the optimizer
-
-
 def test_rule_overlay_still_composes_with_plans(postgres):
     """User rule overrides at connection time apply to plan compilation."""
     connector = PostgresConnector(
         postgres,
         {"q6": "SELECT * FROM ($subquery) t WHERE ($statement)"},
-        optimization_level=0,
     )
     af = PolyFrame("Bench", "data", connector)
     filtered = af[af["ten"] > 5]

@@ -1,18 +1,11 @@
-"""Golden parity and fusion equivalence for the logical-plan compiler.
+"""Golden parity for the logical-plan compiler.
 
-Two guarantees pin the IR refactor:
-
-1. **Byte parity at level 0** — for every Table III benchmark expression,
-   on every backend, the queries a plan-compiled PolyFrame sends are
-   byte-identical to what the pre-IR eager rewriter sent (recorded in
-   ``tests/golden/queries_<backend>.json``; regenerate with
-   ``tests/golden/generate_goldens.py`` only if the rules themselves
-   change).
-2. **Fusion is sound and useful** — at optimization level 2, every
-   expression returns the same results as level 0, and on the backends
-   with fused templates a healthy majority of expressions compile to
-   strictly lower nesting depth.  Cypher has no fused templates (clauses
-   already chain flat) and must fall back gracefully.
+For every Table III benchmark expression, on every backend, the queries a
+plan-compiled PolyFrame sends are byte-identical to what the pre-IR eager
+rewriter sent (recorded in ``tests/golden/queries_<backend>.json``;
+regenerate with ``tests/golden/generate_goldens.py`` only if the rules
+themselves change).  That nested text is the paper's Table I shape, and
+the one compiled form: flattening it is each engine's job.
 """
 
 from __future__ import annotations
@@ -30,18 +23,10 @@ from repro import (
     PostgresConnector,
 )
 from repro.bench.expressions import EXPRESSIONS, DataFrameAPI, benchmark_params
-from repro.eager import EagerFrame
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 BACKENDS = ["asterixdb", "postgres", "mongodb", "neo4j"]
-
-#: Backends whose configs define [FUSED QUERIES] templates.
-FUSED_BACKENDS = ["asterixdb", "postgres", "mongodb"]
-
-#: The acceptance floor: with fusion on, at least this many of the 13
-#: expressions must compile to strictly lower nesting depth.
-MIN_FUSED_IMPROVEMENTS = 4
 
 
 def _load_golden(backend: str) -> dict[str, list[str]]:
@@ -50,23 +35,21 @@ def _load_golden(backend: str) -> dict[str, list[str]]:
         return json.load(handle)
 
 
-def _make_connector(backend: str, engines, level: int):
+def _make_connector(backend: str, engines):
     factories = {
         "asterixdb": AsterixDBConnector,
         "postgres": PostgresConnector,
         "mongodb": MongoDBConnector,
         "neo4j": Neo4jConnector,
     }
-    return factories[backend](engines[backend], optimization_level=level)
+    return factories[backend](engines[backend])
 
 
-def _run_expressions(connector):
-    """Run all 13 expressions; returns (results, sent queries, max depths)."""
+def _sent_queries(connector):
+    """Run all 13 expressions; returns the queries each one sent."""
     params = benchmark_params()
     api = DataFrameAPI()
-    results: dict[int, object] = {}
     sent: dict[int, list[str]] = {}
-    depths: dict[int, int] = {}
     original_send = connector.send
     for expr in EXPRESSIONS:
         queries: list[str] = []
@@ -79,20 +62,11 @@ def _run_expressions(connector):
         try:
             df = PolyFrame("Bench", "data", connector)
             df2 = PolyFrame("Bench", "data2", connector)
-            results[expr.id] = expr.run(df, df2, params, api)
+            expr.run(df, df2, params, api)
         finally:
             connector.send = original_send
         sent[expr.id] = queries
-        depths[expr.id] = max(connector.nesting_depth(query) for query in queries)
-    return results, sent, depths
-
-
-def _normalize(result):
-    if isinstance(result, EagerFrame):
-        return sorted(
-            (tuple(sorted(record.items())) for record in result.to_records()),
-        )
-    return result
+    return sent
 
 
 @pytest.fixture(scope="module")
@@ -107,66 +81,11 @@ def engines(asterixdb, postgres, mongodb, neo4j):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_level0_matches_golden_queries(backend, engines):
-    """Plan compilation at level 0 reproduces the eager rewriter's text."""
+    """Plan compilation reproduces the eager rewriter's text."""
     golden = _load_golden(backend)
-    connector = _make_connector(backend, engines, level=0)
-    _, sent, _ = _run_expressions(connector)
+    sent = _sent_queries(_make_connector(backend, engines))
     for expr in EXPRESSIONS:
         assert sent[expr.id] == golden[str(expr.id)], (
             f"{backend} expression {expr.id} ({expr.name}) diverged from the "
-            "pre-IR query text at optimization level 0"
+            "pre-IR query text"
         )
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_fused_results_match_unfused(backend, engines):
-    """Level 2 returns exactly what level 0 returns, expression by expression."""
-    base_results, _, base_depths = _run_expressions(
-        _make_connector(backend, engines, level=0)
-    )
-    fused_results, _, fused_depths = _run_expressions(
-        _make_connector(backend, engines, level=2)
-    )
-    for expr in EXPRESSIONS:
-        assert _normalize(fused_results[expr.id]) == _normalize(
-            base_results[expr.id]
-        ), f"{backend} expression {expr.id} ({expr.name}) changed results under fusion"
-        assert fused_depths[expr.id] <= base_depths[expr.id], (
-            f"{backend} expression {expr.id} ({expr.name}) got *deeper* under fusion"
-        )
-
-
-@pytest.mark.parametrize("backend", FUSED_BACKENDS)
-def test_fusion_reduces_nesting_depth(backend, engines):
-    """On fused backends, ≥4 expressions compile strictly shallower."""
-    _, _, base_depths = _run_expressions(_make_connector(backend, engines, level=0))
-    _, _, fused_depths = _run_expressions(_make_connector(backend, engines, level=2))
-    improved = [
-        expr.id for expr in EXPRESSIONS if fused_depths[expr.id] < base_depths[expr.id]
-    ]
-    assert len(improved) >= MIN_FUSED_IMPROVEMENTS, (
-        f"{backend}: only expressions {improved} got shallower "
-        f"(needed {MIN_FUSED_IMPROVEMENTS}); "
-        f"level 0 depths {base_depths}, level 2 depths {fused_depths}"
-    )
-
-
-def test_cypher_falls_back_without_fused_templates(engines):
-    """Cypher opts out of scan fusion and must fall back gracefully.
-
-    Structural (level 1) rewrites are backend-agnostic and still apply —
-    e.g. the aggregate-over-projection elision shortens expressions 6/7 —
-    but scan fusion contributes nothing on a language without
-    ``<rule>_scan`` templates: level 2 compiles exactly what level 1 does.
-    """
-    _, base_sent, base_depths = _run_expressions(
-        _make_connector("neo4j", engines, level=0)
-    )
-    _, structural_sent, _ = _run_expressions(
-        _make_connector("neo4j", engines, level=1)
-    )
-    _, fused_sent, fused_depths = _run_expressions(
-        _make_connector("neo4j", engines, level=2)
-    )
-    assert fused_sent == structural_sent
-    assert all(fused_depths[i] <= base_depths[i] for i in fused_depths)

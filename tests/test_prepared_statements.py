@@ -22,7 +22,7 @@ import pytest
 
 from repro import Neo4jConnector, PolyFrame, PostgresConnector
 from repro.cluster import GreenplumCluster
-from repro.core.plan import Limit, compile_plan, optimize
+from repro.core.plan import Limit, compile_plan
 from repro.eager import frame_from_records
 from repro.errors import PlanningError, ReproError, RewriteError
 from repro.graphdb import Neo4jDatabase
@@ -203,9 +203,7 @@ def frame_corpus():
     generator = _golden_module("generate_prepared_frames")
     databases = generator.build_databases()
     connectors = {
-        (backend, level): generator.connector_for(backend, db, level)
-        for backend, db in databases.items()
-        for level in generator.LEVELS
+        backend: generator.connector_for(backend, db) for backend, db in databases.items()
     }
     return generator, databases, connectors, _golden("prepared_frames.json")
 
@@ -224,12 +222,11 @@ def test_frame_corpus_is_regenerated_from_its_seed(frame_corpus):
 def test_seeded_frames_send_the_text_they_always_sent(frame_corpus, backend):
     generator, _databases, connectors, corpus = frame_corpus
     for case in corpus["cases"]:
-        for level in generator.LEVELS:
-            sent = generator.capture(connectors[backend, level], case["spec"])
-            assert [text for text, _ in sent] == case["sent"][backend][str(level)], case["spec"]
-    # One connector per level served every case, so where a shape repeats
-    # the text was rendered from the template another case compiled.
-    assert connectors[backend, 0].compile_cache.stats()["hits"] > 0
+        sent = generator.capture(connectors[backend], case["spec"])
+        assert [text for text, _ in sent] == case["sent"][backend]["0"], case["spec"]
+    # One connector served every case, so where a shape repeats the text
+    # was rendered from the template another case compiled.
+    assert connectors[backend].compile_cache.stats()["hits"] > 0
 
 
 @pytest.mark.parametrize("backend", PREPARED)
@@ -238,20 +235,19 @@ def test_seeded_frames_answer_the_same_prepared(frame_corpus, backend):
     db = databases[backend]
     prepared_sends = 0
     for case in corpus["cases"]:
-        for level in generator.LEVELS:
-            for text, kwargs in generator.capture(connectors[backend, level], case["spec"]):
-                prepared = kwargs.get("prepared")
-                if prepared is None:
-                    continue
-                prepared_sends += 1
-                assert run(db, *prepared) == run(db, text), (case["spec"], text)
-    assert prepared_sends >= 300
+        for text, kwargs in generator.capture(connectors[backend], case["spec"]):
+            prepared = kwargs.get("prepared")
+            if prepared is None:
+                continue
+            prepared_sends += 1
+            assert run(db, *prepared) == run(db, text), (case["spec"], text)
+    assert prepared_sends >= 150
 
 
 def test_mongodb_is_always_sent_text(frame_corpus):
     generator, _databases, connectors, corpus = frame_corpus
     for case in corpus["cases"][:40]:
-        for _text, kwargs in generator.capture(connectors["mongodb", 0], case["spec"]):
+        for _text, kwargs in generator.capture(connectors["mongodb"], case["spec"]):
             assert kwargs.get("prepared") is None
 
 
@@ -259,12 +255,12 @@ def test_mongodb_is_always_sent_text(frame_corpus):
 # The compile cache keys on shapes
 # ----------------------------------------------------------------------
 def test_one_shape_compiles_once_for_every_literal(postgres):
-    connector = PostgresConnector(postgres, cache=False, optimization_level=0)
+    connector = PostgresConnector(postgres, cache=False)
     af = PolyFrame("Bench", "data", connector)
     for key in range(100):
         lookup = af[af["unique1"] == key]
         compiled = lookup._compile()
-        assert compiled.text == compile_plan(optimize(lookup.plan, 0), connector.rewriter)
+        assert compiled.text == compile_plan(lookup.plan, connector.rewriter)
         assert compiled.bindings == (key,)
         assert compiled.prepared == (
             'SELECT * FROM (SELECT * FROM Bench.data t) t WHERE t."unique1" = $1', (key,)
@@ -299,7 +295,7 @@ def test_one_literal_object_twice_is_one_binding(postgres):
 
 
 def test_explain_verbose_shows_shape_template_and_bindings(postgres):
-    af = PolyFrame("Bench", "data", PostgresConnector(postgres, optimization_level=0))
+    af = PolyFrame("Bench", "data", PostgresConnector(postgres))
     report = af[af["stringu1"] == "it's"].explain(verbose=True)
     assert "-- shape --\nfilter(scan('Bench','data'),eq(col(stringu1),?str))" in report
     assert "-- template --\nSELECT * FROM (SELECT * FROM Bench.data t) t WHERE t.\"stringu1\" = $1" in report

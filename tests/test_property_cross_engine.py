@@ -109,9 +109,9 @@ def test_sort_head_agrees(records):
 
 
 def build_profiling_variants(records):
-    """One frame per (optimization level 0/1/2) x (row/vector engine).
+    """One frame per row/vector engine.
 
-    All six variants evaluate the same program, so their EXPLAIN ANALYZE
+    Both variants evaluate the same program, so their EXPLAIN ANALYZE
     row counts are directly comparable.
     """
     docs = [dict(record, id=index) for index, record in enumerate(records)]
@@ -120,25 +120,22 @@ def build_profiling_variants(records):
         db = SQLDatabase(name=f"pg-{exec_engine}", exec_engine=exec_engine)
         db.create_table("P.d", primary_key="id")
         db.insert("P.d", docs)
-        for level in (0, 1, 2):
-            connector = PostgresConnector(db, optimization_level=level)
-            frames.append((exec_engine, level, PolyFrame("P", "d", connector)))
+        frames.append((exec_engine, PolyFrame("P", "d", PostgresConnector(db))))
     return frames
 
 
 @settings(max_examples=10, deadline=None)
 @given(records_strategy, st.integers(0, 20))
 def test_explain_analyze_row_counts_differential(records, pivot):
-    """EXPLAIN ANALYZE agrees across opt levels and row-vs-vector engines.
+    """EXPLAIN ANALYZE agrees across the row and vector engines.
 
     The differential form of the analyze-mode guarantee: every variant
     reports the same final row count (the naive Python answer), and no
     filtering operator ever *grows* its input.
     """
     expected = sum(1 for record in records if record["a"] <= pivot)
-    for exec_engine, level, frame in build_profiling_variants(records):
+    for label, frame in build_profiling_variants(records):
         profiled = frame[frame["a"] <= pivot][["a", "tag"]].profile()
-        label = f"{exec_engine}/level{level}"
         assert len(profiled.frame) == expected, label
         root = profiled.profile
         assert root is not None, label

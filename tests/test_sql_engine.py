@@ -159,6 +159,47 @@ class TestNullSemantics:
         assert result.records[0] == {"s": None}
 
 
+
+class TestAggregateDistinct:
+    """``agg(DISTINCT x)`` takes each value once, as SQLite does."""
+
+    ROWS = [{"id": i, "a": [1, 2, 3, 0][i % 4], "g": i % 2} for i in range(20)]
+    QUERIES = [
+        "SELECT COUNT(DISTINCT a) AS c, SUM(DISTINCT a) AS s, AVG(DISTINCT a) AS v FROM t",
+        "SELECT g, COUNT(DISTINCT a) AS c, SUM(DISTINCT a) AS s, AVG(DISTINCT a) AS v "
+        "FROM t GROUP BY g ORDER BY g",
+        "SELECT COUNT(DISTINCT a) AS c, COUNT(a) AS n, SUM(a) AS s FROM t",
+        # Three groups overflow the 1k budget: distinct values merge across spill runs.
+        "SELECT id % 3 AS k, COUNT(DISTINCT a) AS c FROM t GROUP BY id % 3 ORDER BY k",
+    ]
+
+    @pytest.fixture(scope="class")
+    def sqlite(self):
+        import sqlite3
+
+        connection = sqlite3.connect(":memory:")
+        connection.execute("CREATE TABLE t (id, a, g)")
+        connection.executemany("INSERT INTO t VALUES (:id, :a, :g)", self.ROWS)
+        yield connection
+        connection.close()
+
+    @pytest.mark.parametrize("exec_engine", ["row", "vector"])
+    @pytest.mark.parametrize("dialect", ["sql", "sqlpp"])
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_matches_sqlite(self, sqlite, exec_engine, dialect, query):
+        from repro.sqlpp import AsterixDB
+
+        db = (SQLDatabase if dialect == "sql" else AsterixDB)(
+            exec_engine=exec_engine, memory_budget="1k"
+        )
+        db.create_table("t", primary_key="id")
+        db.insert("t", self.ROWS)
+        cursor = sqlite.execute(query)
+        names = [column[0] for column in cursor.description]
+        expected = [dict(zip(names, row)) for row in cursor.fetchall()]
+        assert db.execute(query.replace("FROM t", "FROM t t")).records == expected
+
+
 class TestPlanSelection:
     def test_equality_uses_index(self, db):
         plan = db.explain("SELECT * FROM Test.Users t WHERE t.lang = 'en'")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import CatalogError
+from repro.errors import CatalogError, ExecutionError
 from repro.sqlpp import AsterixDB
 
 
@@ -140,3 +140,20 @@ class TestAsterixTraits:
         )
         assert all(record["age"] == 3 for record in result.records)
         assert result.stats.full_scans == 0
+
+
+@pytest.mark.parametrize("exec_engine", ["row", "vector"])
+@pytest.mark.parametrize("query, operator", [
+    ("SELECT VALUE t FROM Test.Docs t ORDER BY t.m", "ORDER BY"),
+    ("SELECT VALUE t FROM Test.Docs t ORDER BY t.m DESC LIMIT 2", "ORDER BY"),
+    ("SELECT t.m, COUNT(*) AS c FROM Test.Docs t GROUP BY t.m", "GROUP BY"),
+    ("SELECT COUNT(*) AS c FROM Test.Docs t GROUP BY t.m ORDER BY c", "GROUP BY"),
+])
+def test_a_map_valued_key_fails_its_operator(exec_engine, query, operator):
+    """A map has no place in the key order: the operator fails, by name."""
+    db = AsterixDB(query_prep_overhead=0.0, exec_engine=exec_engine)
+    db.create_dataverse("Test")
+    db.create_dataset("Test", "Docs", primary_key="id")
+    db.load("Test.Docs", [{"id": i, "m": {"a": i % 3}} for i in range(6)])
+    with pytest.raises(ExecutionError, match=f"cannot apply {operator} to dict"):
+        db.execute(query)
