@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass
 from typing import Any, Callable, Hashable, Sequence
 
 from repro.errors import PlanningError
@@ -110,9 +110,10 @@ def binder(
     *node* is a tree of frozen dataclasses and tuples.  A *param* leaf
     becomes ``literal(params[leaf.index])``, or ``negate(literal(-value))``
     for a number whose text starts with a minus — how that text parses,
-    so a bound ``-5`` takes the plan the text ``-5`` takes.  Only the
-    spine above parameters is rebuilt; *node* is never touched, so one
-    cached plan serves concurrent calls.
+    so a bound ``-5`` takes the plan the text ``-5`` takes.  A call copies
+    only the nodes above parameters (their instance dicts, without running
+    ``__init__``) and writes the bound values in; *node* is never touched,
+    so one cached plan serves concurrent calls.
     """
     if isinstance(node, param):
 
@@ -139,5 +140,15 @@ def binder(
         bound = [(name, part) for name, part in parts.items() if part is not None]
         if not bound:
             return None
-        return lambda params: replace(node, **{name: part(params) for name, part in bound})
+        kind, state = type(node), node.__dict__
+
+        def bind_fields(params: Sequence[Any]) -> Any:
+            copy = object.__new__(kind)
+            values = copy.__dict__  # written directly: a frozen node has no setter
+            values.update(state)
+            for name, part in bound:
+                values[name] = part(params)
+            return copy
+
+        return bind_fields
     return None

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import abc
 import logging
+import operator
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Iterator
@@ -35,7 +36,7 @@ from repro.errors import (
     ReproError,
 )
 from repro.exec.batch import DEFAULT_BATCH_SIZE
-from repro.obs import OpProfile, analyze_active, metrics, span_for
+from repro.obs import NOOP_SPAN, OpProfile, analyze_active, metrics, tracer_for
 from repro.obs.trace import Tracer
 from repro.resilience import CircuitBreaker, FaultInjector, QueryTimeout, RetryPolicy
 from repro.resilience.admission import AdmissionController, AdmissionTicket
@@ -117,8 +118,10 @@ class SendRecord:
         *own* are the fields only the send itself knows: its two times,
         ``attempts``, ``outcome`` and ``deadline_budget_ms``.
         """
-        return cls(
-            **{name: getattr(stats, name) for name in _MIRRORED},
+        record = object.__new__(cls)
+        # Filled in one step: the frozen __init__ costs a call per field.
+        record.__dict__.update(
+            zip(_MIRRORED, _read_mirrored(stats)),
             shard_retries=stats.retries,
             rows_scanned=stats.heap_fetches + stats.index_entries,
             cache_hits=stats.result_cache_hits,
@@ -126,6 +129,7 @@ class SendRecord:
             queue_wait_ms=queue_wait_ms + stats.queue_wait_ms,
             **own,
         )
+        return record
 
     @property
     def retries(self) -> int:
@@ -140,6 +144,7 @@ _MIRRORED = tuple(
     if f.name in QueryStats.__dataclass_fields__
     and f.name not in ("queue_wait_ms", "deadline_budget_ms")
 )
+_read_mirrored = operator.attrgetter(*_MIRRORED)
 
 
 @dataclass(slots=True)
@@ -147,7 +152,7 @@ class _Send:
     """What every step of one :meth:`DatabaseConnector.send` shares.
 
     The connector-side twin of ``cluster/base.py::_Gather``: built once
-    at the top of ``send()``.  The first eleven fields are read-only after
+    at the top of ``send()``.  The first twelve fields are read-only after
     that; the rest accumulate as the send proceeds, and are what
     :meth:`DatabaseConnector._log` turns into the :class:`SendRecord`.
     """
@@ -163,6 +168,8 @@ class _Send:
     breaker: CircuitBreaker | None
     deadline: Deadline | None
     token: CancellationToken | None
+    #: The tracer the send's spans go to; ``None`` with tracing off.
+    tracer: Tracer | None
     dspan: Any
     started: float
     #: The result-cache (and singleflight) key; ``None`` with caching off.
@@ -183,6 +190,10 @@ class _Send:
         """Return the admission slot, feeding the latency to its controller."""
         if self.ticket is not None:
             self.ticket.release(time.perf_counter() - self.admitted_at, ok=ok)
+
+    def span(self, name: str, **attrs: Any) -> Any:
+        """A child span of the send, or the no-op span with tracing off."""
+        return NOOP_SPAN if self.tracer is None else self.tracer.span(name, **attrs)
 
 
 def _engines_of(database: Any) -> list[Any]:
@@ -402,15 +413,19 @@ class DatabaseConnector(abc.ABC):
             # timeout becomes the drain deadline.
             deadline = Deadline(self.timeout.seconds, clock=self.deadline_clock)
         cache = self.result_cache
+        tracer = tracer_for(self)
 
         metrics.count("queries_total", self.name)
-        with span_for(self, "dispatch", backend=self.name, collection=collection) as dspan:
+        dspan = NOOP_SPAN
+        if tracer is not None:
+            dspan = tracer.span("dispatch", backend=self.name, collection=collection)
+        with dspan:
             request = (query, collection)
             if prepared is not None:
                 request = (prepared[0], collection, prepared[1])
             s = _Send(
-                query, collection, request, stream, injector, policy,
-                self.circuit_breaker, deadline, frame.token, dspan, time.perf_counter(),
+                query, collection, request, stream, injector, policy, self.circuit_breaker,
+                deadline, frame.token, tracer, dspan, time.perf_counter(),
             )
             if cache is not None:
                 hit = self._probe_cache(s, cache)
@@ -464,9 +479,11 @@ class DatabaseConnector(abc.ABC):
                         partial=result.partial,
                     )
         if logger.isEnabledFor(logging.DEBUG):
+            # Counting the rows of a stream would drain it: say it streams.
+            rows = "streaming" if result.streaming else f"{len(result.records)} rows"
             logger.debug(
-                "%s <- %s (%d rows, %.2fms, %d attempts)\n%s",
-                self.name, collection, len(result.records),
+                "%s <- %s (%s, %.2fms, %d attempts)\n%s",
+                self.name, collection, rows,
                 record.real_seconds * 1000, record.attempts, query,
             )
         return result
@@ -496,20 +513,17 @@ class DatabaseConnector(abc.ABC):
                 # A shared answer (cache hit, singleflight follower) ran
                 # nothing: its engine time is the lookup or the wait.
                 result.elapsed_seconds = real
-            budget = s.deadline.remaining() * 1000.0 if s.deadline is not None else 0.0
-
-            def stamp() -> SendRecord:
-                return SendRecord.from_stats(
-                    result.stats,
-                    queue_wait_ms=s.queue_wait * 1000.0,
-                    real_seconds=real,
-                    reported_seconds=result.elapsed_seconds,
-                    attempts=s.attempts,
-                    outcome=outcome,
-                    deadline_budget_ms=budget,
-                )
-
-            record = stamp()
+            own = {
+                "queue_wait_ms": s.queue_wait * 1000.0,
+                "real_seconds": real,
+                "reported_seconds": result.elapsed_seconds,
+                "attempts": s.attempts,
+                "outcome": outcome,
+                "deadline_budget_ms": (
+                    s.deadline.remaining() * 1000.0 if s.deadline is not None else 0.0
+                ),
+            }
+            record = SendRecord.from_stats(result.stats, **own)
         self.send_log.append(record)
         s.record = record
         if outcome == OUTCOME_ERROR and s.deadline is not None and s.deadline.expired():
@@ -517,13 +531,15 @@ class DatabaseConnector(abc.ABC):
         metrics.count("retries_total", self.name, record.retries)
         metrics.count("rows_scanned", self.name, record.rows_scanned)
         if result is not None:
-            metrics.histogram("query_seconds", backend=self.name).observe(real)
+            metrics.observe("query_seconds", self.name, real)
             if s.streaming and hasattr(result, "on_drain"):
                 # Drain-dependent numbers (rows scanned, memory peaks,
                 # spill volume) are only final once the stream is
                 # exhausted; restamp the log entry in place then.
                 index = len(self.send_log) - 1
-                result.on_drain(lambda: self._restamp(s, stamp(), index))
+                result.on_drain(
+                    lambda: self._restamp(s, SendRecord.from_stats(result.stats, **own), index)
+                )
         if s.dspan.recording:
             # Counting the rows drains a stream, which restamps `s.record`.
             rows = {"rows": len(result.records)} if result is not None else {}
@@ -552,7 +568,7 @@ class DatabaseConnector(abc.ABC):
             s.query,
             self.dataset_versions.vector(s.query, s.collection),
         )
-        with span_for(self, "cache", op="lookup") as cspan:
+        with s.span("cache", op="lookup") as cspan:
             entry = cache.lookup(s.key)
             cspan.set(outcome="hit" if entry is not None else "miss")
         if entry is None:
@@ -617,7 +633,7 @@ class DatabaseConnector(abc.ABC):
                         raise
                 s.attempts += 1
                 attempt_started = time.perf_counter()
-                with span_for(self, "attempt", number=s.attempts) as aspan:
+                with s.span("attempt", number=s.attempts) as aspan:
                     try:
                         if s.injector is not None:
                             s.injector.before_request(self.name)
@@ -674,7 +690,7 @@ class DatabaseConnector(abc.ABC):
         """
         if self.admission is None:
             return
-        with span_for(self, "queue", backend=self.name) as qspan:
+        with s.span("queue", backend=self.name) as qspan:
             try:
                 s.ticket = self.admission.acquire(s.deadline)
             except OverloadError:

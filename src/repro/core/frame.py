@@ -21,13 +21,12 @@ identical either way — see ``docs/caching.md``.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Iterator, TYPE_CHECKING
 
 from repro.eager import EagerFrame, frame_from_records
 from repro.errors import ConnectorError, ReproError, RewriteError
-from repro.obs import analyze_mode, format_profile, span_for
+from repro.obs import analyze_mode, format_profile
 from repro.resilience.deadline import action_scope
 from repro.obs.profile import OpProfile
 from repro.core.plan.compiler import CompiledQuery, compile_plan_for, send_compiled
@@ -265,7 +264,6 @@ class PolyFrame:
             statement,
             attribute=name,
             base_plan=self._plan,
-            plan=Project(self._plan, (name,)),
         )
 
     def _project(self, names: list[str]) -> "PolyFrame":
@@ -312,8 +310,7 @@ class PolyFrame:
     # ------------------------------------------------------------------
     # Actions
     # ------------------------------------------------------------------
-    @contextmanager
-    def _action_span(self, op: str):
+    def _action_span(self, op: str) -> action_scope:
         """The root trace span every action opens (no-op unless tracing).
 
         Also the action's budget root: installs the per-action
@@ -321,14 +318,7 @@ class PolyFrame:
         ``REPRO_DEADLINE``) and :class:`~repro.resilience.CancellationToken`
         that every send, shard, hedge, and streamed batch below observes.
         """
-        with action_scope(self.connector), span_for(
-            self.connector,
-            "action",
-            op=op,
-            backend=self.connector.name,
-            collection=self.collection,
-        ) as span:
-            yield span
+        return action_scope(self.connector, op, self.collection)
 
     def head(self, n: int = 5) -> EagerFrame:
         """Fetch the first *n* rows as an eager frame."""

@@ -78,7 +78,7 @@ class QueryTemplate:
         return self.fill(lambda slot: rw.literal(bindings[slot]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompiledQuery:
     """One plan compiled for one backend."""
 
@@ -101,7 +101,7 @@ class CompiledQuery:
         return self.template.native, self.bindings
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompileRecord:
     """Bookkeeping for one compilation, appended to ``connector.compile_log``."""
 
@@ -282,7 +282,7 @@ def compile_plan_for(
             template, text = _compile_template(connector, plan, slots, terminal)
             connector.compile_cache.store(key, text, template)
         compile_ms = (time.perf_counter() - started) * 1000.0
-        metrics.counter("compile_cache_hits" if cache_hit else "compile_cache_misses").inc()
+        metrics.count("compile_cache_hits" if cache_hit else "compile_cache_misses")
         span.set(cache_hit=cache_hit, depth=template.depth, compile_ms=compile_ms)
     connector.compile_log.append(
         CompileRecord(cache_hit=cache_hit, compile_ms=compile_ms, depth=template.depth)

@@ -36,11 +36,6 @@ _OP_SYMBOLS = {
 }
 
 
-def _reference_style(rw) -> str:
-    rule = rw.rules.get("reference_style")
-    return rule.template if rule is not None else "statement"
-
-
 class Expr(abc.ABC):
     """One node of a backend-agnostic expression tree."""
 
@@ -73,7 +68,7 @@ class Expr(abc.ABC):
     # ------------------------------------------------------------------
     def render_left(self, rw) -> str:
         """What comparison/arithmetic templates receive as ``$left``."""
-        if _reference_style(rw) == "attribute":
+        if rw.reference_style == "attribute":
             raise RewriteError(
                 f"the {rw.language} rewrite rules reference fields by "
                 "name; only plain columns can be compared (the paper's "
@@ -83,7 +78,7 @@ class Expr(abc.ABC):
 
     def render_right(self, rw) -> str:
         """What templates receive as ``$right``."""
-        if _reference_style(rw) == "attribute":
+        if rw.reference_style == "attribute":
             raise RewriteError(
                 "field-name rewrite rules require a plain column on "
                 "the right-hand side"
@@ -101,12 +96,12 @@ class ColumnExpr(Expr):
         return rw.apply("single_attribute", attribute=self.name)
 
     def render_left(self, rw) -> str:
-        if _reference_style(rw) == "attribute":
+        if rw.reference_style == "attribute":
             return self.name
         return self.render(rw)
 
     def render_right(self, rw) -> str:
-        if _reference_style(rw) == "attribute":
+        if rw.reference_style == "attribute":
             return f'"${self.name}"'  # a Mongo field path
         return self.render(rw)
 
@@ -249,7 +244,7 @@ class MapExpr(Expr):
     operand: Expr
 
     def render(self, rw) -> str:
-        if _reference_style(rw) == "attribute":
+        if rw.reference_style == "attribute":
             if not isinstance(self.operand, ColumnExpr):
                 raise RewriteError(
                     "field-name rewrite rules can only map plain columns"

@@ -56,6 +56,10 @@ class RewriteEngine:
         if overrides:
             rules = rules.with_overrides(overrides)
         self.rules = rules
+        style = rules.get("reference_style")
+        #: How expressions name a column: ``attribute`` (a field name, the
+        #: MongoDB rules) or ``statement`` (a rendered column reference).
+        self.reference_style = style.template if style is not None else "statement"
         #: ``(rule, variable names)`` -> the rule's template split around them.
         self._parts: dict[tuple, list[str]] = {}
 

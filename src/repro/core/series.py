@@ -20,12 +20,11 @@ plan, compiled lazily when the series itself is the target of an action
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from functools import cached_property
 from typing import Any, Callable, TYPE_CHECKING
 
 from repro.eager import EagerFrame, frame_from_records
 from repro.errors import RewriteError
-from repro.obs import span_for
 from repro.resilience.deadline import action_scope
 from repro.core.plan.compiler import compile_plan_for, send_compiled
 from repro.core.plan.expr import (
@@ -46,6 +45,7 @@ from repro.core.plan.nodes import (
     Distinct,
     Limit,
     PlanNode,
+    Project,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -89,7 +89,6 @@ class PolySeries:
         alias: str | None = None,
         expr: Expr | None = None,
         base_plan: PlanNode | None = None,
-        plan: PlanNode | None = None,
     ) -> None:
         self._connector = connector
         self._collection = collection
@@ -98,9 +97,17 @@ class PolySeries:
         self.alias = alias or attribute or "value"
         self._expr = expr
         self._base_plan = base_plan
-        self._plan = plan
         if self._expr is None and attribute is not None:
             self._expr = ColumnExpr(attribute)
+
+    @cached_property
+    def _plan(self) -> PlanNode | None:
+        """The column projected or the expression computed, built on first use."""
+        if self._base_plan is None:
+            return None
+        if self.attribute is not None:
+            return Project(self._base_plan, (self.attribute,))
+        return Compute(self._base_plan, self._expr, self.alias)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -126,8 +133,7 @@ class PolySeries:
 
     @property
     def _reference_style(self) -> str:
-        rule = self._rw.rules.get("reference_style")
-        return rule.template if rule is not None else "statement"
+        return self._connector.rewriter.reference_style
 
     def __repr__(self) -> str:
         return f"PolySeries({self.alias!r}, statement={self.statement!r})"
@@ -183,7 +189,6 @@ class PolySeries:
             alias=alias,
             expr=expr,
             base_plan=self._base_plan,
-            plan=Compute(self._base_plan, expr, alias) if self._base_plan is not None else None,
         )
 
     def _compare(self, op: str, other: Any) -> "PolySeries":
@@ -310,21 +315,9 @@ class PolySeries:
     # ------------------------------------------------------------------
     # Actions
     # ------------------------------------------------------------------
-    @contextmanager
-    def _action_span(self, op: str):
-        """The root trace span every action opens (no-op unless tracing).
-
-        Also installs the action's budget frame (deadline + cancellation
-        token), exactly like :meth:`PolyFrame._action_span`.
-        """
-        with action_scope(self._connector), span_for(
-            self._connector,
-            "action",
-            op=op,
-            backend=self._connector.name,
-            collection=self._collection,
-        ) as span:
-            yield span
+    def _action_span(self, op: str) -> action_scope:
+        """The scope every action runs in, like :meth:`PolyFrame._action_span`."""
+        return action_scope(self._connector, op, self._collection)
 
     def _send(self, plan: PlanNode, terminal: str | None = None):
         compiled = compile_plan_for(self._connector, plan, terminal=terminal)

@@ -17,6 +17,11 @@ from repro.eager.series import EagerSeries
 class EagerFrame:
     """A column-oriented, eagerly evaluated dataframe."""
 
+    #: Bytes charged to the accountant, released in ``__del__`` (cheaper
+    #: than a ``weakref.finalize`` per result).
+    _charged = 0
+    _release = GLOBAL_ACCOUNTANT.release  # bound now: safe at interpreter exit
+
     def __init__(self, columns: dict[str, list[Any]], *, _charge: bool = True) -> None:
         lengths = {len(values) for values in columns.values()}
         if len(lengths) > 1:
@@ -26,8 +31,24 @@ class EagerFrame:
         }
         self._length = next(iter(lengths)) if lengths else 0
         if _charge:
-            total = sum(estimate_column_bytes(col) for col in self._columns.values())
-            GLOBAL_ACCOUNTANT.track(self, total)
+            self._charge(sum(estimate_column_bytes(col) for col in self._columns.values()))
+
+    @classmethod
+    def _adopt(cls, columns: dict[str, list[Any]], length: int, nbytes: int) -> "EagerFrame":
+        """A frame owning *columns* (*length* rows), charged *nbytes*."""
+        frame = cls.__new__(cls)
+        frame._columns = columns
+        frame._length = length
+        frame._charge(nbytes)
+        return frame
+
+    def _charge(self, nbytes: int) -> None:
+        GLOBAL_ACCOUNTANT.charge(nbytes)
+        self._charged += nbytes
+
+    def __del__(self) -> None:
+        if self._charged:
+            self._release(self._charged)
 
     # ------------------------------------------------------------------
     # Shape and protocol
@@ -77,7 +98,7 @@ class EagerFrame:
         if not self._columns:
             self._length = len(values)
         self._columns[name] = values
-        GLOBAL_ACCOUNTANT.track(self, estimate_column_bytes(values))
+        self._charge(estimate_column_bytes(values))
 
     def _filter(self, mask: EagerSeries) -> "EagerFrame":
         """Materialize the rows where *mask* is truthy (a full copy)."""

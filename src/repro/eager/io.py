@@ -16,7 +16,7 @@ import os
 from typing import Any, Iterable
 
 from repro.eager.frame import EagerFrame
-from repro.eager.memory import GLOBAL_ACCOUNTANT, estimate_value_bytes
+from repro.eager.memory import BYTES_BY_TYPE, GLOBAL_ACCOUNTANT, STRING_BYTES, estimate_value_bytes
 
 #: Transient parse-buffer multiplier: while ``read_json`` converts parsed
 #: records into columns, both representations are live, so peak memory
@@ -63,19 +63,33 @@ def frame_from_records(records: Iterable[dict[str, Any]]) -> EagerFrame:
     """Build a frame from row dicts, inferring the column set.
 
     Column order is first-seen order, so homogeneous inputs keep their
-    natural attribute order.
+    natural attribute order.  The same pass sums the accountant charge:
+    :func:`~repro.eager.memory.estimate_column_bytes` over every column.
     """
-    materialized = list(records)
     columns: dict[str, list[Any]] = {}
-    for row_index, record in enumerate(materialized):
+    items: list[tuple[str, list[Any]]] = []
+    known = columns.keys()
+    nbytes = 0
+    rows = 0
+    for record in records:
         if not isinstance(record, dict):
-            raise TypeError(
-                f"record {row_index} is {type(record).__name__}, expected dict"
-            )
-        for name in record:
-            if name not in columns:
-                columns[name] = []
-    for record in materialized:
-        for name, values in columns.items():
-            values.append(record.get(name))
-    return EagerFrame(columns)
+            raise TypeError(f"record {rows} is {type(record).__name__}, expected dict")
+        if not known >= record.keys():
+            for name in record:
+                if name not in columns:
+                    # Earlier rows lack the column: they hold None there.
+                    columns[name] = [None] * rows
+                    nbytes += BYTES_BY_TYPE[type(None)] * rows
+            items = list(columns.items())
+        for name, values in items:
+            value = record.get(name)
+            values.append(value)
+            kind = type(value)
+            if kind is str:
+                nbytes += STRING_BYTES + len(value)
+            else:
+                size = BYTES_BY_TYPE.get(kind)
+                nbytes += estimate_value_bytes(value) if size is None else size
+        rows += 1
+    length = rows if columns else 0  # a frame without columns has no rows
+    return EagerFrame._adopt(columns, length, nbytes + 8 * rows * len(columns))

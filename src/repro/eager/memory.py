@@ -32,6 +32,10 @@ _BYTES_NUMBER = 32
 _BYTES_BOOL = 28
 _BYTES_NONE = 16
 _BYTES_STRING_BASE = 49
+#: :func:`estimate_value_bytes` by exact type, for pricing many values at
+#: once; a ``str`` is ``STRING_BYTES`` plus its length.
+BYTES_BY_TYPE = {type(None): _BYTES_NONE, bool: _BYTES_BOOL, int: _BYTES_NUMBER, float: _BYTES_NUMBER}
+STRING_BYTES = _BYTES_STRING_BASE
 
 
 def estimate_value_bytes(value: Any) -> int:

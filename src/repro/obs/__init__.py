@@ -31,6 +31,7 @@ from repro.obs.trace import (
     get_tracer,
     set_global_tracer,
     span_for,
+    tracer_for,
     tracing_active,
 )
 
@@ -54,5 +55,6 @@ __all__ = [
     "profiled_rows",
     "set_global_tracer",
     "span_for",
+    "tracer_for",
     "tracing_active",
 ]

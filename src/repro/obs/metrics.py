@@ -16,7 +16,7 @@ registry; construct a private :class:`MetricsRegistry` for isolation.
 from __future__ import annotations
 
 import threading
-from typing import Any
+from typing import Any, Callable
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "metrics"]
 
@@ -113,10 +113,12 @@ class MetricsRegistry:
     """Named counters and histograms, keyed by ``(name, labels)``."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._counters: dict[tuple[str, _LabelKey], Counter] = {}
         self._gauges: dict[tuple[str, _LabelKey], Gauge] = {}
         self._histograms: dict[tuple[str, _LabelKey], Histogram] = {}
+        #: :meth:`count`'s and :meth:`observe`'s series, looked up once.
+        self._series: dict[tuple, Any] = {}
 
     def counter(self, name: str, **labels: Any) -> Counter:
         key = (name, _label_key(labels))
@@ -142,12 +144,26 @@ class MetricsRegistry:
                 histogram = self._histograms.setdefault(key, Histogram(name, key[1]))
         return histogram
 
+    def _resolved(self, key: tuple, lookup: Callable[[], Any]) -> Any:
+        """``lookup()``'s series, looked up once per *key* until :meth:`reset`."""
+        series = self._series.get(key)
+        if series is None:
+            with self._lock:  # so a reset cannot drop the series in between
+                series = self._series[key] = lookup()
+        return series
+
     def count(self, name: str, backend: str = "", amount: int = 1) -> None:
         """Bump a counter both plain and labeled by *backend* (when named)."""
         if amount:
-            self.counter(name).inc(amount)
-            if backend:
-                self.counter(name, backend=backend).inc(amount)
+            for counter in self._resolved(
+                ("count", name, backend),
+                lambda: [self.counter(name)] + ([self.counter(name, backend=backend)] if backend else []),
+            ):
+                counter.inc(amount)
+
+    def observe(self, name: str, backend: str, value: float) -> None:
+        """Record *value* in the histogram *name* labeled by *backend*."""
+        self._resolved(("observe", name, backend), lambda: self.histogram(name, backend=backend)).observe(value)
 
     # -- reading --------------------------------------------------------
     def counter_value(self, name: str, **labels: Any) -> int:
@@ -186,6 +202,7 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         with self._lock:
+            self._series.clear()
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()

@@ -34,6 +34,7 @@ __all__ = [
     "propagated_context",
     "set_global_tracer",
     "span_for",
+    "tracer_for",
     "tracing_active",
 ]
 
@@ -353,16 +354,24 @@ def ambient_span(name: str, **attrs: Any):
     return NOOP_SPAN
 
 
-def span_for(connector: Any, name: str, **attrs: Any):
-    """A span from *connector*'s tracer, else the global tracer, else no-op.
-
-    The hook for connector-adjacent layers (frame actions, ``send()``):
-    honors per-connector ``set_tracer(...)`` before the ``REPRO_TRACE``
-    process tracer.
-    """
+def tracer_for(connector: Any) -> Tracer | None:
+    """*connector*'s tracer, else the global tracer, if it records; else None."""
     tracer = getattr(connector, "tracer", None)
     if tracer is None:
         tracer = get_tracer()
     if tracer is None or not tracer.enabled:
+        return None
+    return tracer
+
+
+def span_for(connector: Any, name: str, **attrs: Any):
+    """A span from *connector*'s tracer, else the global tracer, else no-op.
+
+    The hook for connector-adjacent layers (the compiler): honors
+    per-connector ``set_tracer(...)`` before the ``REPRO_TRACE`` process
+    tracer.
+    """
+    tracer = tracer_for(connector)
+    if tracer is None:
         return NOOP_SPAN
     return tracer.span(name, **attrs)

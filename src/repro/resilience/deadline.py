@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Any, Callable
 
 from repro.errors import QueryCancelledError, QueryTimeoutError
+from repro.obs.trace import tracer_for
 
 __all__ = [
     "BudgetFrame",
@@ -99,38 +99,39 @@ class Deadline:
 
 
 class CancellationToken:
-    """A thread-safe, one-way cooperative stop signal.
+    """A one-way cooperative stop signal.
 
     Tokens form a chain: a child created with ``parent=`` observes its
     parent's cancellation (a cancelled action cancels every gather under
     it) while cancelling the child alone — one shard gather, one hedge
-    leg — never propagates upward.
+    leg — never propagates upward.  Nothing blocks on a token, so it is
+    a plain flag, set once (atomic under the GIL).
     """
 
-    __slots__ = ("_event", "_reason", "_parent")
+    __slots__ = ("_set", "_reason", "_parent")
 
     def __init__(self, parent: "CancellationToken | None" = None) -> None:
-        self._event = threading.Event()
+        self._set = False
         self._reason = ""
         self._parent = parent
 
     @property
     def cancelled(self) -> bool:
-        if self._event.is_set():
+        if self._set:
             return True
         return self._parent.cancelled if self._parent is not None else False
 
     @property
     def reason(self) -> str:
-        if self._event.is_set():
+        if self._set:
             return self._reason
         return self._parent.reason if self._parent is not None else ""
 
     def cancel(self, reason: str = "") -> None:
         """Signal cancellation (idempotent; the first reason sticks)."""
-        if not self._event.is_set():
+        if not self._set:
             self._reason = reason or self._reason
-            self._event.set()
+            self._set = True
 
     def check(self, *, where: str = "") -> None:
         """Raise :class:`QueryCancelledError` if cancellation was signalled."""
@@ -181,30 +182,23 @@ def current_token() -> CancellationToken | None:
     return current_frame().token
 
 
-@contextmanager
 def budget_scope(
     deadline: Deadline | None = None,
     token: CancellationToken | None = None,
-) -> Iterator[BudgetFrame]:
+) -> "propagated_frame":
     """Install a budget frame on this thread for the duration of the block.
 
     ``None`` fields inherit from the enclosing frame, so a gather can
     narrow the cancellation scope while keeping the action's deadline.
     """
     outer = current_frame()
-    frame = BudgetFrame(
+    return propagated_frame(BudgetFrame(
         deadline if deadline is not None else outer.deadline,
         token if token is not None else outer.token,
-    )
-    _local.frame = frame
-    try:
-        yield frame
-    finally:
-        _local.frame = outer
+    ))
 
 
-@contextmanager
-def propagated_frame(frame: BudgetFrame) -> Iterator[None]:
+class propagated_frame:
     """Re-establish a captured budget frame on a worker thread.
 
     The dispatcher-side counterpart of
@@ -212,36 +206,63 @@ def propagated_frame(frame: BudgetFrame) -> Iterator[None]:
     legs run under the submitting thread's deadline and token no matter
     which thread executes them.
     """
-    outer = current_frame()
-    _local.frame = frame
-    try:
-        yield
-    finally:
-        _local.frame = outer
+
+    __slots__ = ("_frame", "_outer")
+
+    def __init__(self, frame: BudgetFrame) -> None:
+        self._frame = frame
+
+    def __enter__(self) -> BudgetFrame:
+        self._outer = current_frame()
+        _local.frame = self._frame
+        return self._frame
+
+    def __exit__(self, *exc_info: object) -> None:
+        _local.frame = self._outer
 
 
-@contextmanager
-def action_scope(connector: object) -> Iterator[BudgetFrame]:
-    """The root budget frame for one PolyFrame action.
+class action_scope(propagated_frame):
+    """The root budget frame — and, when tracing, the root ``action`` span —
+    of one PolyFrame action.
 
-    Opened by every dataframe/series action next to its root trace span:
-    creates the action's :class:`Deadline` (from the connector's
-    ``deadline`` attribute — ``None`` when it is off, the seed default)
-    and a fresh :class:`CancellationToken`, so a
-    multi-query action spends *one* budget across all of its sends and
-    every gather below it can hang child tokens off the action's.  A
-    nested action that already runs under a frame with a deadline shares
-    the outer budget instead of resetting the clock.
+    Entered by every dataframe/series action: creates the action's
+    :class:`Deadline` (from the connector's ``deadline`` attribute —
+    ``None`` when it is off, the seed default) and a fresh
+    :class:`CancellationToken`, so a multi-query action spends *one*
+    budget across all of its sends and every gather below it can hang
+    child tokens off the action's.  A nested action that already runs
+    under a frame with a deadline shares the outer budget instead of
+    resetting the clock.  Given an *op*, the span is opened inside the
+    frame with the connector's tracer; with tracing off there is none.
     """
-    outer = current_frame()
-    if outer.deadline is not None:
-        yield outer
-        return
-    seconds = getattr(connector, "deadline", None)
-    deadline: Deadline | None = None
-    if seconds and seconds > 0:
-        clock = getattr(connector, "deadline_clock", None) or time.monotonic
-        deadline = Deadline(seconds, clock=clock)
-    token = CancellationToken(parent=outer.token)
-    with budget_scope(deadline, token) as frame:
-        yield frame
+
+    __slots__ = ("_span",)
+
+    def __init__(self, connector: Any, op: str = "", collection: str = "") -> None:
+        outer = current_frame()
+        frame = outer
+        if outer.deadline is None:
+            seconds = getattr(connector, "deadline", None)
+            deadline: Deadline | None = None
+            if seconds and seconds > 0:
+                clock = getattr(connector, "deadline_clock", None) or time.monotonic
+                deadline = Deadline(seconds, clock=clock)
+            frame = BudgetFrame(deadline, CancellationToken(parent=outer.token))
+        super().__init__(frame)
+        tracer = tracer_for(connector) if op else None
+        self._span = None if tracer is None else tracer.span(
+            "action", op=op, backend=connector.name, collection=collection
+        )
+
+    def __enter__(self) -> BudgetFrame:
+        frame = super().__enter__()
+        if self._span is not None:
+            self._span.__enter__()
+        return frame
+
+    def __exit__(self, *exc_info: object) -> None:
+        try:
+            if self._span is not None:
+                self._span.__exit__(*exc_info)
+        finally:
+            super().__exit__()

@@ -153,7 +153,7 @@ class SQLDatabase:
             stats = QueryStats(plan_cache_hits=int(hit), plan_cache_misses=int(not hit))
             budget = MemoryBudget(self.memory_budget)
             ctx = ExecutionContext(self.catalog, self._evaluator, stats, budget)
-            plan_text = physical.tree_string()
+            plan_text = physical.tree_string  # rendered if the result's text is read
             vector_plan = (
                 vectorize(physical, self.dialect)
                 if self.exec_engine == "vector"
@@ -166,7 +166,9 @@ class SQLDatabase:
                 if want_profile:
                     profile = obs.instrument_tree(vector_plan.head)
                 rows = vector_plan.execute(ctx)
-                plan_text += "\n== vector ==\n" + vector_plan.tree_string()
+
+                def plan_text() -> str:  # rendered on first read, as above
+                    return physical.tree_string() + "\n== vector ==\n" + vector_plan.tree_string()
             else:
                 stats.exec_engine = "row"
                 if want_profile:

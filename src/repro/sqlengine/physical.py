@@ -670,7 +670,7 @@ class HashJoin(PhysicalPlan):
             key = evaluate(self.right_key, row)
             if key is None or key is SENTINEL_MISSING:
                 continue
-            table.setdefault(index_key(key), []).append(row)
+            table.setdefault(order_key(key, "JOIN"), []).append(row)
             nbytes = estimate_record_bytes(row)
             build_bytes += nbytes
             ctx.memory.reserve(nbytes)
@@ -679,7 +679,7 @@ class HashJoin(PhysicalPlan):
                 key = evaluate(self.left_key, left_row)
                 if key is None or key is SENTINEL_MISSING:
                     continue
-                for right_row in table.get(index_key(key), ()):
+                for right_row in table.get(order_key(key, "JOIN"), ()):
                     merged = dict(left_row)
                     merged.update(right_row)
                     yield merged
@@ -722,7 +722,7 @@ class IndexNestedLoopJoin(PhysicalPlan):
             key = evaluate(self.outer_key, outer_row)
             if key is None or key is SENTINEL_MISSING:
                 continue
-            for rid in index.tree.search(index_key(key)):
+            for rid in index.tree.search(order_key(key, "JOIN")):
                 ctx.stats.index_entries += 1
                 record = table.heap.fetch(rid)
                 ctx.stats.heap_fetches += 1

@@ -88,6 +88,22 @@ _MERGE_RULES = tuple(
 )
 
 
+class _RenderedOnRead:
+    """A text field that may be set to a callable: it renders the text on
+    the first read, and the text is kept."""
+
+    def __get__(self, obj: Any, owner: type | None = None) -> str:
+        if obj is None:
+            return ""  # the dataclass default
+        text = obj.__dict__["_plan_text"]
+        if not isinstance(text, str):
+            text = obj.__dict__["_plan_text"] = text()
+        return text
+
+    def __set__(self, obj: Any, value: Any) -> None:
+        obj.__dict__["_plan_text"] = value
+
+
 @dataclass
 class ResultSet:
     """Materialized output of one query execution.
@@ -106,11 +122,13 @@ class ResultSet:
     actually answered it — under failover or hedging that may not be the
     primary.  Empty for single-node results and for answers a
     connector served from its result cache.
+
+    ``plan_text`` may be set to a callable, rendered on the first read.
     """
 
     records: list[Any] = field(default_factory=list)
     stats: QueryStats = field(default_factory=QueryStats)
-    plan_text: str = ""
+    plan_text: str = _RenderedOnRead()  # type: ignore[assignment]
     elapsed_seconds: float = 0.0
     partial: bool = False
     shard_attempts: tuple[int, ...] = ()
